@@ -46,9 +46,12 @@ class SimilarityMatrix:
         if len(set(self.labels)) != len(self.labels):
             raise InputError("labels must be unique")
         off = ~np.eye(v.shape[0], dtype=bool)
-        if np.isnan(v[off]).any():
-            i, j = next(zip(*np.where(np.isnan(v) & off)))
-            raise InputError(f"similarity between {self.labels[i]} and {self.labels[j]} is NaN")
+        if not np.isfinite(v[off]).all():
+            i, j = next(zip(*np.where(~np.isfinite(v) & off)))
+            kind = "NaN" if np.isnan(v[i, j]) else "infinite"
+            raise InputError(
+                f"similarity between {self.labels[i]} and {self.labels[j]} is {kind}"
+            )
         if not np.allclose(v, v.T, atol=SYMMETRY_TOLERANCE, rtol=0.0, equal_nan=True):
             raise InputError(f"matrix is asymmetric beyond {SYMMETRY_TOLERANCE}")
         if self.correlation and (np.abs(v[off]) > 1 + SYMMETRY_TOLERANCE).any():
@@ -94,8 +97,9 @@ def correlation_from_returns(
         raise InputError("one label per column is required")
     if table.shape[0] < 2:
         raise InputError("need at least two observations per entity")
-    if np.isnan(table).any():
-        raise InputError("returns table contains NaN")
+    if not np.isfinite(table).all():
+        kind = "NaN" if np.isnan(table).any() else "infinite values"
+        raise InputError(f"returns table contains {kind}")
     stds = table.std(axis=0)
     for j, s in enumerate(stds):
         if s == 0.0:

@@ -179,7 +179,7 @@ def _cmd_flip(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     ceiling = args.unsafe_ceiling or _env_int("PMFG_CEILING", GENERATION_CEILING)
-    workers = args.workers or _env_int("PMFG_WORKERS", 1)
+    workers = args.workers if args.workers is not None else _env_int("PMFG_WORKERS", 1)
     reports = run_campaign(args.n_max, ceiling=ceiling, workers=workers)
     failures = 0
     for report in reports:

@@ -84,6 +84,11 @@ def _canonical_walk(walk: list[int]) -> tuple[int, ...]:
     return best
 
 
+def _is_vertex(x: object) -> bool:
+    """True for a JSON integer; bool is an int subclass but not a vertex id."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _canonical_rotation(nbrs: Sequence[int]) -> tuple[int, ...]:
     """Rotate a cyclic neighbor order to start at the smallest id.
 
@@ -324,13 +329,23 @@ class PlanarEmbedding:
             rotation = doc["rotation"]
         except (TypeError, KeyError) as exc:
             raise InputError(f"graph document lacks required key: {exc}") from exc
-        if not isinstance(n, int) or len(rotation) != n:
+        if not isinstance(rotation, list) or not all(
+            isinstance(nbrs, list) and all(map(_is_vertex, nbrs)) for nbrs in rotation
+        ):
+            raise InputError("graph document: rotation must be a list of integer lists")
+        if not _is_vertex(n) or len(rotation) != n:
             raise InputError("graph document: rotation length must equal n")
-        return cls(
-            rotation,
-            labels=doc.get("labels"),
-            outer_face=doc.get("outer_face"),
-        )
+        labels = doc.get("labels")
+        if labels is not None and not (
+            isinstance(labels, list) and all(isinstance(s, str) for s in labels)
+        ):
+            raise InputError("graph document: labels must be a list of strings")
+        outer_face = doc.get("outer_face")
+        if outer_face is not None and not (
+            isinstance(outer_face, list) and all(map(_is_vertex, outer_face))
+        ):
+            raise InputError("graph document: outer_face must be a list of integers")
+        return cls(rotation, labels=labels, outer_face=outer_face)
 
     @classmethod
     def from_json(cls, text: str) -> "PlanarEmbedding":

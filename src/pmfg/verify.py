@@ -23,6 +23,7 @@ from .generator import (
     generate_all,
     normalize_to_standard,
     standard_form,
+    standard_form_code,
 )
 
 BRUTE_CENSUS_LIMIT = 16
@@ -162,6 +163,7 @@ def verify_level(n: int, *, ceiling: int = GENERATION_CEILING) -> BoundsReport:
 
     records = generate_all(n, ceiling=ceiling, on_application=record)
     flip_codes = flip_closure(n, ceiling=ceiling)
+    std_code = standard_form_code(n)
     report = BoundsReport(
         n=n,
         classes=len(records),
@@ -169,11 +171,10 @@ def verify_level(n: int, *, ceiling: int = GENERATION_CEILING) -> BoundsReport:
         c3_max=0,
         c4_min=0,
         c4_max=0,
-        standard_code=canonical_code(standard_form(n)).hex(),
+        standard_code=std_code.hex(),
         eberhard_delta_range=deltas,
     )
     report.closure_agreement = set(records) == flip_codes
-    std_code = canonical_code(standard_form(n))
     c3s: list[int] = []
     c4s: list[int] = []
     for code, rec in records.items():
@@ -217,6 +218,8 @@ def run_campaign(
     """Verify every vertex count in [n_min, n_max], optionally in parallel."""
     if n_min < 4 or n_max < n_min:
         raise InputError("campaign range must satisfy 4 <= n_min <= n_max")
+    if workers < 1:
+        raise InputError(f"workers must be at least 1, not {workers}")
     ns = list(range(n_min, n_max + 1))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:

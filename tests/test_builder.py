@@ -91,12 +91,26 @@ class TestCorrelation:
         with pytest.raises(InputError):
             correlation_from_returns(np.array([[1.0, 2.0]]), ["a", "b"])
 
+    @pytest.mark.parametrize("bad, name", [(np.nan, "NaN"), (np.inf, "infinite"), (-np.inf, "infinite")])
+    def test_non_finite_returns_named(self, bad, name):
+        table = np.array([[1.0, 2.0], [bad, 3.0], [2.0, 1.0]])
+        with pytest.raises(InputError, match=name):
+            correlation_from_returns(table, ["a", "b"])
+
 
 class TestSimilarityMatrix:
     def test_nan_rejected_with_labels(self):
         values = np.array([[1.0, np.nan], [np.nan, 1.0]])
         with pytest.raises(InputError, match="a.*b|NaN"):
             SimilarityMatrix(("a", "b"), values)
+
+    def test_infinite_similarity_rejected_with_labels(self):
+        values = np.array([[1.0, np.inf], [np.inf, 1.0]])
+        with pytest.raises(InputError, match="between a and b is infinite"):
+            SimilarityMatrix(("a", "b"), values)
+
+    def test_infinite_diagonal_ignored(self):
+        SimilarityMatrix(("a", "b"), np.array([[np.inf, 0.5], [0.5, 1.0]]))
 
     def test_asymmetry_rejected(self):
         values = np.array([[1.0, 0.5], [0.4, 1.0]])

@@ -86,6 +86,12 @@ class TestBuildCommand:
         edges = {tuple(sorted(e)) for e in graph.edges()}
         assert edges == set(STANDARD6_EDGES)
 
+    def test_infinite_similarity_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "inf.csv"
+        path.write_text(",A,B,C\nA,1,inf,0.2\nB,inf,1,0.3\nC,0.2,0.3,1\n")
+        assert main(["build", str(path), "--output-dir", str(tmp_path)]) == 2
+        assert "between A and B is infinite" in capsys.readouterr().err
+
     def test_malformed_csv_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text(",A,B\nA,1.0\n")
@@ -133,6 +139,37 @@ class TestCliquesCommand:
         path = tmp_path / "path.json"
         path.write_text(PlanarEmbedding(((1,), (0, 2), (1,))).to_json())
         assert main(["cliques", str(path)]) == 2
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"n": 4, "rotation": [["1", 3, 2], [2, 3, 0], [0, 3, 1], [0, 1, 2]]},
+            {"n": 4, "rotation": [[1.0, 3, 2], [2, 3, 0], [0, 3, 1], [0, 1, 2]]},
+            {"n": 4, "rotation": [[True, 3, 2], [2, 3, 0], [0, 3, 1], [0, 1, 2]]},
+            {"n": 4, "rotation": 5},
+            {"n": 4, "rotation": [1, 2, 3, 4]},
+            {"n": 4, "rotation": [[1, 3, 2], [2, 3, 0], [0, 3, 1], [0, 1, 2]], "labels": 7},
+            {"n": 4, "rotation": [[1, 3, 2], [2, 3, 0], [0, 3, 1], [0, 1, 2]], "labels": ["a", "b", "c", 4]},
+            {"n": 4, "rotation": [[1, 3, 2], [2, 3, 0], [0, 3, 1], [0, 1, 2]], "outer_face": [[0, 1, 2]]},
+        ],
+        ids=[
+            "string-neighbour",
+            "float-neighbour",
+            "bool-neighbour",
+            "rotation-not-a-list",
+            "rotation-entry-not-a-list",
+            "labels-not-a-list",
+            "non-string-label",
+            "nested-outer-face",
+        ],
+    )
+    def test_malformed_graph_json_exits_2(self, tmp_path, capsys, doc):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        assert main(["cliques", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: graph document:")
+        assert len(err.strip().splitlines()) == 1
 
 
 class TestGenerateCommand:
@@ -231,6 +268,28 @@ class TestVerifyCommand:
     def test_workers_env_var(self, monkeypatch, capsys):
         monkeypatch.setenv("PMFG_WORKERS", "2")
         assert main(["verify", "--n-max", "5", "--table"]) == 0
+
+    @pytest.mark.parametrize(
+        "argv, env, bad",
+        [(["--workers", "0"], None, 0), (["--workers", "-3"], None, -3), ([], "0", 0)],
+    )
+    def test_workers_below_one_exit_2_before_any_work(
+        self, monkeypatch, capsys, argv, env, bad
+    ):
+        import pmfg.verify
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("nothing may run with an invalid worker count")
+
+        monkeypatch.setattr(pmfg.verify, "verify_level", no_work)
+        monkeypatch.setattr(pmfg.verify, "ProcessPoolExecutor", no_work)
+        if env is None:
+            monkeypatch.delenv("PMFG_WORKERS", raising=False)
+        else:
+            monkeypatch.setenv("PMFG_WORKERS", env)
+        assert main(["verify", "--n-max", "5", *argv]) == 2
+        err = capsys.readouterr().err
+        assert err.strip() == f"error: workers must be at least 1, not {bad}"
 
 
 class TestDegreeCensusCommand:

@@ -30,7 +30,40 @@ from pmfg import (
     random_triangulation,
     standard_form,
 )
+from pmfg.generator import CLASS_COUNTS, standard_form_code
 from conftest import brute_isomorphic
+
+
+def reference_code(emb: PlanarEmbedding) -> bytes:
+    """Exhaustive canonical code: full BFS from all 4e darts, minimum bytes.
+
+    The search that ``canonical_code`` prunes, kept as the oracle for its
+    exact bytes.
+    """
+    best = None
+    mirror = tuple(tuple(reversed(nbrs)) for nbrs in emb.rotation)
+    for rotation in (emb.rotation, mirror):
+        for u, nbrs in enumerate(rotation):
+            for v in nbrs:
+                number = {u: 1, v: 2}
+                entry = {u: v, v: u}
+                order = [u, v]
+                out = []
+                for x in order:
+                    row = rotation[x]
+                    i0 = row.index(entry[x])
+                    for j in range(len(row)):
+                        w = row[(i0 + j) % len(row)]
+                        if w not in number:
+                            number[w] = len(order) + 1
+                            entry[w] = x
+                            order.append(w)
+                        out.append(number[w])
+                    out.append(0)
+                code = b"".join(x.to_bytes(2, "big") for x in out)
+                if best is None or code < best:
+                    best = code
+    return best
 
 
 class TestPureChordCycles:
@@ -227,6 +260,32 @@ class TestCanonicalCode:
                 assert same_code == brute_isomorphic(shuffled, e2)
 
 
+    def test_bytes_match_exhaustive_reference_on_every_class(self, classes):
+        embeddings = [rec.embedding for recs in classes.values() for rec in recs.values()]
+        embeddings += [rec.embedding for rec in generate_all(9, check_deltas=False).values()]
+        assert len(embeddings) == sum(CLASS_COUNTS[n] for n in range(4, 10))
+        for emb in embeddings:
+            assert canonical_code(emb).code == reference_code(emb)
+
+    def test_bytes_match_exhaustive_reference_on_random_copies(self):
+        rng = random.Random(2007)
+        for n in range(10, 41, 3):
+            emb = random_triangulation(n, seed=n)
+            perm = list(range(n))
+            rng.shuffle(perm)
+            for copy in (emb, emb.relabel(perm), emb.relabel(perm).mirrored()):
+                assert canonical_code(copy).code == reference_code(copy), n
+
+    def test_standard_form_code_is_pinned(self):
+        # The hex printed by ``pmfg verify`` as n=5's standard_form_code.
+        pinned = (
+            "0002000300040000000100040005000300000001000200050004"
+            "0000000100030005000200000002000400030000"
+        )
+        assert canonical_code(standard_form(5)).hex() == pinned
+        assert standard_form_code(5).hex() == pinned
+
+
 class TestClosures:
     def test_class_counts_up_to_eight(self, classes):
         assert [len(classes[n]) for n in (4, 5, 6, 7, 8)] == [1, 1, 2, 5, 14]
@@ -257,6 +316,13 @@ class TestClosures:
     def test_ceiling_override(self):
         # n=10 exceeds the default ceiling but must work when raised.
         assert len(generate_all(10, ceiling=10, check_deltas=False)) == 233
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("n", [10, 11])
+    def test_closures_agree_beyond_the_fast_tier(self, n):
+        codes = set(generate_all(n, ceiling=n, check_deltas=False))
+        assert len(codes) == CLASS_COUNTS[n]
+        assert flip_closure(n, ceiling=n) == codes
 
 
 class TestNormalization:
