@@ -27,7 +27,6 @@ from .embedding import (
     PlanarEmbedding,
     degree_sequence,
     euler_check,
-    trace_faces,
 )
 from .errors import (
     CeilingError,
@@ -118,7 +117,6 @@ __all__ = [
     "run_campaign",
     "standard_form",
     "standard_form_expected",
-    "trace_faces",
     "verify_level",
     "weighted_edge_list",
 ]

@@ -1,10 +1,16 @@
 """Construction of Planar Maximally Filtered Graphs from similarity data.
 
 The builder scans all vertex pairs in descending similarity order and keeps
-an edge exactly when the kept set stays planar.  The scan stops once
-3(n - 2) edges are accepted, at which point the kept graph is a maximal
-planar graph (a sphere triangulation) and no later edge could ever be
-accepted.
+an edge exactly when the kept set stays planar (Tumminello et al., PNAS 102
+(2005) 10421).  The scan stops once 3(n - 2) edges are accepted, at which
+point the kept graph is a maximal planar graph (a sphere triangulation) and
+no later edge could ever be accepted.
+
+Planarity is decided incrementally, after the on-line planarity idea of
+Di Battista & Tamassia (SIAM J. Comput. 25 (1996)): the gate keeps a
+rotation system of the kept graph between candidates and settles most of
+them by a certificate read off that embedding, running a full LR planarity
+test only when no certificate applies.
 """
 
 from __future__ import annotations
@@ -14,6 +20,7 @@ import io
 from dataclasses import dataclass
 from pathlib import Path
 
+import networkx as nx
 import numpy as np
 
 from .embedding import Edge, PlanarEmbedding
@@ -75,11 +82,26 @@ class WeightedEdgeList:
 
 
 @dataclass(frozen=True)
+class GateCounts:
+    """How many examined pairs each rule of the planarity gate decided.
+
+    The first three are certified decisions; ``lr_calls`` counts the pairs
+    that fell through to a full LR planarity test, accepted or rejected.
+    """
+
+    component_joins: int = 0
+    face_accepts: int = 0
+    whitney_rejects: int = 0
+    lr_calls: int = 0
+
+
+@dataclass(frozen=True)
 class PmfgResult:
     embedding: PlanarEmbedding
     accepted: tuple[tuple[int, int, float], ...]
     rejected: tuple[tuple[int, int, float], ...]
     total_weight: float
+    gate_counts: GateCounts = GateCounts()
 
     @property
     def labels(self) -> tuple[str, ...] | None:
@@ -139,14 +161,206 @@ def weighted_edge_list(
     return WeightedEdgeList(tuple((i, j, -negw) for negw, _, _, i, j in pairs))
 
 
+def _trace_faces(rotation: list[list[int]]) -> tuple[list[list[int]], dict[Edge, int]]:
+    """Boundary walks of a rotation system, and the face index of every dart.
+
+    Uses the successor rule of ``PlanarEmbedding.face_successor``; isolated
+    vertices lie on no walk.
+    """
+    walks: list[list[int]] = []
+    face_of: dict[Edge, int] = {}
+    for u, nbrs in enumerate(rotation):
+        for v in nbrs:
+            if (u, v) in face_of:
+                continue
+            k = len(walks)
+            walk = []
+            a, b = u, v
+            while (a, b) not in face_of:
+                face_of[a, b] = k
+                walk.append(a)
+                r = rotation[b]
+                a, b = b, r[r.index(a) - 1]
+            walks.append(walk)
+    return walks, face_of
+
+
+def _face_masks(n: int, walks: list[list[int]]) -> list[int]:
+    """Bit k of entry x is set iff vertex x lies on walk k."""
+    masks = [0] * n
+    for k, walk in enumerate(walks):
+        bit = 1 << k
+        for x in walk:
+            masks[x] |= bit
+    return masks
+
+
+def _is_triconnected(walks: list[list[int]], face_of: dict[Edge, int], size: int) -> bool:
+    """True iff a plane graph is 3-connected, given its face walks and dart
+    faces (``_trace_faces``) and its number ``size`` of non-isolated vertices.
+
+    A connected plane graph with minimum degree 3 is 2-connected iff every
+    face walk is a cycle, and a 2-connected one is 3-connected iff any two
+    faces meet in nothing, one vertex or one edge (Mohar & Thomassen,
+    Graphs on Surfaces, 2001).
+    """
+    if size < 4 or size - len(face_of) // 2 + len(walks) != 2:  # disconnected
+        return False
+    if any(len(set(walk)) != len(walk) for walk in walks):
+        return False
+    around: dict[int, list[int]] = {}
+    for (x, _), f in face_of.items():
+        around.setdefault(x, []).append(f)
+    shared: dict[Edge, list[int]] = {}
+    for x, faces in around.items():
+        faces.sort()
+        for i, f in enumerate(faces):
+            for g in faces[i + 1 :]:
+                shared.setdefault((f, g), []).append(x)
+    for (f, g), common in shared.items():
+        if len(common) > 2:
+            return False
+        if len(common) == 2:
+            a, b = common
+            if {face_of.get((a, b)), face_of.get((b, a))} != {f, g}:
+                return False
+    return True
+
+
+class _PlanarityGate:
+    """The kept graph of a PMFG scan, growing one planar edge at a time.
+
+    The gate holds a rotation system of the kept graph, union-find
+    components, the face walks of the rotation with per-vertex face bitmasks,
+    and a stored 3-connected subgraph H with the face bitmasks of its
+    embedding.  ``add_if_planar`` applies the first rule that decides:
+
+    1. endpoints in different components: accept, joining them at any corner;
+    2. endpoints on a common face: accept, splicing the edge into that face;
+    3. both endpoints in H and on no common face of H: reject.  H is
+       3-connected, so its embedding is unique (Whitney) and every embedding
+       of the kept graph restricts to it; H + uv, hence kept + uv, is
+       non-planar;
+    4. otherwise run LR planarity (networkx) on the kept graph plus uv and,
+       on accept, adopt its rotation.
+
+    H is the 3-core of the kept graph whenever that core is 3-connected.  It
+    is refreshed after an LR reject if the graph grew since the last
+    refresh; an older H stays valid, since the kept graph only grows.
+    """
+
+    def __init__(self, n: int) -> None:
+        self.n = n
+        self.rotation: list[list[int]] = [[] for _ in range(n)]
+        self._faces: list[list[int]] = []
+        self._face_mask = [0] * n
+        self._h_mask = [0] * n  # face bitmasks of H's embedding; 0 off H
+        self._grown = False  # an edge was accepted since H's last refresh
+        self._parent = list(range(n))
+        self._graph = nx.Graph()
+        self._graph.add_nodes_from(range(n))
+        self.component_joins = self.face_accepts = 0
+        self.whitney_rejects = self.lr_calls = 0
+
+    def _root(self, x: int) -> int:
+        parent = self._parent
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    def add_if_planar(self, u: int, v: int) -> bool:
+        """Add uv (not yet an edge) if the kept graph stays planar."""
+        ru, rv = self._root(u), self._root(v)
+        shared = self._face_mask[u] & self._face_mask[v]
+        if ru != rv:
+            self._parent[ru] = rv
+            self.rotation[u].append(v)
+            self.rotation[v].append(u)
+            self._graph.add_edge(u, v)
+            self.component_joins += 1
+        elif shared:
+            self._splice(u, v, self._faces[(shared & -shared).bit_length() - 1])
+            self._graph.add_edge(u, v)
+            self.face_accepts += 1
+        else:
+            hu, hv = self._h_mask[u], self._h_mask[v]
+            if hu and hv and not hu & hv:
+                self.whitney_rejects += 1
+                return False
+            self.lr_calls += 1
+            self._graph.add_edge(u, v)
+            planar, cert = nx.check_planarity(self._graph)
+            if not planar:
+                self._graph.remove_edge(u, v)
+                if self._grown:
+                    self._refresh_h()
+                return False
+            # networkx stores clockwise orders; PlanarEmbedding's are
+            # counter-clockwise.
+            self.rotation = [list(cert.neighbors_cw_order(x))[::-1] for x in range(self.n)]
+        self._grown = True
+        self._faces, _ = _trace_faces(self.rotation)
+        self._face_mask = _face_masks(self.n, self._faces)
+        return True
+
+    def _splice(self, u: int, v: int, walk: list[int]) -> None:
+        """Insert uv into the face with boundary ``walk`` (through u and v).
+
+        Arriving at x from a, the walk leaves along the neighbour preceding
+        a; inserting y just before a makes the walk turn onto xy there.
+        """
+        ru, rv = self.rotation[u], self.rotation[v]
+        i, j = walk.index(u), walk.index(v)
+        a, b = walk[i - 1], walk[j - 1]
+        ru.insert(ru.index(a), v)
+        rv.insert(rv.index(b), u)
+
+    def _refresh_h(self) -> None:
+        """Take the 3-core as H if it is 3-connected; keep the old H otherwise."""
+        self._grown = False
+        rotation = self.rotation
+        degree = [len(nbrs) for nbrs in rotation]
+        inside = [d >= 3 for d in degree]
+        stack = [x for x in range(self.n) if not inside[x]]
+        while stack:
+            for w in rotation[stack.pop()]:
+                if inside[w]:
+                    degree[w] -= 1
+                    if degree[w] < 3:
+                        inside[w] = False
+                        stack.append(w)
+        core = [
+            [w for w in nbrs if inside[w]] if inside[x] else []
+            for x, nbrs in enumerate(rotation)
+        ]
+        walks, face_of = _trace_faces(core)
+        if _is_triconnected(walks, face_of, sum(inside)):
+            self._h_mask = _face_masks(self.n, walks)
+
+
 def build_pmfg(
     sim: SimilarityMatrix, tie_policy: TiePolicy = "lexicographic"
 ) -> PmfgResult:
     """Greedy descending-weight construction gated by planarity.
 
-    Each candidate edge is tested on the abstract graph accepted so far; a
-    single embedding is extracted once at the end.  Identical input and tie
-    policy give an identical accepted list.
+    Each candidate uv is decided by the first rule that applies, against a
+    rotation system of the kept graph held between candidates:
+
+    1. u and v lie in different components: accept.
+    2. u and v share a face of the current rotation: accept, splicing uv
+       into that face.
+    3. u and v lie in a stored 3-connected subgraph H and share no face of
+       its embedding, which is unique by Whitney's theorem: reject.
+    4. Otherwise a full LR planarity test decides, and an accept adopts its
+       rotation.
+
+    This is the on-line planarity idea of Di Battista & Tamassia (SIAM J.
+    Comput. 25 (1996)); every rule is exact, so the accepted list is the one
+    a fresh planarity test per candidate gives.  ``gate_counts`` records
+    how many pairs each rule decided.  The output embedding is extracted
+    from the final kept graph by one more planarity test.  Identical input
+    and tie policy give an identical accepted list.
     """
     n = sim.n
     if n < 3:
@@ -155,17 +369,15 @@ def build_pmfg(
     ranked = weighted_edge_list(sim, tie_policy)
     accepted: list[tuple[int, int, float]] = []
     rejected: list[tuple[int, int, float]] = []
-    kept_edges: list[Edge] = []
+    gate = _PlanarityGate(n)
     for u, v, w in ranked.entries:
-        candidate = kept_edges + [(u, v)]
-        if is_planar(n, candidate).planar:
-            kept_edges = candidate
+        if gate.add_if_planar(u, v):
             accepted.append((u, v, w))
             if len(accepted) == target:
                 break
         else:
             rejected.append((u, v, w))
-    verdict = is_planar(n, kept_edges)
+    verdict = is_planar(n, [(u, v) for u, v, _ in accepted])
     assert verdict.planar and verdict.embedding is not None
     emb = PlanarEmbedding(verdict.embedding.rotation, labels=sim.labels)
     return PmfgResult(
@@ -173,6 +385,9 @@ def build_pmfg(
         accepted=tuple(accepted),
         rejected=tuple(rejected),
         total_weight=float(sum(w for _, _, w in accepted)),
+        gate_counts=GateCounts(
+            gate.component_joins, gate.face_accepts, gate.whitney_rejects, gate.lr_calls
+        ),
     )
 
 

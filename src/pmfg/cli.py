@@ -48,6 +48,13 @@ def _env_int(name: str, default: int) -> int:
         raise InputError(f"environment variable {name}={raw!r} is not an integer") from exc
 
 
+def _ceiling(args: argparse.Namespace) -> int:
+    """--unsafe-ceiling if given (0 included), else PMFG_CEILING, else the default."""
+    if args.unsafe_ceiling is not None:
+        return args.unsafe_ceiling
+    return _env_int("PMFG_CEILING", GENERATION_CEILING)
+
+
 def _load_embedding(path: str) -> PlanarEmbedding:
     try:
         text = Path(path).read_text()
@@ -112,7 +119,7 @@ def _cmd_cliques(args: argparse.Namespace) -> int:
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
-    ceiling = args.unsafe_ceiling or _env_int("PMFG_CEILING", GENERATION_CEILING)
+    ceiling = _ceiling(args)
     records = generate_all(args.n, ceiling=ceiling, check_deltas=False)
     out = Path(args.output_dir)
     lines = []
@@ -178,7 +185,7 @@ def _cmd_flip(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    ceiling = args.unsafe_ceiling or _env_int("PMFG_CEILING", GENERATION_CEILING)
+    ceiling = _ceiling(args)
     workers = args.workers if args.workers is not None else _env_int("PMFG_WORKERS", 1)
     reports = run_campaign(args.n_max, ceiling=ceiling, workers=workers)
     failures = 0
@@ -207,7 +214,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_degree_census(args: argparse.Namespace) -> int:
-    ceiling = args.unsafe_ceiling or _env_int("PMFG_CEILING", GENERATION_CEILING)
+    ceiling = _ceiling(args)
     census = degree_census(args.n, ceiling=ceiling)
     doc = census.to_json_dict()
     if not args.sequences:

@@ -371,11 +371,6 @@ class PlanarEmbedding:
 # ----------------------------------------------------------------------
 
 
-def trace_faces(emb: PlanarEmbedding) -> list[Face]:
-    """All faces of the embedding; each dart appears in exactly one boundary."""
-    return list(emb.faces)
-
-
 def euler_check(emb: PlanarEmbedding) -> EulerReport:
     """Report (n, e, f, is_triangulation) for an embedding.
 

@@ -10,6 +10,7 @@ to one of the claimed identities, so it is loud and machine-readable.
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
@@ -215,12 +216,16 @@ def verify_level(n: int, *, ceiling: int = GENERATION_CEILING) -> BoundsReport:
 def run_campaign(
     n_max: int, *, n_min: int = 4, ceiling: int = GENERATION_CEILING, workers: int = 1
 ) -> list[BoundsReport]:
-    """Verify every vertex count in [n_min, n_max], optionally in parallel."""
+    """Verify every vertex count in [n_min, n_max], optionally in parallel.
+
+    At most one worker runs per vertex count and per CPU.
+    """
     if n_min < 4 or n_max < n_min:
         raise InputError("campaign range must satisfy 4 <= n_min <= n_max")
     if workers < 1:
         raise InputError(f"workers must be at least 1, not {workers}")
     ns = list(range(n_min, n_max + 1))
+    workers = min(workers, len(ns), os.cpu_count() or 1)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [pool.submit(verify_level, n, ceiling=ceiling) for n in ns]

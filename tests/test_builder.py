@@ -1,10 +1,14 @@
 import math
+from collections import Counter
+from dataclasses import astuple
 
+import networkx as nx
 import numpy as np
 import pytest
 
 from pmfg import (
     InputError,
+    PlanarEmbedding,
     SimilarityMatrix,
     build_pmfg,
     canonical_code,
@@ -13,10 +17,20 @@ from pmfg import (
     euler_check,
     is_planar,
     kuratowski_oracle,
+    random_triangulation,
     standard_form,
     weighted_edge_list,
 )
-from pmfg.builder import acceptance_log_csv, read_matrix_csv, read_returns_csv
+from pmfg.builder import (
+    _is_triconnected,
+    _PlanarityGate,
+    _trace_faces,
+    acceptance_log_csv,
+    read_matrix_csv,
+    read_returns_csv,
+)
+
+GATE_RULES = ("component_joins", "face_accepts", "whitney_rejects", "lr_calls")
 
 
 def pearson_by_hand(x, y):
@@ -36,6 +50,86 @@ def random_similarity(n, seed, observations=50):
         size=(observations, 1)
     )
     return correlation_from_returns(table, [f"S{i:02d}" for i in range(n)])
+
+
+def sector_similarity(n, seed, observations=500, sectors=5):
+    """Correlations of a market-plus-sector factor model of daily returns."""
+    rng = np.random.default_rng(seed)
+    market = rng.standard_normal(observations)
+    factors = rng.standard_normal((sectors, observations))
+    member = np.arange(n) % sectors
+    table = (
+        market[:, None] * rng.uniform(0.3, 0.7, n)
+        + factors[member].T * rng.uniform(0.2, 0.5, n)
+        + rng.standard_normal((observations, n))
+    )
+    return correlation_from_returns(table, [f"E{i:03d}" for i in range(n)])
+
+
+def uniform_similarity(n, seed):
+    """Symmetric matrix with off-diagonal entries uniform in [-1, 1]."""
+    upper = np.triu(np.random.default_rng(seed).uniform(-1.0, 1.0, (n, n)), 1)
+    return SimilarityMatrix(
+        tuple(f"U{i:03d}" for i in range(n)), upper + upper.T + np.eye(n)
+    )
+
+
+def plain_lr_greedy(sim, tie_policy="lexicographic"):
+    """The reference scan: one fresh planarity test of kept + uv per pair."""
+    n = sim.n
+    target = 3 * (n - 2)
+    kept = []
+    accepted = []
+    for u, v, w in weighted_edge_list(sim, tie_policy).entries:
+        candidate = kept + [(u, v)]
+        if is_planar(n, candidate).planar:
+            kept = candidate
+            accepted.append((u, v, w))
+            if len(accepted) == target:
+                break
+    return tuple(accepted)
+
+
+def is_kuratowski_subdivision(edges):
+    """True iff the edge set is a subdivision of K5 or of K3,3."""
+    g = nx.Graph(list(edges))
+    if any(d < 2 for _, d in g.degree()):
+        return False
+    branch = {x for x, d in g.degree() if d > 2}
+    paths = Counter()
+    interior = set()
+    for b in branch:
+        for first in g[b]:
+            prev, cur = b, first
+            while cur not in branch:
+                interior.add(cur)
+                prev, cur = cur, next(w for w in g[cur] if w != prev)
+            paths[min(b, cur), max(b, cur)] += 1
+    # Each branch-to-branch path is walked once from either end.
+    if interior | branch != set(g) or any(
+        a == b or k != 2 for (a, b), k in paths.items()
+    ):
+        return False
+    contracted = nx.Graph(list(paths))
+    return nx.is_isomorphic(contracted, nx.complete_graph(5)) or nx.is_isomorphic(
+        contracted, nx.complete_bipartite_graph(3, 3)
+    )
+
+
+def assert_components_are_spherical(gate):
+    """Every component of the gate's rotation is a genus-0 embedding."""
+    graph = nx.Graph()
+    graph.add_nodes_from(range(gate.n))
+    graph.add_edges_from((x, w) for x, nbrs in enumerate(gate.rotation) for w in nbrs)
+    for component in nx.connected_components(graph):
+        if len(component) < 2:
+            continue
+        index = {x: i for i, x in enumerate(sorted(component))}
+        emb = PlanarEmbedding(
+            [[index[w] for w in gate.rotation[x]] for x in sorted(component)]
+        )
+        report = euler_check(emb)
+        assert report.n - report.e + report.f == 2
 
 
 def oracle_gated_greedy(sim):
@@ -267,3 +361,85 @@ class TestCsvInterfaces:
         statuses = {r[4] for r in rows}
         assert statuses <= {"accepted", "rejected"}
         assert sum(r[4] == "accepted" for r in rows) == 12
+
+
+class TestIncrementalGate:
+    """The builder's gate against a fresh planarity test for every pair."""
+
+    @pytest.mark.parametrize("n", [15, 30, 45, 60])
+    def test_matches_plain_lr_scan_on_sector_returns(self, n):
+        sim = sector_similarity(n, seed=100 + n)
+        assert build_pmfg(sim).accepted == plain_lr_greedy(sim)
+
+    @pytest.mark.parametrize("n, seed", [(12, 1), (25, 2), (40, 3)])
+    def test_matches_plain_lr_scan_on_uniform_matrices(self, n, seed):
+        sim = uniform_similarity(n, seed)
+        assert build_pmfg(sim).accepted == plain_lr_greedy(sim)
+
+    def test_matches_plain_lr_scan_on_tie_heavy_matrix(self):
+        base = sector_similarity(30, seed=5)
+        sim = SimilarityMatrix(base.labels, np.round(base.values, 1))
+        weights = {w for _, _, w in weighted_edge_list(sim).entries}
+        assert len(weights) < 20  # 435 pairs share a handful of weights
+        result = build_pmfg(sim, tie_policy="lexicographic")
+        assert result.accepted == plain_lr_greedy(sim, "lexicographic")
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("n", [100, 200])
+    def test_matches_plain_lr_scan_at_large_n(self, n):
+        sim = sector_similarity(n, seed=1000 + n)
+        assert build_pmfg(sim).accepted == plain_lr_greedy(sim)
+
+    def test_every_decision_is_exact_and_every_rule_fires(self):
+        sim = sector_similarity(20, seed=4)
+        n = sim.n
+        gate = _PlanarityGate(n)
+        kept = []
+        fired = Counter()
+        for u, v, _ in weighted_edge_list(sim).entries:
+            before = [getattr(gate, rule) for rule in GATE_RULES]
+            decided = gate.add_if_planar(u, v)
+            after = [getattr(gate, rule) for rule in GATE_RULES]
+            (rule,) = [r for r, b, a in zip(GATE_RULES, before, after) if a == b + 1]
+            fired[rule] += 1
+            candidate = kept + [(u, v)]
+            assert decided == is_planar(n, candidate).planar, (rule, u, v)
+            if rule == "whitney_rejects":
+                witness = is_planar(n, candidate, want_witness=True).witness
+                assert (u, v) in witness and set(witness) <= set(candidate)
+                assert is_kuratowski_subdivision(witness)
+            if rule in ("component_joins", "face_accepts"):
+                assert decided
+            if decided:
+                kept = candidate
+                assert_components_are_spherical(gate)
+                if len(kept) == 3 * (n - 2):
+                    break
+        assert all(fired[rule] > 0 for rule in GATE_RULES), fired
+
+    def test_counts_cover_every_examined_pair(self):
+        sim = sector_similarity(40, seed=6)
+        result = build_pmfg(sim)
+        counts = result.gate_counts
+        examined = len(result.accepted) + len(result.rejected)
+        assert sum(astuple(counts)) == examined
+        assert counts.component_joins == sim.n - 1  # one per spanning-forest edge
+        assert counts.lr_calls < examined
+        assert counts.whitney_rejects > 0
+
+    def test_triconnectivity_from_faces_matches_networkx(self):
+        rng = np.random.default_rng(8)
+        seen = Counter()
+        for trial in range(60):
+            tri = random_triangulation(12, seed=trial)
+            rotation = [list(nbrs) for nbrs in tri.rotation]
+            for u, v in rng.permutation(list(tri.edges())):
+                if len(rotation[u]) > 3 and len(rotation[v]) > 3 and rng.random() < 0.7:
+                    rotation[u].remove(v)
+                    rotation[v].remove(u)
+            graph = nx.Graph((x, w) for x, nbrs in enumerate(rotation) for w in nbrs)
+            expected = nx.node_connectivity(graph) >= 3
+            walks, face_of = _trace_faces(rotation)
+            assert _is_triconnected(walks, face_of, graph.number_of_nodes()) == expected
+            seen[expected] += 1
+        assert seen[True] and seen[False], seen

@@ -292,6 +292,25 @@ class TestVerifyCommand:
         assert err.strip() == f"error: workers must be at least 1, not {bad}"
 
 
+@pytest.mark.parametrize("env", [None, "20"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["generate", "--n", "5"],
+        ["verify", "--n-max", "5"],
+        ["degree-census", "--n", "5"],
+    ],
+)
+def test_unsafe_ceiling_zero_is_a_ceiling_not_unset(monkeypatch, capsys, tmp_path, argv, env):
+    if env is None:
+        monkeypatch.delenv("PMFG_CEILING", raising=False)
+    else:
+        monkeypatch.setenv("PMFG_CEILING", env)
+    monkeypatch.chdir(tmp_path)
+    assert main([*argv, "--unsafe-ceiling", "0"]) == 2
+    assert "exceeds the closure ceiling 0" in capsys.readouterr().err
+
+
 class TestDegreeCensusCommand:
     def test_output(self, capsys):
         assert main(["degree-census", "--n", "8"]) == 0

@@ -13,13 +13,12 @@ from pmfg import (
     k4,
     random_triangulation,
     standard_form,
-    trace_faces,
 )
 
 
 class TestFaceTracing:
     def test_k4_has_four_triangular_faces(self):
-        faces = trace_faces(k4())
+        faces = k4().faces
         assert len(faces) == 4
         assert all(f.degree == 3 for f in faces)
         assert {f.vertex_set for f in faces} == {
@@ -27,11 +26,11 @@ class TestFaceTracing:
         }
 
     def test_standard_six_vertex_form_has_eight_faces(self):
-        assert len(trace_faces(standard_form(6))) == 8
+        assert len(standard_form(6).faces) == 8
 
     def test_path_on_three_vertices_one_face_of_degree_four(self):
         path = PlanarEmbedding(((1,), (0, 2), (1,)))
-        faces = trace_faces(path)
+        faces = path.faces
         assert len(faces) == 1
         assert faces[0].degree == 4
 

@@ -92,3 +92,40 @@ class TestCampaign:
         serial = [r.to_json_dict() for r in run_campaign(6)]
         parallel = [r.to_json_dict() for r in run_campaign(6, workers=2)]
         assert serial == parallel
+
+    @pytest.mark.parametrize(
+        "workers, n_max, cpus, expected",
+        [(64, 6, 8, [3]), (64, 13, 8, [8]), (5, 13, 8, [5]), (64, 13, None, []), (2, 4, 8, [])],
+    )
+    def test_workers_clamped_to_levels_and_cpus(
+        self, monkeypatch, workers, n_max, cpus, expected
+    ):
+        import pmfg.verify
+
+        pools = []
+
+        class Done:
+            def __init__(self, value):
+                self.value = value
+
+            def result(self):
+                return self.value
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args, **kwargs):
+                return Done(fn(*args, **kwargs))
+
+        monkeypatch.setattr(pmfg.verify, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(pmfg.verify, "verify_level", lambda n, ceiling: n)
+        monkeypatch.setattr(pmfg.verify.os, "cpu_count", lambda: cpus)
+        assert run_campaign(n_max, workers=workers) == list(range(4, n_max + 1))
+        assert pools == expected
