@@ -23,7 +23,7 @@ from pathlib import Path
 import networkx as nx
 import numpy as np
 
-from .embedding import Edge, PlanarEmbedding
+from .embedding import Edge, PlanarEmbedding, trace_faces
 from .errors import InputError
 from .planarity import is_planar
 
@@ -74,11 +74,6 @@ class WeightedEdgeList:
     """All vertex pairs ordered by non-increasing weight."""
 
     entries: tuple[tuple[int, int, float], ...]
-
-    def __post_init__(self) -> None:
-        weights = [w for _, _, w in self.entries]
-        if any(a < b for a, b in zip(weights, weights[1:])):
-            raise InputError("edge list weights must be non-increasing")
 
 
 @dataclass(frozen=True)
@@ -161,30 +156,6 @@ def weighted_edge_list(
     return WeightedEdgeList(tuple((i, j, -negw) for negw, _, _, i, j in pairs))
 
 
-def _trace_faces(rotation: list[list[int]]) -> tuple[list[list[int]], dict[Edge, int]]:
-    """Boundary walks of a rotation system, and the face index of every dart.
-
-    Uses the successor rule of ``PlanarEmbedding.face_successor``; isolated
-    vertices lie on no walk.
-    """
-    walks: list[list[int]] = []
-    face_of: dict[Edge, int] = {}
-    for u, nbrs in enumerate(rotation):
-        for v in nbrs:
-            if (u, v) in face_of:
-                continue
-            k = len(walks)
-            walk = []
-            a, b = u, v
-            while (a, b) not in face_of:
-                face_of[a, b] = k
-                walk.append(a)
-                r = rotation[b]
-                a, b = b, r[r.index(a) - 1]
-            walks.append(walk)
-    return walks, face_of
-
-
 def _face_masks(n: int, walks: list[list[int]]) -> list[int]:
     """Bit k of entry x is set iff vertex x lies on walk k."""
     masks = [0] * n
@@ -197,7 +168,7 @@ def _face_masks(n: int, walks: list[list[int]]) -> list[int]:
 
 def _is_triconnected(walks: list[list[int]], face_of: dict[Edge, int], size: int) -> bool:
     """True iff a plane graph is 3-connected, given its face walks and dart
-    faces (``_trace_faces``) and its number ``size`` of non-isolated vertices.
+    faces (``trace_faces``) and its number ``size`` of non-isolated vertices.
 
     A connected plane graph with minimum degree 3 is 2-connected iff every
     face walk is a cycle, and a 2-connected one is 3-connected iff any two
@@ -300,7 +271,7 @@ class _PlanarityGate:
             # counter-clockwise.
             self.rotation = [list(cert.neighbors_cw_order(x))[::-1] for x in range(self.n)]
         self._grown = True
-        self._faces, _ = _trace_faces(self.rotation)
+        self._faces, _ = trace_faces(self.rotation)
         self._face_mask = _face_masks(self.n, self._faces)
         return True
 
@@ -334,7 +305,7 @@ class _PlanarityGate:
             [w for w in nbrs if inside[w]] if inside[x] else []
             for x, nbrs in enumerate(rotation)
         ]
-        walks, face_of = _trace_faces(core)
+        walks, face_of = trace_faces(core)
         if _is_triconnected(walks, face_of, sum(inside)):
             self._h_mask = _face_masks(self.n, walks)
 

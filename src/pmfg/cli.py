@@ -236,6 +236,13 @@ def build_parser() -> argparse.ArgumentParser:
         formatter_class=argparse.ArgumentDefaultsHelpFormatter,
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    ceiling = argparse.ArgumentParser(add_help=False)
+    ceiling.add_argument(
+        "--unsafe-ceiling",
+        type=int,
+        default=None,
+        help=f"override the closure ceiling (default {GENERATION_CEILING})",
+    )
 
     p = sub.add_parser(
         "build",
@@ -270,17 +277,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "generate",
         help="enumerate all triangulation classes on n vertices",
+        parents=[ceiling],
         formatter_class=argparse.ArgumentDefaultsHelpFormatter,
     )
     p.add_argument("--n", type=int, required=True, help="vertex count")
     p.add_argument("--output-dir", default=".", help="directory for the JSONL report")
     p.add_argument("--dot-dir", default=None, help="also dump one DOT file per class")
-    p.add_argument(
-        "--unsafe-ceiling",
-        type=int,
-        default=None,
-        help=f"override the closure ceiling (default {GENERATION_CEILING})",
-    )
     p.set_defaults(func=_cmd_generate)
 
     p = sub.add_parser(
@@ -306,6 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "verify",
         help="exhaustively verify clique bounds and closure agreement",
+        parents=[ceiling],
         formatter_class=argparse.ArgumentDefaultsHelpFormatter,
     )
     p.add_argument("--n-max", type=int, default=9, help="largest vertex count to verify")
@@ -317,27 +320,16 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="parallel workers (default: PMFG_WORKERS or 1)",
     )
-    p.add_argument(
-        "--unsafe-ceiling",
-        type=int,
-        default=None,
-        help=f"override the closure ceiling (default {GENERATION_CEILING})",
-    )
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser(
         "degree-census",
         help="count candidate vs realizable degree multisets",
+        parents=[ceiling],
         formatter_class=argparse.ArgumentDefaultsHelpFormatter,
     )
     p.add_argument("--n", type=int, required=True, help="vertex count")
     p.add_argument("--sequences", action="store_true", help="include the sequence lists")
-    p.add_argument(
-        "--unsafe-ceiling",
-        type=int,
-        default=None,
-        help=f"override the closure ceiling (default {GENERATION_CEILING})",
-    )
     p.set_defaults(func=_cmd_degree_census)
 
     return parser

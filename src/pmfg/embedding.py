@@ -2,9 +2,15 @@
 
 A graph embedded on the sphere is stored as a rotation system: for every
 vertex, the cyclic counter-clockwise order of its neighbors.  Faces are
-recovered by the standard face-tracing walk, so the structure carries no
-coordinates.  All operations in this package treat embeddings as values;
-nothing here mutates an existing instance.
+recovered by the face-tracing walk of ``trace_faces``, so the structure
+carries no coordinates.  All operations in this package treat embeddings as
+values; nothing here mutates an existing instance.
+
+Validation happens only at the trust boundaries: the public
+``PlanarEmbedding`` constructor checks every invariant of user rotations,
+JSON documents and networkx output.  Operations that derive a rotation from
+a valid embedding check their own preconditions instead, and build the
+result through ``PlanarEmbedding._trusted`` without the re-check.
 """
 
 from __future__ import annotations
@@ -89,6 +95,34 @@ def _is_vertex(x: object) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+def trace_faces(
+    rotation: Sequence[Sequence[int]],
+) -> tuple[list[list[int]], dict[Dart, int]]:
+    """Boundary walks of a rotation system, and the walk index of every dart.
+
+    With counter-clockwise rotations the walk along the face to the left of
+    the dart u -> v turns at v onto the neighbor immediately preceding u.
+    The rotation need not be a valid embedding: isolated vertices lie on no
+    walk, and a disconnected rotation gives the walks of each component.
+    """
+    walks: list[list[int]] = []
+    face_of: dict[Dart, int] = {}
+    for u, nbrs in enumerate(rotation):
+        for v in nbrs:
+            if (u, v) in face_of:
+                continue
+            k = len(walks)
+            walk = []
+            a, b = u, v
+            while (a, b) not in face_of:
+                face_of[a, b] = k
+                walk.append(a)
+                r = rotation[b]
+                a, b = b, r[r.index(a) - 1]
+            walks.append(walk)
+    return walks, face_of
+
+
 def _canonical_rotation(nbrs: Sequence[int]) -> tuple[int, ...]:
     """Rotate a cyclic neighbor order to start at the smallest id.
 
@@ -104,9 +138,13 @@ def _canonical_rotation(nbrs: Sequence[int]) -> tuple[int, ...]:
 class PlanarEmbedding:
     """An embedding of a connected simple graph on the sphere.
 
-    Construction validates the full set of invariants: neighbor lists are
-    mutually symmetric, contain no self-loops or duplicates, the graph is
-    connected, and the face-tracing walk closes up with n - e + f = 2.
+    The public constructor validates the full set of invariants: neighbor
+    lists are mutually symmetric, contain no self-loops or duplicates, the
+    graph is connected, and the face-tracing walk closes up with
+    n - e + f = 2.  ``_trusted`` stores a rotation the same way but skips
+    the checks; only operations that derive it from a valid embedding use it
+    (``relabel``, ``mirrored``, and the wheel insertions and flips of
+    ``pmfg.generator``).
 
     ``labels`` is an optional side table of external names (one per vertex);
     it is never consulted by any algorithm.  ``outer_face`` optionally marks
@@ -120,6 +158,22 @@ class PlanarEmbedding:
         labels: Sequence[str] | None = None,
         outer_face: Sequence[int] | None = None,
     ) -> None:
+        self._store(rotation, labels, outer_face)
+        self._validate()
+
+    @classmethod
+    def _trusted(
+        cls,
+        rotation: Sequence[Sequence[int]],
+        labels: Sequence[str] | None = None,
+        outer_face: Sequence[int] | None = None,
+    ) -> "PlanarEmbedding":
+        """An embedding whose validity the caller has established."""
+        emb = cls.__new__(cls)
+        emb._store(rotation, labels, outer_face)
+        return emb
+
+    def _store(self, rotation, labels, outer_face) -> None:
         self.rotation: tuple[tuple[int, ...], ...] = tuple(
             _canonical_rotation(tuple(nbrs)) for nbrs in rotation
         )
@@ -127,7 +181,6 @@ class PlanarEmbedding:
         self.outer_face: tuple[int, ...] | None = (
             tuple(outer_face) if outer_face else None
         )
-        self._validate()
 
     # ------------------------------------------------------------------
     # Basic accessors
@@ -176,38 +229,12 @@ class PlanarEmbedding:
     # Faces
     # ------------------------------------------------------------------
 
-    def face_successor(self, dart: Dart) -> Dart:
-        """Next dart along the face lying to the left of ``dart``.
-
-        With counter-clockwise rotations the face walk turns at each vertex
-        onto the neighbor immediately preceding the arrival vertex.
-        """
-        u, v = dart
-        nbrs = self.rotation[v]
-        return (v, nbrs[nbrs.index(u) - 1])
-
     @cached_property
     def faces(self) -> tuple[Face, ...]:
-        rotation = self.rotation
-        position = [
-            {w: i for i, w in enumerate(nbrs)} for nbrs in rotation
-        ]
-        seen: set[Dart] = set()
-        out: list[Face] = []
-        for u, nbrs in enumerate(rotation):
-            for v in nbrs:
-                if (u, v) in seen:
-                    continue
-                walk: list[int] = []
-                a, b = u, v
-                while (a, b) not in seen:
-                    seen.add((a, b))
-                    walk.append(a)
-                    r = rotation[b]
-                    a, b = b, r[position[b][a] - 1]
-                out.append(Face(_canonical_walk(walk)))
-        out.sort(key=lambda f: f.boundary)
-        return tuple(out)
+        walks, _ = trace_faces(self.rotation)
+        return tuple(
+            sorted((Face(_canonical_walk(w)) for w in walks), key=lambda f: f.boundary)
+        )
 
     @cached_property
     def face_sets(self) -> frozenset[frozenset[int]]:
@@ -294,11 +321,11 @@ class PlanarEmbedding:
                 relabeled[perm[v]] = name
             labels = relabeled
         outer = tuple(perm[v] for v in self.outer_face) if self.outer_face else None
-        return PlanarEmbedding(new_rot, labels=labels, outer_face=outer)
+        return PlanarEmbedding._trusted(new_rot, labels=labels, outer_face=outer)
 
     def mirrored(self) -> "PlanarEmbedding":
         """The reflected embedding (every rotation reversed)."""
-        return PlanarEmbedding(
+        return PlanarEmbedding._trusted(
             [tuple(reversed(nbrs)) for nbrs in self.rotation],
             labels=self.labels,
             outer_face=self.outer_face,

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 from .cliques import count_cliques
-from .embedding import CycleRef, Edge, PlanarEmbedding
+from .embedding import CycleRef, Edge, PlanarEmbedding, trace_faces
 from .errors import (
     CeilingError,
     FlipForbiddenError,
@@ -121,7 +121,7 @@ def standard_form(n: int) -> PlanarEmbedding:
         op = EberhardOp("phi1", CycleRef(face.boundary), emb.n)
         emb = apply_eberhard(emb, op)
     outer = next(f for f in emb.faces if f.vertex_set == frozenset((0, 1, 2)))
-    return PlanarEmbedding(emb.rotation, outer_face=outer.boundary)
+    return PlanarEmbedding._trusted(emb.rotation, outer_face=outer.boundary)
 
 
 # ----------------------------------------------------------------------
@@ -284,24 +284,27 @@ def apply_eberhard(emb: PlanarEmbedding, op: EberhardOp) -> PlanarEmbedding:
     for u, v in cyc.chords:
         if not {u, v} <= cycle_set or not emb.has_edge(u, v):
             raise OperationError(f"chord ({u}, {v}) is not an interior edge")
+        if v not in rot[u]:
+            raise OperationError(f"chord ({u}, {v}) is repeated")
         rot[u].remove(v)
         rot[v].remove(u)
-    interior = PlanarEmbedding(rot)
+    # Removing chords between cycle vertices keeps the embedding valid as long
+    # as it stays connected, which a face walk through every cycle vertex
+    # guarantees; the hub then fills that face.
     matches = [
-        f for f in interior.faces if f.degree == k and f.vertex_set == cycle_set
+        w for w in trace_faces(rot)[0] if len(w) == k and set(w) == cycle_set
     ]
     if len(matches) != 1:
         raise OperationError(
             f"cycle {verts} with chords {cyc.chords} is not a pure chord-cycle"
         )
-    walk = matches[0].boundary
+    walk = matches[0]
     hub = emb.n
-    rot = [list(nbrs) for nbrs in interior.rotation]
-    rot.append(list(walk))
+    rot.append(walk)
     for i, v in enumerate(walk):
         arrival = walk[i - 1]
         rot[v].insert(rot[v].index(arrival), hub)
-    return PlanarEmbedding(rot)
+    return PlanarEmbedding._trusted(rot)
 
 
 def _face_apexes(emb: PlanarEmbedding, x: int, y: int) -> tuple[int, int]:
@@ -346,7 +349,7 @@ def diagonal_flip(emb: PlanarEmbedding, move: FlipMove) -> PlanarEmbedding:
         frozenset((a, c, q)),
     ):
         outer = None
-    return PlanarEmbedding(rot, labels=emb.labels, outer_face=outer)
+    return PlanarEmbedding._trusted(rot, labels=emb.labels, outer_face=outer)
 
 
 def legal_flips(emb: PlanarEmbedding) -> list[FlipMove]:
@@ -550,7 +553,7 @@ def flip_closure(n: int, *, ceiling: int = GENERATION_CEILING) -> set[CanonicalC
     of ``generate_all``.
     """
     _refuse_above_ceiling(n, ceiling)
-    start = PlanarEmbedding(standard_form(n).rotation)
+    start = standard_form(n)
     seen: dict[CanonicalCode, PlanarEmbedding] = {canonical_code(start): start}
     frontier = [start]
     while frontier:

@@ -54,24 +54,6 @@ def _check_graph(n: int, edges) -> list[Edge]:
     return out
 
 
-def _is_connected(n: int, edges: list[Edge]) -> bool:
-    if n <= 1:
-        return True
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for u, v in edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    stack = [0]
-    reached = {0}
-    while stack:
-        x = stack.pop()
-        for w in adj[x]:
-            if w not in reached:
-                reached.add(w)
-                stack.append(w)
-    return len(reached) == n
-
-
 def is_planar(n: int, edges, *, want_witness: bool = False) -> PlanarityVerdict:
     """Decide planarity of the simple graph on vertices 0..n-1.
 
@@ -90,7 +72,7 @@ def is_planar(n: int, edges, *, want_witness: bool = False) -> PlanarityVerdict:
                 (u, v) if u < v else (v, u) for u, v in cert.edges()
             )
         return PlanarityVerdict(planar=False, witness=witness)
-    if n < 2 or not _is_connected(n, edge_list):
+    if n < 2 or not nx.is_connected(graph):
         return PlanarityVerdict(planar=True)
     # networkx stores clockwise orders; reversing them yields the
     # counter-clockwise convention used by PlanarEmbedding.

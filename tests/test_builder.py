@@ -24,11 +24,11 @@ from pmfg import (
 from pmfg.builder import (
     _is_triconnected,
     _PlanarityGate,
-    _trace_faces,
     acceptance_log_csv,
     read_matrix_csv,
     read_returns_csv,
 )
+from pmfg.embedding import trace_faces
 
 GATE_RULES = ("component_joins", "face_accepts", "whitney_rejects", "lr_calls")
 
@@ -439,7 +439,7 @@ class TestIncrementalGate:
                     rotation[v].remove(u)
             graph = nx.Graph((x, w) for x, nbrs in enumerate(rotation) for w in nbrs)
             expected = nx.node_connectivity(graph) >= 3
-            walks, face_of = _trace_faces(rotation)
+            walks, face_of = trace_faces(rotation)
             assert _is_triconnected(walks, face_of, graph.number_of_nodes()) == expected
             seen[expected] += 1
         assert seen[True] and seen[False], seen

@@ -1,4 +1,6 @@
 import random
+import sys
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -64,6 +66,73 @@ def reference_code(emb: PlanarEmbedding) -> bytes:
                 if best is None or code < best:
                     best = code
     return best
+
+
+def validating_apply_eberhard(emb: PlanarEmbedding, op: EberhardOp) -> PlanarEmbedding:
+    """``apply_eberhard`` as it was when every step re-validated its result.
+
+    It builds and validates the chord-removed embedding, finds the cycle among
+    its faces, and validates the wheel it inserts; the reference for the
+    trusted version, which traces the faces of the bare rotation instead.
+    """
+    k = {"phi1": 3, "phi2": 4, "phi3": 5}.get(op.kind)
+    if k is None:
+        raise InputError(f"unknown operation kind {op.kind!r}")
+    cyc = op.cycle
+    verts = cyc.vertices
+    if len(verts) != k or len(set(verts)) != k:
+        raise OperationError(f"{op.kind} needs a cycle of {k} distinct vertices")
+    if len(cyc.chords) != k - 3:
+        raise OperationError(f"{op.kind} needs exactly {k - 3} chords")
+    if op.new_vertex not in (None, emb.n):
+        raise OperationError(f"new vertex id must be {emb.n}")
+    for i, u in enumerate(verts):
+        if not emb.has_edge(u, verts[(i + 1) % k]):
+            raise OperationError("cycle vertices are not adjacent")
+    cycle_set = frozenset(verts)
+    rot = [list(nbrs) for nbrs in emb.rotation]
+    for u, v in cyc.chords:
+        if not {u, v} <= cycle_set or not emb.has_edge(u, v):
+            raise OperationError(f"chord ({u}, {v}) is not an interior edge")
+        rot[u].remove(v)
+        rot[v].remove(u)
+    interior = PlanarEmbedding(rot)
+    matches = [f for f in interior.faces if f.degree == k and f.vertex_set == cycle_set]
+    if len(matches) != 1:
+        raise OperationError("not a pure chord-cycle")
+    walk = matches[0].boundary
+    rot = [list(nbrs) for nbrs in interior.rotation]
+    rot.append(list(walk))
+    for i, v in enumerate(walk):
+        rot[v].insert(rot[v].index(walk[i - 1]), emb.n)
+    return PlanarEmbedding(rot)
+
+
+def malformed_ops(emb: PlanarEmbedding, ops: list[EberhardOp], rng: random.Random):
+    """Seeded corruptions of valid operations: each breaks one part of an op."""
+    n = emb.n
+    edges = list(emb.edges())
+    for op in ops:
+        ref = op.cycle
+        verts, chords = list(ref.vertices), list(ref.chords)
+        kind = rng.choice(["phi1", "phi2", "phi3", "phi4"])
+        yield EberhardOp(kind, ref, op.new_vertex)
+        yield EberhardOp(op.kind, CycleRef(tuple(verts[::-1]), ref.chords), None)
+        yield EberhardOp(op.kind, ref, rng.choice([n + 1, 0, n - 1]))
+        bent = list(verts)
+        bent[rng.randrange(len(bent))] = rng.randrange(n + 1)
+        yield EberhardOp(op.kind, CycleRef(tuple(bent), ref.chords), n)
+        if chords:
+            swapped = list(chords)
+            swapped[rng.randrange(len(swapped))] = rng.choice(edges)
+            yield EberhardOp(op.kind, CycleRef(ref.vertices, tuple(swapped)), n)
+            c = rng.choice(chords)
+            twin = c if rng.random() < 0.5 else c[::-1]
+            yield EberhardOp("phi3", CycleRef(ref.vertices, (c, twin)), n)
+            yield EberhardOp(op.kind, CycleRef(ref.vertices, ()), n)
+        other = rng.choice(ops).cycle
+        yield EberhardOp(op.kind, CycleRef(ref.vertices, other.chords), n)
+        yield EberhardOp(op.kind, CycleRef(other.vertices, ref.chords), n)
 
 
 class TestPureChordCycles:
@@ -165,6 +234,51 @@ class TestApplyEberhard:
         with pytest.raises(InputError):
             apply_eberhard(p5, EberhardOp("phi9", tri))
 
+    def test_cycle_bounding_two_faces_rejected(self):
+        # Both sides of a lone triangle are faces, so the cycle fixes no region.
+        triangle = PlanarEmbedding(((1, 2), (0, 2), (0, 1)))
+        with pytest.raises(OperationError, match="pure chord-cycle"):
+            apply_eberhard(triangle, EberhardOp("phi1", CycleRef((0, 1, 2))))
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_repeated_chord_rejected(self, reverse):
+        emb = random_triangulation(8, seed=1)
+        op = next(op for op in eberhard_ops(emb) if op.kind == "phi3")
+        c = op.cycle.chords[0]
+        ref = CycleRef(op.cycle.vertices, (c, c[::-1] if reverse else c))
+        with pytest.raises(OperationError, match="repeated"):
+            apply_eberhard(emb, EberhardOp("phi3", ref))
+
+    def test_matches_the_validating_version_on_every_op(self):
+        rng = random.Random(5)
+        outcomes = Counter()
+        for n in range(4, 13):
+            for seed in range(4):
+                emb = random_triangulation(n, seed=seed)
+                ops = eberhard_ops(emb)
+                for op in [*ops, *malformed_ops(emb, ops, rng)]:
+                    try:
+                        want = validating_apply_eberhard(emb, op)
+                    except Exception as exc:
+                        want = exc
+                    try:
+                        got = apply_eberhard(emb, op)
+                    except Exception as exc:
+                        got = exc
+                    if isinstance(want, PlanarEmbedding):
+                        assert got == want, op
+                        outcomes["same rotation"] += 1
+                    elif type(want) is ValueError:
+                        # The old version crashed in list.remove on a repeated chord.
+                        assert isinstance(got, OperationError), op
+                        assert "repeated" in str(got), op
+                        outcomes["repeated chord"] += 1
+                    else:
+                        assert type(got) is type(want), (op, want, got)
+                        outcomes[type(want).__name__] += 1
+        kinds = {"same rotation", "repeated chord", "OperationError", "InputError", "IndexError"}
+        assert set(outcomes) == kinds and min(outcomes.values()) > 50, outcomes
+
 
 class TestDiagonalFlip:
     def test_flip_replaces_shared_edge_with_opposite_diagonal(self, p5):
@@ -220,6 +334,51 @@ class TestDiagonalFlip:
             return
         move = moves[seed % len(moves)]
         assert diagonal_flip(diagonal_flip(emb, move), FlipMove(move.replacement)) == emb
+
+
+@pytest.fixture
+def audited(monkeypatch):
+    """Rebuild every trusted construction through the validating constructor.
+
+    Yields a counter of the trusted constructions made, keyed by the name of
+    the function that made them.
+    """
+    made: Counter = Counter()
+    trusted = PlanarEmbedding._trusted.__func__
+
+    def checked(cls, rotation, labels=None, outer_face=None):
+        emb = trusted(cls, rotation, labels, outer_face)
+        rebuilt = PlanarEmbedding(emb.rotation, labels=emb.labels, outer_face=emb.outer_face)
+        assert rebuilt.rotation == emb.rotation
+        assert (rebuilt.labels, rebuilt.outer_face) == (emb.labels, emb.outer_face)
+        made[sys._getframe(1).f_code.co_name] += 1
+        return emb
+
+    monkeypatch.setattr(PlanarEmbedding, "_trusted", classmethod(checked))
+    return made
+
+
+class TestTrustedConstruction:
+    def test_closures_build_only_valid_embeddings(self, audited):
+        rng = random.Random(3)
+        for n in range(4, 9):
+            for rec in generate_all(n, check_deltas=False).values():
+                emb = rec.embedding
+                perm = list(range(n))
+                rng.shuffle(perm)
+                labels = [f"v{v}" for v in range(n)]
+                labeled = PlanarEmbedding(emb.rotation, labels, emb.faces[0].boundary)
+                labeled.relabel(perm).mirrored()
+            flip_closure(n)
+        assert set(audited) == {
+            "apply_eberhard", "diagonal_flip", "standard_form", "relabel", "mirrored"
+        }, audited
+
+    def test_normalization_builds_only_valid_embeddings(self, audited):
+        emb = random_triangulation(40, seed=9)
+        audited.clear()
+        normalize_to_standard(emb)
+        assert audited["diagonal_flip"] > 40, audited
 
 
 class TestCanonicalCode:
