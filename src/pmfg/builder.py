@@ -350,7 +350,7 @@ def build_pmfg(
             rejected.append((u, v, w))
     verdict = is_planar(n, [(u, v) for u, v, _ in accepted])
     assert verdict.planar and verdict.embedding is not None
-    emb = PlanarEmbedding(verdict.embedding.rotation, labels=sim.labels)
+    emb = PlanarEmbedding._trusted(verdict.embedding.rotation, labels=sim.labels)
     return PmfgResult(
         embedding=emb,
         accepted=tuple(accepted),

@@ -129,10 +129,9 @@ def _canonical_rotation(nbrs: Sequence[int]) -> tuple[int, ...]:
     Cyclic sequences are equivalence classes; fixing the start point makes
     structural equality, hashing and serialization representation-independent.
     """
-    if not nbrs:
-        return ()
-    i = min(range(len(nbrs)), key=lambda j: nbrs[j])
-    return tuple(nbrs[i:]) + tuple(nbrs[:i])
+    nbrs = tuple(nbrs)
+    i = nbrs.index(min(nbrs)) if nbrs else 0
+    return nbrs[i:] + nbrs[:i]
 
 
 class PlanarEmbedding:
@@ -141,10 +140,11 @@ class PlanarEmbedding:
     The public constructor validates the full set of invariants: neighbor
     lists are mutually symmetric, contain no self-loops or duplicates, the
     graph is connected, and the face-tracing walk closes up with
-    n - e + f = 2.  ``_trusted`` stores a rotation the same way but skips
-    the checks; only operations that derive it from a valid embedding use it
-    (``relabel``, ``mirrored``, and the wheel insertions and flips of
-    ``pmfg.generator``).
+    n - e + f = 2.  ``_trusted`` skips the checks and keeps tuple entries of
+    the rotation as given; only code that derives the rotation from a valid
+    embedding uses it (``relabel``, ``mirrored``, the wheel insertions, flips
+    and standard form of ``pmfg.generator``, and ``pmfg.builder.build_pmfg``
+    on the rotation ``is_planar`` has just validated).
 
     ``labels`` is an optional side table of external names (one per vertex);
     it is never consulted by any algorithm.  ``outer_face`` optionally marks
@@ -158,7 +158,7 @@ class PlanarEmbedding:
         labels: Sequence[str] | None = None,
         outer_face: Sequence[int] | None = None,
     ) -> None:
-        self._store(rotation, labels, outer_face)
+        self._store([list(nbrs) for nbrs in rotation], labels, outer_face)
         self._validate()
 
     @classmethod
@@ -174,8 +174,11 @@ class PlanarEmbedding:
         return emb
 
     def _store(self, rotation, labels, outer_face) -> None:
+        """Canonicalise list entries but keep tuple entries as given, so a
+        tuple is passed only when canonical, like an unchanged parent entry."""
         self.rotation: tuple[tuple[int, ...], ...] = tuple(
-            _canonical_rotation(tuple(nbrs)) for nbrs in rotation
+            nbrs if type(nbrs) is tuple else _canonical_rotation(nbrs)
+            for nbrs in rotation
         )
         self.labels: tuple[str, ...] | None = tuple(labels) if labels else None
         self.outer_face: tuple[int, ...] | None = (
@@ -241,7 +244,15 @@ class PlanarEmbedding:
         return frozenset(f.vertex_set for f in self.faces)
 
     def is_triangulation(self) -> bool:
-        return all(f.degree == 3 for f in self.faces)
+        """Whether every face is a triangle, decided by the edge count alone.
+
+        Every instance, validated or trusted, is a valid connected simple
+        sphere embedding.  With n >= 3 its face walks have length >= 3, so
+        2e >= 3f, and Euler's f = 2 - n + e gives e <= 3n - 6, with equality
+        exactly when all faces are triangles.  ``euler_check`` keeps a
+        face-based test as an independent guard.
+        """
+        return self.n >= 3 and self.e == 3 * self.n - 6
 
     # ------------------------------------------------------------------
     # Validation
@@ -326,7 +337,7 @@ class PlanarEmbedding:
     def mirrored(self) -> "PlanarEmbedding":
         """The reflected embedding (every rotation reversed)."""
         return PlanarEmbedding._trusted(
-            [tuple(reversed(nbrs)) for nbrs in self.rotation],
+            [list(reversed(nbrs)) for nbrs in self.rotation],
             labels=self.labels,
             outer_face=self.outer_face,
         )
@@ -406,7 +417,7 @@ def euler_check(emb: PlanarEmbedding) -> EulerReport:
     internal corruption.
     """
     n, e, f = emb.n, emb.e, len(emb.faces)
-    tri = emb.is_triangulation()
+    tri = all(face.degree == 3 for face in emb.faces)
     if tri:
         assert e == 3 * n - 6, (n, e)
         assert f == 2 * n - 4, (n, f)

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 from .cliques import count_cliques
-from .embedding import CycleRef, Edge, PlanarEmbedding, trace_faces
+from .embedding import CycleRef, Edge, PlanarEmbedding
 from .errors import (
     CeilingError,
     FlipForbiddenError,
@@ -47,7 +47,6 @@ CLASS_COUNTS = {
 }
 
 _KIND_TO_LENGTH = {"phi1": 3, "phi2": 4, "phi3": 5}
-_LENGTH_TO_KIND = {3: "phi1", 4: "phi2", 5: "phi3"}
 
 
 @dataclass(frozen=True)
@@ -115,11 +114,7 @@ def standard_form(n: int) -> PlanarEmbedding:
         raise InputError("standard form is defined for n >= 4")
     emb = k4()
     while emb.n < n:
-        last = emb.n - 1
-        target = frozenset((0, 1, last))
-        face = next(f for f in emb.faces if f.vertex_set == target)
-        op = EberhardOp("phi1", CycleRef(face.boundary), emb.n)
-        emb = apply_eberhard(emb, op)
+        emb = apply_eberhard(emb, EberhardOp("phi1", CycleRef((0, 1, emb.n - 1))))
     outer = next(f for f in emb.faces if f.vertex_set == frozenset((0, 1, 2)))
     return PlanarEmbedding._trusted(emb.rotation, outer_face=outer.boundary)
 
@@ -129,20 +124,66 @@ def standard_form(n: int) -> PlanarEmbedding:
 # ----------------------------------------------------------------------
 
 
-def _rotate_to_wrap(walk: Sequence[int], s: int, t: int) -> list[int]:
-    """Rotate a closed walk so it ends at s and wraps on the dart s -> t."""
-    m = len(walk)
-    for i in range(m):
-        if walk[i] == s and walk[(i + 1) % m] == t:
-            return list(walk[i + 1:]) + list(walk[: i + 1])
-    raise OperationError(f"walk {walk} has no dart {s} -> {t}")
+def _chord_cycles(
+    emb: PlanarEmbedding,
+) -> tuple[list[CycleRef], list[CycleRef], list[CycleRef]]:
+    """The pure chord-cycles of lengths 3, 4 and 5, read off one apex table.
 
+    ``apex[u, v]`` is the third vertex of the face left of the dart u -> v,
+    the neighbor preceding u in the rotation of v.  The faces are the triples
+    (u, v, apex[u, v]) with u their minimum, sorted: exactly ``emb.faces``.
 
-def _merge_walks(w1: Sequence[int], w2: Sequence[int], s: int, t: int) -> list[int]:
-    """Glue two face walks along the edge st; w1 holds s -> t, w2 holds t -> s."""
-    a = _rotate_to_wrap(w1, s, t)
-    b = _rotate_to_wrap(w2, t, s)
-    return a + b[1:-1]
+    On a triangulation with n >= 4 no two faces share their vertex set.  So
+    the two faces at an edge bound a 4-cycle, the faces across two sides of
+    a face are distinct, their apexes lie off it, and the chain of the three
+    faces bounds five distinct vertices unless its outer apexes coincide.  The face set of a chain fixes
+    its middle face and pair of sides, unless the three faces are pairwise
+    edge-adjacent; then they surround a vertex of degree 3, and in each of
+    their chains both outer apexes are the link vertex off the middle face.
+    So skipping exactly the chains with equal outer apexes keeps the same
+    regions, in the same order, as deduplicating face sets and then dropping
+    walks that repeat a vertex.
+    """
+    if not emb.is_triangulation():
+        raise StructuralError("pure chord-cycle search requires a triangulation")
+    apex: dict[Edge, int] = {}
+    faces: list[tuple[int, int, int]] = []
+    for v, nbrs in enumerate(emb.rotation):
+        w = nbrs[-1]
+        for u in nbrs:
+            apex[u, v] = w
+            if u < v and u < w:
+                faces.append((u, v, w))
+            w = u
+    faces.sort()
+    face_of: dict[Edge, tuple[int, int, int]] = {}
+    for f in faces:
+        a, b, c = f
+        face_of[a, b] = face_of[b, c] = face_of[c, a] = f
+    triangles = [CycleRef(f, (), (f,)) for f in faces]
+    if emb.n == 3:  # a lone triangle bounds no region beyond its two faces
+        return triangles, [], []
+    quads = [
+        CycleRef((t, apex[s, t], s, apex[t, s]), ((s, t),), (face_of[s, t], face_of[t, s]))
+        for s, t in emb.edges()
+    ]
+    pents: list[CycleRef] = []
+    for f in faces:
+        # b0 is the face's minimum: (b0, b1) and (b0, b2) are sorted chords,
+        # and both sort before the chord on b1, b2.
+        b0, b1, b2 = f
+        a0, a1, a2 = apex[b1, b0], apex[b2, b1], apex[b0, b2]
+        f0, f1, f2 = face_of[b1, b0], face_of[b2, b1], face_of[b0, b2]
+        c01, c02 = (b0, b1), (b0, b2)
+        c12 = (b1, b2) if b1 < b2 else (b2, b1)
+        if a0 != a1:
+            pents.append(CycleRef((b2, b0, a0, b1, a1), (c01, c12), (f0, f, f1)))
+        if a0 != a2:
+            chords = (c01, c02) if b1 < b2 else (c02, c01)
+            pents.append(CycleRef((b0, a0, b1, b2, a2), chords, (f0, f, f2)))
+        if a1 != a2:
+            pents.append(CycleRef((b0, b1, a1, b2, a2), (c02, c12), (f1, f, f2)))
+    return triangles, quads, pents
 
 
 def find_pure_chord_cycles(emb: PlanarEmbedding, k: int) -> list[CycleRef]:
@@ -157,67 +198,7 @@ def find_pure_chord_cycles(emb: PlanarEmbedding, k: int) -> list[CycleRef]:
     """
     if k not in (3, 4, 5):
         raise InputError(f"pure chord-cycle length must be 3, 4 or 5, not {k}")
-    if not emb.is_triangulation():
-        raise StructuralError("pure chord-cycle search requires a triangulation")
-    faces = emb.faces
-    if k == 3:
-        return [
-            CycleRef(f.boundary, (), (f.boundary,)) for f in faces
-        ]
-    dart_face: dict[Edge, int] = {}
-    for idx, f in enumerate(faces):
-        b = f.boundary
-        for i, u in enumerate(b):
-            dart_face[(u, b[(i + 1) % len(b)])] = idx
-    out: list[CycleRef] = []
-    if k == 4:
-        for s, t in emb.edges():
-            i1, i2 = dart_face[(s, t)], dart_face[(t, s)]
-            merged = _merge_walks(faces[i1].boundary, faces[i2].boundary, s, t)
-            if len(set(merged)) != 4:
-                continue
-            out.append(
-                CycleRef(
-                    tuple(merged),
-                    chords=((s, t),),
-                    interior_faces=(faces[i1].boundary, faces[i2].boundary),
-                )
-            )
-        return out
-    seen_regions: set[frozenset[int]] = set()
-    for mid, f in enumerate(faces):
-        b = f.boundary
-        sides = [(b[i], b[(i + 1) % 3]) for i in range(3)]
-        for j1 in range(3):
-            for j2 in range(j1 + 1, 3):
-                s1, t1 = sides[j1]
-                s2, t2 = sides[j2]
-                left = dart_face[(t1, s1)]
-                right = dart_face[(t2, s2)]
-                if left == right:
-                    continue
-                key = frozenset((mid, left, right))
-                if key in seen_regions:
-                    continue
-                seen_regions.add(key)
-                quad = _merge_walks(b, faces[left].boundary, s1, t1)
-                pent = _merge_walks(quad, faces[right].boundary, s2, t2)
-                if len(set(pent)) != 5:
-                    continue
-                c1 = (s1, t1) if s1 < t1 else (t1, s1)
-                c2 = (s2, t2) if s2 < t2 else (t2, s2)
-                out.append(
-                    CycleRef(
-                        tuple(pent),
-                        chords=tuple(sorted((c1, c2))),
-                        interior_faces=(
-                            faces[left].boundary,
-                            b,
-                            faces[right].boundary,
-                        ),
-                    )
-                )
-    return out
+    return _chord_cycles(emb)[k - 3]
 
 
 def pure_chord_cycle_sets(
@@ -245,12 +226,8 @@ def pure_chord_cycle_sets(
 
 def eberhard_ops(emb: PlanarEmbedding) -> list[EberhardOp]:
     """Every wheel-insertion applicable to the triangulation."""
-    ops: list[EberhardOp] = []
-    for k in (3, 4, 5):
-        kind = _LENGTH_TO_KIND[k]
-        for ref in find_pure_chord_cycles(emb, k):
-            ops.append(EberhardOp(kind, ref, emb.n))
-    return ops
+    n, by_kind = emb.n, zip(_KIND_TO_LENGTH, _chord_cycles(emb))
+    return [EberhardOp(kind, ref, n) for kind, refs in by_kind for ref in refs]
 
 
 # ----------------------------------------------------------------------
@@ -280,7 +257,8 @@ def apply_eberhard(emb: PlanarEmbedding, op: EberhardOp) -> PlanarEmbedding:
         if not emb.has_edge(u, v):
             raise OperationError(f"cycle vertices {u}, {v} are not adjacent")
     cycle_set = frozenset(verts)
-    rot = [list(nbrs) for nbrs in emb.rotation]
+    # Only the cycle vertices change; the rest keep the parent's tuples.
+    rot = [list(r) if v in cycle_set else r for v, r in enumerate(emb.rotation)]
     for u, v in cyc.chords:
         if not {u, v} <= cycle_set or not emb.has_edge(u, v):
             raise OperationError(f"chord ({u}, {v}) is not an interior edge")
@@ -290,10 +268,20 @@ def apply_eberhard(emb: PlanarEmbedding, op: EberhardOp) -> PlanarEmbedding:
         rot[v].remove(u)
     # Removing chords between cycle vertices keeps the embedding valid as long
     # as it stays connected, which a face walk through every cycle vertex
-    # guarantees; the hub then fills that face.
-    matches = [
-        w for w in trace_faces(rot)[0] if len(w) == k and set(w) == cycle_set
-    ]
+    # guarantees; the hub then fills that face.  A walk of length k on the k
+    # cycle vertices passes verts[0] exactly once, so it is found exactly once
+    # by walking k steps from each dart leaving verts[0]: the steps meet every
+    # cycle vertex and end back on the first dart.
+    v0 = verts[0]
+    matches = []
+    for b in rot[v0]:
+        a, walk = v0, []
+        for _ in range(k):
+            walk.append(a)
+            r = rot[b]
+            a, b = b, r[r.index(a) - 1]
+        if (a, b) == (v0, walk[1]) and set(walk) == cycle_set:
+            matches.append(walk)
     if len(matches) != 1:
         raise OperationError(
             f"cycle {verts} with chords {cyc.chords} is not a pure chord-cycle"
@@ -338,7 +326,7 @@ def diagonal_flip(emb: PlanarEmbedding, move: FlipMove) -> PlanarEmbedding:
         raise OperationError(
             f"replacement {move.replacement} does not match faces at ({a}, {c})"
         )
-    rot = [list(nbrs) for nbrs in emb.rotation]
+    rot = [list(r) if v in (a, c, p, q) else r for v, r in enumerate(emb.rotation)]
     rot[a].remove(c)
     rot[c].remove(a)
     rot[p].insert(rot[p].index(c), q)

@@ -1,9 +1,16 @@
+import hashlib
 import json
 
 import numpy as np
 import pytest
 
-from pmfg import PlanarEmbedding, count_cliques, generate_all, standard_form
+from pmfg import (
+    PlanarEmbedding,
+    count_cliques,
+    generate_all,
+    random_triangulation,
+    standard_form,
+)
 from pmfg.cli import main
 
 STANDARD6_EDGES = [
@@ -323,3 +330,39 @@ class TestDegreeCensusCommand:
         assert main(["degree-census", "--n", "5", "--sequences"]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["realizable_sequences"] == [[4, 4, 4, 3, 3]]
+
+
+class TestPinnedOutputBytes:
+    """sha256 of CLI outputs, recorded at commit c395e97.
+
+    Internal rewrites of generation, flips and canonical codes must keep
+    every byte; these digests turn that into a test.
+    """
+
+    @staticmethod
+    def sha256(data: bytes) -> str:
+        return hashlib.sha256(data).hexdigest()
+
+    def test_generate_n8_jsonl(self, tmp_path, capsys):
+        assert main(["generate", "--n", "8", "--output-dir", str(tmp_path)]) == 0
+        assert self.sha256((tmp_path / "triangulations_n8.jsonl").read_bytes()) == (
+            "f3373b552ebb2451686d188e381b3fefa8b9a0c447b17a7306d836742e91eb65"
+        )
+
+    def test_verify_n_max_9_stdout(self, capsys):
+        assert main(["verify", "--n-max", "9", "--workers", "1"]) == 0
+        assert self.sha256(capsys.readouterr().out.encode()) == (
+            "36332ad85c315ed4d998a12874290acd89f69cc81912c9e28777a165c809f828"
+        )
+
+    def test_normalize_outputs(self, tmp_path, capsys):
+        graph = tmp_path / "rt60.json"
+        graph.write_text(random_triangulation(60, seed=11).to_json())
+        out = tmp_path / "out"
+        assert main(["normalize", str(graph), "--output-dir", str(out)]) == 0
+        assert self.sha256((out / "rt60.normalized.json").read_bytes()) == (
+            "7a5635158eff6067fc53a3c0e62f7c225f8246f85edb01b0bf2a3040c8475696"
+        )
+        assert self.sha256((out / "rt60.flips.json").read_bytes()) == (
+            "326ba6ce1c6e526994412514b2fe3bc7d821a0d29d0f98b8233a20f82bfac177"
+        )

@@ -1,7 +1,9 @@
+import itertools
 import random
 import sys
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,13 +17,17 @@ from pmfg import (
     InputError,
     OperationError,
     PlanarEmbedding,
+    StructuralError,
     apply_eberhard,
     apply_trace,
+    build_pmfg,
     canonical_code,
+    correlation_from_returns,
     count_cliques,
     degree_sequence,
     diagonal_flip,
     eberhard_ops,
+    euler_check,
     find_pure_chord_cycles,
     flip_closure,
     generate_all,
@@ -108,6 +114,75 @@ def validating_apply_eberhard(emb: PlanarEmbedding, op: EberhardOp) -> PlanarEmb
     return PlanarEmbedding(rot)
 
 
+def merge_walk_cycles(emb: PlanarEmbedding, k: int) -> list[CycleRef]:
+    """``find_pure_chord_cycles`` as it was when it glued face walks.
+
+    Every candidate region is built as the merged boundary walk of its faces;
+    chains of three faces are deduplicated by face set, and walks that repeat
+    a vertex are dropped.  The reference for the apex-table enumerator.
+    """
+
+    def rotate_to_wrap(walk, s, t):
+        m = len(walk)
+        for i in range(m):
+            if walk[i] == s and walk[(i + 1) % m] == t:
+                return list(walk[i + 1:]) + list(walk[: i + 1])
+        raise AssertionError(f"walk {walk} has no dart {s} -> {t}")
+
+    def merge(w1, w2, s, t):
+        return rotate_to_wrap(w1, s, t) + rotate_to_wrap(w2, t, s)[1:-1]
+
+    assert all(f.degree == 3 for f in emb.faces)
+    faces = [f.boundary for f in emb.faces]
+    if k == 3:
+        return [CycleRef(f, (), (f,)) for f in faces]
+    dart_face = {}
+    for idx, b in enumerate(faces):
+        for i, u in enumerate(b):
+            dart_face[(u, b[(i + 1) % 3])] = idx
+    out = []
+    if k == 4:
+        for s, t in emb.edges():
+            i1, i2 = dart_face[(s, t)], dart_face[(t, s)]
+            merged = merge(faces[i1], faces[i2], s, t)
+            if len(set(merged)) == 4:
+                out.append(CycleRef(tuple(merged), ((s, t),), (faces[i1], faces[i2])))
+        return out
+    seen = set()
+    for mid, b in enumerate(faces):
+        sides = [(b[i], b[(i + 1) % 3]) for i in range(3)]
+        for j1 in range(3):
+            for j2 in range(j1 + 1, 3):
+                (s1, t1), (s2, t2) = sides[j1], sides[j2]
+                left, right = dart_face[(t1, s1)], dart_face[(t2, s2)]
+                key = frozenset((mid, left, right))
+                if left == right or key in seen:
+                    continue
+                seen.add(key)
+                pent = merge(merge(b, faces[left], s1, t1), faces[right], s2, t2)
+                if len(set(pent)) != 5:
+                    continue
+                chords = tuple(sorted((tuple(sorted(sides[j1])), tuple(sorted(sides[j2])))))
+                out.append(CycleRef(tuple(pent), chords, (faces[left], b, faces[right])))
+    return out
+
+
+def assert_enumerators_agree(emb: PlanarEmbedding) -> None:
+    """Same cycles, chords and interior faces, in the same order."""
+
+    def fields(refs):
+        return [(r.vertices, r.chords, r.interior_faces) for r in refs]
+
+    want = [merge_walk_cycles(emb, k) for k in (3, 4, 5)]
+    for k, refs in zip((3, 4, 5), want):
+        assert fields(find_pure_chord_cycles(emb, k)) == fields(refs), (emb.rotation, k)
+    ops = eberhard_ops(emb)
+    assert [(op.kind, op.new_vertex) for op in ops] == [
+        (kind, emb.n) for kind, refs in zip(("phi1", "phi2", "phi3"), want) for _ in refs
+    ]
+    assert fields(op.cycle for op in ops) == fields(ref for refs in want for ref in refs)
+
+
 def malformed_ops(emb: PlanarEmbedding, ops: list[EberhardOp], rng: random.Random):
     """Seeded corruptions of valid operations: each breaks one part of an op."""
     n = emb.n
@@ -174,6 +249,70 @@ class TestPureChordCycles:
         with pytest.raises(InputError):
             find_pure_chord_cycles(p5, 6)
 
+    def test_lone_triangle_has_only_its_two_faces(self):
+        triangle = PlanarEmbedding(((1, 2), (2, 0), (0, 1)))
+        for k in (3, 4, 5):
+            assert find_pure_chord_cycles(triangle, k) == merge_walk_cycles(triangle, k)
+        assert len(find_pure_chord_cycles(triangle, 3)) == 2
+
+    def test_matches_the_merge_walk_enumerator_on_every_class(self, classes):
+        for records in classes.values():
+            for rec in records.values():
+                assert_enumerators_agree(rec.embedding)
+
+    def test_matches_the_merge_walk_enumerator_on_random_copies(self):
+        # Growing with rng.choice passes through random_triangulation(m, seed)
+        # for every m on the way, so this covers n = 9..80.
+        rng, grow = random.Random(19), random.Random(1)
+        emb = k4()
+        while emb.n <= 80:
+            if emb.n >= 9:
+                assert_enumerators_agree(emb)
+            if emb.n >= 9 and emb.n % 3 == 0:
+                perm = list(range(emb.n))
+                rng.shuffle(perm)
+                relabeled = emb.relabel(perm)
+                for copy in (emb.mirrored(), relabeled, relabeled.mirrored()):
+                    assert_enumerators_agree(copy)
+            emb = apply_eberhard(emb, grow.choice(eberhard_ops(emb)))
+
+
+class TestIsTriangulation:
+    @staticmethod
+    def by_faces(emb: PlanarEmbedding) -> bool:
+        return all(f.degree == 3 for f in emb.faces)
+
+    def test_edge_count_matches_faces_on_every_class(self, classes):
+        for records in classes.values():
+            for rec in records.values():
+                assert rec.embedding.is_triangulation() is self.by_faces(rec.embedding) is True
+
+    def test_edge_count_matches_faces_on_small_graphs(self):
+        for rotation in [((1,), (0,)), ((1,), (0, 2), (1,)), ((1, 2), (2, 0), (0, 1))]:
+            emb = PlanarEmbedding(rotation)
+            assert emb.is_triangulation() is self.by_faces(emb) is (emb.e == 3)
+
+    def test_edge_count_matches_faces_on_pruned_triangulations(self):
+        rng = random.Random(23)
+        checked = Counter()
+        for seed in range(8):
+            emb = random_triangulation(rng.randint(5, 30), seed=seed)
+            rot = [list(nbrs) for nbrs in emb.rotation]
+            edges = list(emb.edges())
+            rng.shuffle(edges)
+            for u, v in edges:
+                iu, iv = rot[u].index(v), rot[v].index(u)
+                del rot[u][iu], rot[v][iv]
+                try:
+                    pruned = PlanarEmbedding(rot)
+                except StructuralError:  # disconnected: put the edge back
+                    rot[u].insert(iu, v)
+                    rot[v].insert(iv, u)
+                    continue
+                assert pruned.is_triangulation() is self.by_faces(pruned)
+                checked[pruned.is_triangulation()] += 1
+        assert checked[False] > 100 and not checked[True], checked
+
 
 class TestApplyEberhard:
     def test_k4_phi1_any_face_gives_the_unique_p5(self, p5):
@@ -202,7 +341,7 @@ class TestApplyEberhard:
         for op in eberhard_ops(emb):
             child = apply_eberhard(emb, op)
             assert (child.n, child.e) == (emb.n + 1, emb.e + 3)
-            assert child.is_triangulation()
+            assert euler_check(child).is_triangulation
             assert sum(degree_sequence(child)) == 2 * child.e
 
     def test_new_vertex_forms_a_wheel(self, p5):
@@ -239,6 +378,30 @@ class TestApplyEberhard:
         triangle = PlanarEmbedding(((1, 2), (0, 2), (0, 1)))
         with pytest.raises(OperationError, match="pure chord-cycle"):
             apply_eberhard(triangle, EberhardOp("phi1", CycleRef((0, 1, 2))))
+
+    @pytest.mark.parametrize(
+        "rotation, op",
+        [
+            # A square 0123 with the chord 02 and an ear 4 on the side 01.
+            # Once the chord is gone, the outer walk 0, 3, 2, 1, 4 opens with
+            # the cycle's vertices, but only the square is a 4-face on them.
+            (
+                ((1, 2, 3, 4), (0, 4, 2), (0, 1, 3), (0, 2), (0, 1)),
+                EberhardOp("phi2", CycleRef((0, 1, 2, 3), ((0, 2),))),
+            ),
+            # Two triangles joined at 0: the outer walk 0, 1, 2, 0, 3, 4 is
+            # back at 0 after three steps, but leaves it on another dart.
+            (
+                ((1, 4, 3, 2), (0, 2), (0, 1), (0, 4), (0, 3)),
+                EberhardOp("phi1", CycleRef((0, 1, 2))),
+            ),
+        ],
+    )
+    def test_walk_prefix_on_the_cycle_vertices_is_no_match(self, rotation, op):
+        emb = PlanarEmbedding(rotation)
+        got = apply_eberhard(emb, op)
+        assert got == validating_apply_eberhard(emb, op)
+        assert set(got.neighbors(emb.n)) == op.cycle.vertex_set
 
     @pytest.mark.parametrize("reverse", [False, True])
     def test_repeated_chord_rejected(self, reverse):
@@ -279,6 +442,49 @@ class TestApplyEberhard:
         kinds = {"same rotation", "repeated chord", "OperationError", "InputError", "IndexError"}
         assert set(outcomes) == kinds and min(outcomes.values()) > 50, outcomes
 
+    def test_matches_the_validating_version_on_pruned_embeddings(self):
+        # Off triangulations, faces are longer than the cycle and may pass a
+        # vertex twice, which is where a walk cut off after k steps could err.
+        # Every cycle of length 3-5 with every admissible chord choice.
+        rng = random.Random(31)
+        outcomes = Counter()
+        for seed in range(40):
+            emb = random_triangulation(rng.randint(5, 8), seed=seed)
+            rot = [list(nbrs) for nbrs in emb.rotation]
+            edges = list(emb.edges())
+            rng.shuffle(edges)
+            for u, v in edges[: rng.randint(1, len(edges) // 2)]:
+                iu, iv = rot[u].index(v), rot[v].index(u)
+                del rot[u][iu], rot[v][iv]
+                try:
+                    PlanarEmbedding(rot)
+                except StructuralError:  # disconnected: put the edge back
+                    rot[u].insert(iu, v)
+                    rot[v].insert(iv, u)
+            pruned = PlanarEmbedding(rot)
+            for k, kind in ((3, "phi1"), (4, "phi2"), (5, "phi3")):
+                for cyc in itertools.permutations(range(pruned.n), k):
+                    sides = {frozenset((cyc[i - 1], cyc[i])) for i in range(k)}
+                    if cyc[0] != min(cyc) or not all(pruned.has_edge(*e) for e in sides):
+                        continue
+                    inner = [
+                        c for c in itertools.combinations(sorted(cyc), 2)
+                        if pruned.has_edge(*c) and frozenset(c) not in sides
+                    ]
+                    for chords in itertools.combinations(inner, k - 3):
+                        op = EberhardOp(kind, CycleRef(cyc, chords))
+                        try:
+                            want = validating_apply_eberhard(pruned, op)
+                        except OperationError:
+                            want = None
+                        try:
+                            got = apply_eberhard(pruned, op)
+                        except OperationError:
+                            got = None
+                        assert got == want, (pruned.rotation, op)
+                        outcomes[want is None] += 1
+        assert min(outcomes.values()) > 500, outcomes
+
 
 class TestDiagonalFlip:
     def test_flip_replaces_shared_edge_with_opposite_diagonal(self, p5):
@@ -288,7 +494,7 @@ class TestDiagonalFlip:
         flipped = diagonal_flip(p5, move)
         assert not flipped.has_edge(a, c)
         assert flipped.has_edge(b, d)
-        assert flipped.is_triangulation()
+        assert euler_check(flipped).is_triangulation
 
     def test_flip_then_reverse_restores_embedding_exactly(self, p5):
         for move in legal_flips(p5):
@@ -379,6 +585,24 @@ class TestTrustedConstruction:
         audited.clear()
         normalize_to_standard(emb)
         assert audited["diagonal_flip"] > 40, audited
+
+    def test_large_embeddings_build_only_valid_embeddings(self, audited):
+        # Large rotations reuse most of their parent's tuples, so a reused or
+        # mirrored entry that is not canonical shows up here.
+        emb = random_triangulation(60, seed=29)
+        assert audited["apply_eberhard"] >= 56, audited
+        normalize_to_standard(emb)
+        assert audited["diagonal_flip"] > 60, audited
+        emb.mirrored()
+        assert audited["mirrored"] == 1, audited
+
+    def test_pmfg_build_is_a_valid_embedding(self, audited):
+        rng = np.random.default_rng(40)
+        table = rng.normal(size=(120, 40)) + 0.5 * rng.normal(size=(120, 1))
+        sim = correlation_from_returns(table, [f"S{i:02d}" for i in range(40)])
+        result = build_pmfg(sim)
+        assert audited == {"build_pmfg": 1}, audited
+        assert result.embedding.labels == tuple(sim.labels)
 
 
 class TestCanonicalCode:
@@ -506,7 +730,7 @@ class TestNormalization:
                 replay = rec.embedding
                 for move in trace:
                     replay = diagonal_flip(replay, move)
-                    assert replay.is_triangulation()
+                    assert euler_check(replay).is_triangulation
                 assert replay == normalized
 
     def test_labels_survive_normalization(self):
