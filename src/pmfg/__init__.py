@@ -10,7 +10,6 @@ exhaustively at small n.
 from .builder import (
     PmfgResult,
     SimilarityMatrix,
-    WeightedEdgeList,
     build_pmfg,
     correlation_from_returns,
     weighted_edge_list,
@@ -22,7 +21,6 @@ from .cliques import (
     standard_form_expected,
 )
 from .embedding import (
-    CycleRef,
     Face,
     PlanarEmbedding,
     degree_sequence,
@@ -74,7 +72,6 @@ __all__ = [
     "CanonicalCode",
     "CeilingError",
     "CliqueCensus",
-    "CycleRef",
     "DegreeSequenceCensus",
     "EberhardOp",
     "Face",
@@ -90,7 +87,6 @@ __all__ = [
     "SimilarityMatrix",
     "StructuralError",
     "VerificationFailure",
-    "WeightedEdgeList",
     "apply_eberhard",
     "apply_trace",
     "brute_force_cliques",

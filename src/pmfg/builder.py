@@ -70,13 +70,6 @@ class SimilarityMatrix:
 
 
 @dataclass(frozen=True)
-class WeightedEdgeList:
-    """All vertex pairs ordered by non-increasing weight."""
-
-    entries: tuple[tuple[int, int, float], ...]
-
-
-@dataclass(frozen=True)
 class GateCounts:
     """How many examined pairs each rule of the planarity gate decided.
 
@@ -127,8 +120,8 @@ def correlation_from_returns(
 
 def weighted_edge_list(
     sim: SimilarityMatrix, tie_policy: TiePolicy = "lexicographic"
-) -> WeightedEdgeList:
-    """Rank all pairs by descending similarity.
+) -> tuple[tuple[int, int, float], ...]:
+    """Rank all pairs by descending similarity, as (i, j, weight) triples.
 
     Equal weights are ordered by the (min label, max label) pair so that runs
     are reproducible across platforms; the "strict" policy refuses them
@@ -153,7 +146,7 @@ def weighted_edge_list(
         if tied:
             listing = "; ".join(f"{x} ~ {y}" for x, y in tied)
             raise InputError(f"tied weights under strict policy: {listing}")
-    return WeightedEdgeList(tuple((i, j, -negw) for negw, _, _, i, j in pairs))
+    return tuple((i, j, -negw) for negw, _, _, i, j in pairs)
 
 
 def _face_masks(n: int, walks: list[list[int]]) -> list[int]:
@@ -341,7 +334,7 @@ def build_pmfg(
     accepted: list[tuple[int, int, float]] = []
     rejected: list[tuple[int, int, float]] = []
     gate = _PlanarityGate(n)
-    for u, v, w in ranked.entries:
+    for u, v, w in ranked:
         if gate.add_if_planar(u, v):
             accepted.append((u, v, w))
             if len(accepted) == target:

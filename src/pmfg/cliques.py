@@ -89,16 +89,23 @@ def count_cliques(emb: PlanarEmbedding) -> CliqueCensus:
             low = x_mask & -x_mask
             four.append((a, b, c, low.bit_length() - 1))
             x_mask ^= low
-    face_sets = emb.face_sets
-    surface = tuple(t for t in triangles if frozenset(t) in face_sets)
-    separating = tuple(t for t in triangles if frozenset(t) not in face_sets)
+    # On a triangulation every corner is a face: uvw bounds one iff v and w
+    # are consecutive around u.
+    surface: list[tuple[int, int, int]] = []
+    separating: list[tuple[int, int, int]] = []
+    for t in triangles:
+        u, v, w = t
+        ring = emb.rotation[u]
+        i = ring.index(v)
+        on_face = w == ring[i - 1] or w == ring[(i + 1) % len(ring)]
+        (surface if on_face else separating).append(t)
     return CliqueCensus(
         c3_total=len(triangles),
         c3_surface=len(surface),
         c3_separating=len(separating),
         c4_total=len(four),
-        surface_triangles=surface,
-        separating_triangles=separating,
+        surface_triangles=tuple(surface),
+        separating_triangles=tuple(separating),
         four_cliques=tuple(four),
     )
 

@@ -47,28 +47,6 @@ class Face:
         return frozenset(self.boundary)
 
 
-@dataclass(frozen=True)
-class CycleRef:
-    """A cycle of a host embedding together with one choice of interior.
-
-    ``vertices`` is the cyclic boundary walk; ``chords`` are the edges of the
-    host graph that lie strictly inside the chosen region and join two cycle
-    vertices.  ``interior_faces`` records the face walks composing the region
-    when the cycle was enumerated from an embedding.
-    """
-
-    vertices: tuple[int, ...]
-    chords: tuple[Edge, ...] = ()
-    interior_faces: tuple[tuple[int, ...], ...] | None = None
-
-    def __len__(self) -> int:
-        return len(self.vertices)
-
-    @property
-    def vertex_set(self) -> frozenset[int]:
-        return frozenset(self.vertices)
-
-
 class EulerReport(NamedTuple):
     n: int
     e: int
@@ -215,7 +193,7 @@ class PlanarEmbedding:
         return tuple(masks)
 
     def has_edge(self, u: int, v: int) -> bool:
-        return bool(self.neighbor_masks[u] >> v & 1)
+        return v in self.rotation[u]
 
     def edges(self) -> Iterator[Edge]:
         for u, nbrs in enumerate(self.rotation):
@@ -238,10 +216,6 @@ class PlanarEmbedding:
         return tuple(
             sorted((Face(_canonical_walk(w)) for w in walks), key=lambda f: f.boundary)
         )
-
-    @cached_property
-    def face_sets(self) -> frozenset[frozenset[int]]:
-        return frozenset(f.vertex_set for f in self.faces)
 
     def is_triangulation(self) -> bool:
         """Whether every face is a triangle, decided by the edge count alone.
@@ -300,7 +274,8 @@ class PlanarEmbedding:
         if self.labels is not None and len(self.labels) != n:
             raise StructuralError("labels must cover every vertex")
         if self.outer_face is not None:
-            if frozenset(self.outer_face) not in self.face_sets:
+            outer = frozenset(self.outer_face)
+            if not any(f.vertex_set == outer for f in self.faces):
                 raise StructuralError("outer_face marker does not match any face")
 
     # ------------------------------------------------------------------

@@ -21,13 +21,14 @@ and its own rotation is the boundary walk itself.
 from __future__ import annotations
 
 import functools
+import itertools
 import random
 import struct
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 from .cliques import count_cliques
-from .embedding import CycleRef, Edge, PlanarEmbedding
+from .embedding import Edge, PlanarEmbedding
 from .errors import (
     CeilingError,
     FlipForbiddenError,
@@ -46,16 +47,22 @@ CLASS_COUNTS = {
     10: 233, 11: 1249, 12: 7595, 13: 49566, 14: 339722,
 }
 
-_KIND_TO_LENGTH = {"phi1": 3, "phi2": 4, "phi3": 5}
-
 
 @dataclass(frozen=True)
 class EberhardOp:
-    """One wheel-insertion step: kind phi1/phi2/phi3 acting on a cycle."""
+    """One wheel-insertion step: delete ``chords`` and join hub n to ``cycle``.
 
-    kind: str
-    cycle: CycleRef
-    new_vertex: int | None = None
+    ``cycle`` is the boundary walk of a region of len(cycle) - 2 faces, and
+    ``chords`` are the len(cycle) - 3 edges inside it, each sorted.  The
+    cycle's length alone decides the operation: phi1, phi2 or phi3.
+    """
+
+    cycle: tuple[int, ...]
+    chords: tuple[Edge, ...] = ()
+
+    @property
+    def kind(self) -> str:
+        return f"phi{len(self.cycle) - 2}"
 
 
 @dataclass(frozen=True)
@@ -114,7 +121,7 @@ def standard_form(n: int) -> PlanarEmbedding:
         raise InputError("standard form is defined for n >= 4")
     emb = k4()
     while emb.n < n:
-        emb = apply_eberhard(emb, EberhardOp("phi1", CycleRef((0, 1, emb.n - 1))))
+        emb = apply_eberhard(emb, EberhardOp((0, 1, emb.n - 1)))
     outer = next(f for f in emb.faces if f.vertex_set == frozenset((0, 1, 2)))
     return PlanarEmbedding._trusted(emb.rotation, outer_face=outer.boundary)
 
@@ -124,10 +131,16 @@ def standard_form(n: int) -> PlanarEmbedding:
 # ----------------------------------------------------------------------
 
 
-def _chord_cycles(
-    emb: PlanarEmbedding,
-) -> tuple[list[CycleRef], list[CycleRef], list[CycleRef]]:
-    """The pure chord-cycles of lengths 3, 4 and 5, read off one apex table.
+def eberhard_ops(emb: PlanarEmbedding) -> list[EberhardOp]:
+    """Every wheel insertion applicable to the triangulation: one per pure
+    chord-cycle of length 3, 4 or 5 and choice of interior region.
+
+    A region with no interior vertex whose faces are all triangles is made
+    of k - 2 faces: a single face (k = 3), the two faces at an edge (k = 4),
+    or a chain of three faces glued along two sides of the middle one
+    (k = 5).  A cycle that can be filled from both sides appears once per
+    side, with the chords of that side.  The list holds the triangles, then
+    the quads, then the pentagons.
 
     ``apex[u, v]`` is the third vertex of the face left of the dart u -> v,
     the neighbor preceding u in the rotation of v.  The faces are the triples
@@ -136,13 +149,13 @@ def _chord_cycles(
     On a triangulation with n >= 4 no two faces share their vertex set.  So
     the two faces at an edge bound a 4-cycle, the faces across two sides of
     a face are distinct, their apexes lie off it, and the chain of the three
-    faces bounds five distinct vertices unless its outer apexes coincide.  The face set of a chain fixes
-    its middle face and pair of sides, unless the three faces are pairwise
-    edge-adjacent; then they surround a vertex of degree 3, and in each of
-    their chains both outer apexes are the link vertex off the middle face.
-    So skipping exactly the chains with equal outer apexes keeps the same
-    regions, in the same order, as deduplicating face sets and then dropping
-    walks that repeat a vertex.
+    faces bounds five distinct vertices unless its outer apexes coincide.
+    The face set of a chain fixes its middle face and pair of sides, unless
+    the three faces are pairwise edge-adjacent; then they surround a vertex
+    of degree 3, and in each of their chains both outer apexes are the link
+    vertex off the middle face.  So skipping exactly the chains with equal
+    outer apexes keeps the same regions, in the same order, as deduplicating
+    face sets and then dropping walks that repeat a vertex.
     """
     if not emb.is_triangulation():
         raise StructuralError("pure chord-cycle search requires a triangulation")
@@ -156,78 +169,57 @@ def _chord_cycles(
                 faces.append((u, v, w))
             w = u
     faces.sort()
-    face_of: dict[Edge, tuple[int, int, int]] = {}
-    for f in faces:
-        a, b, c = f
-        face_of[a, b] = face_of[b, c] = face_of[c, a] = f
-    triangles = [CycleRef(f, (), (f,)) for f in faces]
+    ops = [EberhardOp(f) for f in faces]
     if emb.n == 3:  # a lone triangle bounds no region beyond its two faces
-        return triangles, [], []
-    quads = [
-        CycleRef((t, apex[s, t], s, apex[t, s]), ((s, t),), (face_of[s, t], face_of[t, s]))
-        for s, t in emb.edges()
-    ]
-    pents: list[CycleRef] = []
-    for f in faces:
+        return ops
+    ops += [EberhardOp((t, apex[s, t], s, apex[t, s]), ((s, t),)) for s, t in emb.edges()]
+    for b0, b1, b2 in faces:
         # b0 is the face's minimum: (b0, b1) and (b0, b2) are sorted chords,
         # and both sort before the chord on b1, b2.
-        b0, b1, b2 = f
         a0, a1, a2 = apex[b1, b0], apex[b2, b1], apex[b0, b2]
-        f0, f1, f2 = face_of[b1, b0], face_of[b2, b1], face_of[b0, b2]
         c01, c02 = (b0, b1), (b0, b2)
         c12 = (b1, b2) if b1 < b2 else (b2, b1)
         if a0 != a1:
-            pents.append(CycleRef((b2, b0, a0, b1, a1), (c01, c12), (f0, f, f1)))
+            ops.append(EberhardOp((b2, b0, a0, b1, a1), (c01, c12)))
         if a0 != a2:
             chords = (c01, c02) if b1 < b2 else (c02, c01)
-            pents.append(CycleRef((b0, a0, b1, b2, a2), chords, (f0, f, f2)))
+            ops.append(EberhardOp((b0, a0, b1, b2, a2), chords))
         if a1 != a2:
-            pents.append(CycleRef((b0, b1, a1, b2, a2), (c02, c12), (f1, f, f2)))
-    return triangles, quads, pents
+            ops.append(EberhardOp((b0, b1, a1, b2, a2), (c02, c12)))
+    return ops
 
 
-def find_pure_chord_cycles(emb: PlanarEmbedding, k: int) -> list[CycleRef]:
-    """All pure chord-cycles of length k, one per interior-region choice.
-
-    A region with no interior vertices and all faces triangular is composed
-    of k - 2 faces, so regions are enumerated directly from face adjacency:
-    single faces (k=3), pairs of faces sharing an edge (k=4), and chains of
-    three faces glued along two distinct edges of the middle one (k=5).
-    A boundary cycle that can be filled from both sides appears once per
-    side, with the chords of that side.
-    """
+def find_pure_chord_cycles(emb: PlanarEmbedding, k: int) -> list[EberhardOp]:
+    """The wheel insertions of ``eberhard_ops`` on cycles of length k."""
     if k not in (3, 4, 5):
         raise InputError(f"pure chord-cycle length must be 3, 4 or 5, not {k}")
-    return _chord_cycles(emb)[k - 3]
+    return [op for op in eberhard_ops(emb) if len(op.cycle) == k]
 
 
-def pure_chord_cycle_sets(
-    emb: PlanarEmbedding, k: int, *, outer_face: Sequence[int] | None = None
-) -> list[CycleRef]:
+def pure_chord_cycle_sets(emb: PlanarEmbedding, k: int) -> list[EberhardOp]:
     """Pure chord-cycles counted the way a plane drawing counts them.
 
-    Relative to a distinguished unbounded face, only regions on the bounded
-    side qualify as interiors, and cycles are identified by vertex set.  This
-    is the counting that yields 5, 4 and 1 cycles of lengths 3, 4, 5 for the
+    Relative to ``emb.outer_face``, only regions on the bounded side qualify
+    as interiors, and cycles are identified by vertex set.  This is the
+    counting that yields 5, 4 and 1 cycles of lengths 3, 4, 5 for the
     unique 5-vertex triangulation.
+
+    A region contains the outer face iff the face's three vertices lie on
+    the cycle and every pair of them is joined by a cycle side or a chord:
+    the region is a triangulated polygon, a maximal outerplanar graph, and
+    such a graph has no separating triangle, so its triangles are its faces.
     """
-    outer = outer_face if outer_face is not None else emb.outer_face
-    if outer is None:
+    if emb.outer_face is None:
         raise InputError("set-level counting needs a distinguished outer face")
-    outer_set = frozenset(outer)
-    by_set: dict[frozenset[int], CycleRef] = {}
-    for ref in find_pure_chord_cycles(emb, k):
-        assert ref.interior_faces is not None
-        if any(frozenset(f) == outer_set for f in ref.interior_faces):
-            continue
-        by_set.setdefault(ref.vertex_set, ref)
+    outer_sides = {frozenset(s) for s in itertools.combinations(emb.outer_face, 2)}
+    by_set: dict[frozenset[int], EberhardOp] = {}
+    for op in find_pure_chord_cycles(emb, k):
+        cyc = op.cycle
+        joined = {frozenset(s) for s in zip(cyc, cyc[1:] + cyc[:1])}
+        joined.update(map(frozenset, op.chords))
+        if not outer_sides <= joined:
+            by_set.setdefault(frozenset(cyc), op)
     return list(by_set.values())
-
-
-def eberhard_ops(emb: PlanarEmbedding) -> list[EberhardOp]:
-    """Every wheel-insertion applicable to the triangulation."""
-    n, by_kind = emb.n, zip(_KIND_TO_LENGTH, _chord_cycles(emb))
-    return [EberhardOp(kind, ref, n) for kind, refs in by_kind for ref in refs]
 
 
 # ----------------------------------------------------------------------
@@ -241,17 +233,12 @@ def apply_eberhard(emb: PlanarEmbedding, op: EberhardOp) -> PlanarEmbedding:
     The result is a triangulation on n + 1 vertices containing a wheel on
     the cycle; the edge count rises by exactly 3 for each of phi1/phi2/phi3.
     """
-    if op.kind not in _KIND_TO_LENGTH:
-        raise InputError(f"unknown operation kind {op.kind!r}")
-    k = _KIND_TO_LENGTH[op.kind]
-    cyc = op.cycle
-    verts = cyc.vertices
-    if len(verts) != k or len(set(verts)) != k:
-        raise OperationError(f"{op.kind} needs a cycle of {k} distinct vertices")
-    if len(cyc.chords) != k - 3:
+    verts, chords = op.cycle, op.chords
+    k = len(verts)
+    if not 3 <= k <= 5 or len(set(verts)) != k:
+        raise OperationError(f"cycle {verts} is not 3 to 5 distinct vertices")
+    if len(chords) != k - 3:
         raise OperationError(f"{op.kind} needs exactly {k - 3} chords")
-    if op.new_vertex not in (None, emb.n):
-        raise OperationError(f"new vertex id must be {emb.n}")
     for i, u in enumerate(verts):
         v = verts[(i + 1) % k]
         if not emb.has_edge(u, v):
@@ -259,7 +246,7 @@ def apply_eberhard(emb: PlanarEmbedding, op: EberhardOp) -> PlanarEmbedding:
     cycle_set = frozenset(verts)
     # Only the cycle vertices change; the rest keep the parent's tuples.
     rot = [list(r) if v in cycle_set else r for v, r in enumerate(emb.rotation)]
-    for u, v in cyc.chords:
+    for u, v in chords:
         if not {u, v} <= cycle_set or not emb.has_edge(u, v):
             raise OperationError(f"chord ({u}, {v}) is not an interior edge")
         if v not in rot[u]:
@@ -284,7 +271,7 @@ def apply_eberhard(emb: PlanarEmbedding, op: EberhardOp) -> PlanarEmbedding:
             matches.append(walk)
     if len(matches) != 1:
         raise OperationError(
-            f"cycle {verts} with chords {cyc.chords} is not a pure chord-cycle"
+            f"cycle {verts} with chords {chords} is not a pure chord-cycle"
         )
     walk = matches[0]
     hub = emb.n
@@ -500,22 +487,21 @@ def generate_all(
     receives (kind, dC3, dC4) for empirical recording.
     """
     _refuse_above_ceiling(n, ceiling)
+    audit = check_deltas or on_application is not None
     seed = k4()
-    level = {canonical_code(seed): GenerationRecord(seed, (), canonical_code(seed))}
-    counts: dict[CanonicalCode, tuple[int, int]] = {
-        code: count_cliques(rec.embedding).counts for code, rec in level.items()
-    }
+    code = canonical_code(seed)
+    level = {code: GenerationRecord(seed, (), code)}
+    # Clique counts per class, kept only when applications are audited.
+    counts = {code: count_cliques(seed).counts} if audit else {}
     for _ in range(n - 4):
         next_level: dict[CanonicalCode, GenerationRecord] = {}
         next_counts: dict[CanonicalCode, tuple[int, int]] = {}
         for code, rec in level.items():
-            parent_counts = counts[code]
             for op in eberhard_ops(rec.embedding):
                 child = apply_eberhard(rec.embedding, op)
-                child_counts: tuple[int, int] | None = None
-                if check_deltas or on_application is not None:
+                if audit:
                     child_counts = count_cliques(child).counts
-                    dc3, dc4 = _check_clique_delta(op.kind, parent_counts, child_counts)
+                    dc3, dc4 = _check_clique_delta(op.kind, counts[code], child_counts)
                     if on_application is not None:
                         on_application(op.kind, dc3, dc4)
                 ccode = canonical_code(child)
@@ -523,13 +509,9 @@ def generate_all(
                     next_level[ccode] = GenerationRecord(
                         child, rec.trace + (op,), ccode
                     )
-                    next_counts[ccode] = (
-                        child_counts
-                        if child_counts is not None
-                        else count_cliques(child).counts
-                    )
-        level = next_level
-        counts = next_counts
+                    if audit:
+                        next_counts[ccode] = child_counts
+        level, counts = next_level, next_counts
     return level
 
 
@@ -566,31 +548,25 @@ def _degree_raising_flip(emb: PlanarEmbedding, p: int) -> FlipMove:
     """A flip that raises deg(p), or failing that strictly reduces the
     number of edges among p's neighbors (after which a raising flip must
     eventually appear).  Every returned move is legal."""
-    nbr_mask = emb.neighbor_masks[p]
     link = emb.rotation[p]
+    nbrs = set(link)
     d = len(link)
     # Link edges whose far apex is not yet a neighbor: flipping joins p to it.
     for i in range(d):
         x, y = link[i], link[(i + 1) % d]
         w1, w2 = _face_apexes(emb, x, y)
         w = w2 if w1 == p else w1
-        if w != p and not nbr_mask >> w & 1:
+        if w != p and w not in nbrs:
             return FlipMove((x, y) if x < y else (y, x))
     # Chords of the link: flip one whose replacement leaves the neighborhood.
-    for x, y in sorted(emb.edges()):
-        if p in (x, y):
-            continue
-        if not (nbr_mask >> x & 1 and nbr_mask >> y & 1):
-            continue
+    chords = sorted((x, y) for x in link for y in emb.rotation[x] if x < y and y in nbrs)
+    for x, y in chords:
         w1, w2 = _face_apexes(emb, x, y)
         if p in (w1, w2):
             continue  # link edge, already handled
         if w1 == w2 or emb.has_edge(w1, w2):
             continue
-        escapes = (w1 != p and not nbr_mask >> w1 & 1) or (
-            w2 != p and not nbr_mask >> w2 & 1
-        )
-        if escapes:
+        if w1 not in nbrs or w2 not in nbrs:
             return FlipMove((x, y))
     raise StructuralError(f"no degree-raising flip available for vertex {p}")
 
@@ -598,18 +574,20 @@ def _degree_raising_flip(emb: PlanarEmbedding, p: int) -> FlipMove:
 def _fan_flip(emb: PlanarEmbedding, p: int, q: int) -> FlipMove:
     """With p dominant, flip a polygon chord whose face is opposite q.
 
-    The replacement joins q across the chord; it can never pre-exist, since
-    it would have to cross the chord inside the polygon.
+    The chords facing q join consecutive neighbors of q; the smallest one
+    off p whose far face avoids p is flipped.  The replacement joins q
+    across the chord; it can never pre-exist, since it would have to cross
+    the chord inside the polygon.
     """
-    for x, y in sorted(emb.edges()):
-        if p in (x, y) or q in (x, y):
-            continue
-        w1, w2 = _face_apexes(emb, x, y)
-        if p in (w1, w2):
-            continue
-        if q in (w1, w2):
-            return FlipMove((x, y))
-    raise StructuralError(f"no fan flip available toward vertex {q}")
+    ring = emb.rotation[q]
+    chords = [
+        (x, y) if x < y else (y, x)
+        for x, y in zip(ring, ring[1:] + ring[:1])
+        if p not in (x, y) and p not in _face_apexes(emb, x, y)
+    ]
+    if not chords:
+        raise StructuralError(f"no fan flip available toward vertex {q}")
+    return FlipMove(min(chords))
 
 
 def normalize_to_standard(
@@ -649,9 +627,10 @@ def normalize_to_standard(
             raise StructuralError("normalization did not converge")
     expected = sorted([n - 1, n - 1] + [4] * (n - 4) + [3, 3], reverse=True)
     got = sorted((cur.degree(v) for v in range(n)), reverse=True)
-    assert got == expected, (got, expected)
-    if n <= 64:
-        assert canonical_code(cur) == standard_form_code(n)
+    if got != expected:
+        raise VerificationFailure(f"normalized degrees {got} are not {expected}")
+    if n <= 64 and canonical_code(cur) != standard_form_code(n):
+        raise VerificationFailure("normalized triangulation is not the standard form")
     return cur, trace
 
 

@@ -194,7 +194,7 @@ def test_criterion_8_pmfg_builder_soundness():
         assert report.is_triangulation
         kept = []
         twin = []
-        for u, v, w in weighted_edge_list(sim).entries:
+        for u, v, w in weighted_edge_list(sim):
             candidate = kept + [(u, v)]
             if kuratowski_oracle(n, candidate):
                 kept = candidate

@@ -80,7 +80,7 @@ def plain_lr_greedy(sim, tie_policy="lexicographic"):
     target = 3 * (n - 2)
     kept = []
     accepted = []
-    for u, v, w in weighted_edge_list(sim, tie_policy).entries:
+    for u, v, w in weighted_edge_list(sim, tie_policy):
         candidate = kept + [(u, v)]
         if is_planar(n, candidate).planar:
             kept = candidate
@@ -138,7 +138,7 @@ def oracle_gated_greedy(sim):
     target = 3 * (n - 2)
     kept = []
     accepted = []
-    for u, v, w in weighted_edge_list(sim).entries:
+    for u, v, w in weighted_edge_list(sim):
         candidate = kept + [(u, v)]
         if kuratowski_oracle(n, candidate):
             kept = candidate
@@ -225,17 +225,17 @@ class TestSimilarityMatrix:
 class TestWeightedEdgeList:
     def test_descending_order(self):
         sim = random_similarity(6, seed=0)
-        entries = weighted_edge_list(sim).entries
-        weights = [w for _, _, w in entries]
+        ranked = weighted_edge_list(sim)
+        weights = [w for _, _, w in ranked]
         assert weights == sorted(weights, reverse=True)
-        assert len(entries) == 15
+        assert len(ranked) == 15
 
     def test_tie_break_is_lexicographic_by_label(self):
         values = np.full((4, 4), 0.5)
         np.fill_diagonal(values, 1.0)
         sim = SimilarityMatrix(("d", "c", "b", "a"), values)
-        entries = weighted_edge_list(sim).entries
-        first_pair = sorted((sim.labels[entries[0][0]], sim.labels[entries[0][1]]))
+        ranked = weighted_edge_list(sim)
+        first_pair = sorted((sim.labels[ranked[0][0]], sim.labels[ranked[0][1]]))
         assert first_pair == ["a", "b"]
 
     def test_strict_policy_reports_tied_pairs(self):
@@ -379,7 +379,7 @@ class TestIncrementalGate:
     def test_matches_plain_lr_scan_on_tie_heavy_matrix(self):
         base = sector_similarity(30, seed=5)
         sim = SimilarityMatrix(base.labels, np.round(base.values, 1))
-        weights = {w for _, _, w in weighted_edge_list(sim).entries}
+        weights = {w for _, _, w in weighted_edge_list(sim)}
         assert len(weights) < 20  # 435 pairs share a handful of weights
         result = build_pmfg(sim, tie_policy="lexicographic")
         assert result.accepted == plain_lr_greedy(sim, "lexicographic")
@@ -396,7 +396,7 @@ class TestIncrementalGate:
         gate = _PlanarityGate(n)
         kept = []
         fired = Counter()
-        for u, v, _ in weighted_edge_list(sim).entries:
+        for u, v, _ in weighted_edge_list(sim):
             before = [getattr(gate, rule) for rule in GATE_RULES]
             decided = gate.add_if_planar(u, v)
             after = [getattr(gate, rule) for rule in GATE_RULES]

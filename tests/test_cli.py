@@ -4,7 +4,9 @@ import json
 import numpy as np
 import pytest
 
+import pmfg.generator
 from pmfg import (
+    CanonicalCode,
     PlanarEmbedding,
     count_cliques,
     generate_all,
@@ -240,6 +242,16 @@ class TestNormalizeCommand:
         assert main(["normalize", str(path), "--output-dir", str(tmp_path)]) == 0
         assert "after:  C3=16 C4=5" in capsys.readouterr().out
 
+    def test_standard_form_mismatch_exits_1_with_one_line(
+        self, monkeypatch, tmp_path, capsys
+    ):
+        path = tmp_path / "eight.json"
+        path.write_text(random_triangulation(8, seed=21).to_json())
+        monkeypatch.setattr(pmfg.generator, "standard_form_code", lambda n: CanonicalCode(b""))
+        assert main(["normalize", str(path), "--output-dir", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("verification failure: ") and err.count("\n") == 1, err
+
 
 class TestFlipCommand:
     def test_flip_writes_result(self, alt6_path, tmp_path, capsys):
@@ -333,7 +345,8 @@ class TestDegreeCensusCommand:
 
 
 class TestPinnedOutputBytes:
-    """sha256 of CLI outputs, recorded at commit c395e97.
+    """sha256 of CLI outputs, recorded at commit c395e97 (the ``cliques``
+    JSON at commit 9e8a2b5).
 
     Internal rewrites of generation, flips and canonical codes must keep
     every byte; these digests turn that into a test.
@@ -365,4 +378,12 @@ class TestPinnedOutputBytes:
         )
         assert self.sha256((out / "rt60.flips.json").read_bytes()) == (
             "326ba6ce1c6e526994412514b2fe3bc7d821a0d29d0f98b8233a20f82bfac177"
+        )
+
+    def test_cliques_json(self, tmp_path, capsys):
+        graph = tmp_path / "rt60.json"
+        graph.write_text(random_triangulation(60, seed=11).to_json())
+        assert main(["cliques", str(graph)]) == 0
+        assert self.sha256(capsys.readouterr().out.encode()) == (
+            "3550f99413ec76b94c19801a514630bc344018d12ac15813861ba1d9f8f7aad6"
         )

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from pmfg import (
     CeilingError,
-    CycleRef,
     EberhardOp,
     FlipForbiddenError,
     FlipMove,
@@ -38,7 +37,13 @@ from pmfg import (
     random_triangulation,
     standard_form,
 )
-from pmfg.generator import CLASS_COUNTS, standard_form_code
+from pmfg.generator import (
+    CLASS_COUNTS,
+    _degree_raising_flip,
+    _face_apexes,
+    _fan_flip,
+    standard_form_code,
+)
 from conftest import brute_isomorphic
 
 
@@ -81,23 +86,18 @@ def validating_apply_eberhard(emb: PlanarEmbedding, op: EberhardOp) -> PlanarEmb
     its faces, and validates the wheel it inserts; the reference for the
     trusted version, which traces the faces of the bare rotation instead.
     """
-    k = {"phi1": 3, "phi2": 4, "phi3": 5}.get(op.kind)
-    if k is None:
-        raise InputError(f"unknown operation kind {op.kind!r}")
-    cyc = op.cycle
-    verts = cyc.vertices
-    if len(verts) != k or len(set(verts)) != k:
-        raise OperationError(f"{op.kind} needs a cycle of {k} distinct vertices")
-    if len(cyc.chords) != k - 3:
+    verts, chords = op.cycle, op.chords
+    k = len(verts)
+    if not 3 <= k <= 5 or len(set(verts)) != k:
+        raise OperationError("the cycle is not 3 to 5 distinct vertices")
+    if len(chords) != k - 3:
         raise OperationError(f"{op.kind} needs exactly {k - 3} chords")
-    if op.new_vertex not in (None, emb.n):
-        raise OperationError(f"new vertex id must be {emb.n}")
     for i, u in enumerate(verts):
         if not emb.has_edge(u, verts[(i + 1) % k]):
             raise OperationError("cycle vertices are not adjacent")
     cycle_set = frozenset(verts)
     rot = [list(nbrs) for nbrs in emb.rotation]
-    for u, v in cyc.chords:
+    for u, v in chords:
         if not {u, v} <= cycle_set or not emb.has_edge(u, v):
             raise OperationError(f"chord ({u}, {v}) is not an interior edge")
         rot[u].remove(v)
@@ -114,12 +114,13 @@ def validating_apply_eberhard(emb: PlanarEmbedding, op: EberhardOp) -> PlanarEmb
     return PlanarEmbedding(rot)
 
 
-def merge_walk_cycles(emb: PlanarEmbedding, k: int) -> list[CycleRef]:
+def merge_walk_cycles(emb: PlanarEmbedding, k: int) -> list[tuple]:
     """``find_pure_chord_cycles`` as it was when it glued face walks.
 
     Every candidate region is built as the merged boundary walk of its faces;
     chains of three faces are deduplicated by face set, and walks that repeat
-    a vertex are dropped.  The reference for the apex-table enumerator.
+    a vertex are dropped.  Each region is a triple (cycle, chords, interior
+    faces).  The reference for the apex-table enumerator.
     """
 
     def rotate_to_wrap(walk, s, t):
@@ -135,7 +136,7 @@ def merge_walk_cycles(emb: PlanarEmbedding, k: int) -> list[CycleRef]:
     assert all(f.degree == 3 for f in emb.faces)
     faces = [f.boundary for f in emb.faces]
     if k == 3:
-        return [CycleRef(f, (), (f,)) for f in faces]
+        return [(f, (), (f,)) for f in faces]
     dart_face = {}
     for idx, b in enumerate(faces):
         for i, u in enumerate(b):
@@ -146,7 +147,7 @@ def merge_walk_cycles(emb: PlanarEmbedding, k: int) -> list[CycleRef]:
             i1, i2 = dart_face[(s, t)], dart_face[(t, s)]
             merged = merge(faces[i1], faces[i2], s, t)
             if len(set(merged)) == 4:
-                out.append(CycleRef(tuple(merged), ((s, t),), (faces[i1], faces[i2])))
+                out.append((tuple(merged), ((s, t),), (faces[i1], faces[i2])))
         return out
     seen = set()
     for mid, b in enumerate(faces):
@@ -163,24 +164,53 @@ def merge_walk_cycles(emb: PlanarEmbedding, k: int) -> list[CycleRef]:
                 if len(set(pent)) != 5:
                     continue
                 chords = tuple(sorted((tuple(sorted(sides[j1])), tuple(sorted(sides[j2])))))
-                out.append(CycleRef(tuple(pent), chords, (faces[left], b, faces[right])))
+                out.append((tuple(pent), chords, (faces[left], b, faces[right])))
     return out
 
 
+def scanning_degree_raising_flip(emb: PlanarEmbedding, p: int) -> FlipMove:
+    """``_degree_raising_flip`` as it was when its chord phase scanned every
+    edge of the embedding in sorted order; the reference for its move."""
+    link = emb.rotation[p]
+    d = len(link)
+    for i in range(d):
+        x, y = link[i], link[(i + 1) % d]
+        w1, w2 = _face_apexes(emb, x, y)
+        w = w2 if w1 == p else w1
+        if w != p and w not in link:
+            return FlipMove((x, y) if x < y else (y, x))
+    for x, y in sorted(emb.edges()):
+        if p in (x, y) or x not in link or y not in link:
+            continue
+        w1, w2 = _face_apexes(emb, x, y)
+        if p in (w1, w2) or w1 == w2 or emb.has_edge(w1, w2):
+            continue
+        if (w1 != p and w1 not in link) or (w2 != p and w2 not in link):
+            return FlipMove((x, y))
+    raise StructuralError(f"no degree-raising flip available for vertex {p}")
+
+
+def scanning_fan_flip(emb: PlanarEmbedding, p: int, q: int) -> FlipMove:
+    """``_fan_flip`` as it was when it scanned every edge in sorted order."""
+    for x, y in sorted(emb.edges()):
+        if p in (x, y) or q in (x, y):
+            continue
+        w1, w2 = _face_apexes(emb, x, y)
+        if p not in (w1, w2) and q in (w1, w2):
+            return FlipMove((x, y))
+    raise StructuralError(f"no fan flip available toward vertex {q}")
+
+
+def regions(ops) -> list[tuple]:
+    return [(op.cycle, op.chords) for op in ops]
+
+
 def assert_enumerators_agree(emb: PlanarEmbedding) -> None:
-    """Same cycles, chords and interior faces, in the same order."""
-
-    def fields(refs):
-        return [(r.vertices, r.chords, r.interior_faces) for r in refs]
-
-    want = [merge_walk_cycles(emb, k) for k in (3, 4, 5)]
-    for k, refs in zip((3, 4, 5), want):
-        assert fields(find_pure_chord_cycles(emb, k)) == fields(refs), (emb.rotation, k)
-    ops = eberhard_ops(emb)
-    assert [(op.kind, op.new_vertex) for op in ops] == [
-        (kind, emb.n) for kind, refs in zip(("phi1", "phi2", "phi3"), want) for _ in refs
-    ]
-    assert fields(op.cycle for op in ops) == fields(ref for refs in want for ref in refs)
+    """Same cycles and chords, in the same order."""
+    want = [[(cyc, chords) for cyc, chords, _ in merge_walk_cycles(emb, k)] for k in (3, 4, 5)]
+    for k, cycles in zip((3, 4, 5), want):
+        assert regions(find_pure_chord_cycles(emb, k)) == cycles, (emb.rotation, k)
+    assert regions(eberhard_ops(emb)) == [c for cycles in want for c in cycles]
 
 
 def malformed_ops(emb: PlanarEmbedding, ops: list[EberhardOp], rng: random.Random):
@@ -188,26 +218,23 @@ def malformed_ops(emb: PlanarEmbedding, ops: list[EberhardOp], rng: random.Rando
     n = emb.n
     edges = list(emb.edges())
     for op in ops:
-        ref = op.cycle
-        verts, chords = list(ref.vertices), list(ref.chords)
-        kind = rng.choice(["phi1", "phi2", "phi3", "phi4"])
-        yield EberhardOp(kind, ref, op.new_vertex)
-        yield EberhardOp(op.kind, CycleRef(tuple(verts[::-1]), ref.chords), None)
-        yield EberhardOp(op.kind, ref, rng.choice([n + 1, 0, n - 1]))
-        bent = list(verts)
+        cycle, chords = op.cycle, op.chords
+        yield EberhardOp(cycle[::-1], chords)
+        yield EberhardOp(cycle + (rng.randrange(n),), chords)
+        bent = list(cycle)
         bent[rng.randrange(len(bent))] = rng.randrange(n + 1)
-        yield EberhardOp(op.kind, CycleRef(tuple(bent), ref.chords), n)
+        yield EberhardOp(tuple(bent), chords)
         if chords:
             swapped = list(chords)
             swapped[rng.randrange(len(swapped))] = rng.choice(edges)
-            yield EberhardOp(op.kind, CycleRef(ref.vertices, tuple(swapped)), n)
+            yield EberhardOp(cycle, tuple(swapped))
             c = rng.choice(chords)
             twin = c if rng.random() < 0.5 else c[::-1]
-            yield EberhardOp("phi3", CycleRef(ref.vertices, (c, twin)), n)
-            yield EberhardOp(op.kind, CycleRef(ref.vertices, ()), n)
-        other = rng.choice(ops).cycle
-        yield EberhardOp(op.kind, CycleRef(ref.vertices, other.chords), n)
-        yield EberhardOp(op.kind, CycleRef(other.vertices, ref.chords), n)
+            yield EberhardOp(cycle, (c, twin))
+            yield EberhardOp(cycle)
+        other = rng.choice(ops)
+        yield EberhardOp(cycle, other.chords)
+        yield EberhardOp(other.cycle, chords)
 
 
 class TestPureChordCycles:
@@ -224,16 +251,16 @@ class TestPureChordCycles:
         assert len(pure_chord_cycle_sets(p5, 5)) == 1
 
     def test_chord_counts(self, p5):
-        for ref in pure_chord_cycle_sets(p5, 4):
-            assert len(ref.chords) == 1
+        for op in pure_chord_cycle_sets(p5, 4):
+            assert len(op.chords) == 1
         (pent,) = pure_chord_cycle_sets(p5, 5)
         assert len(pent.chords) == 2
 
     def test_region_chord_counts_by_length(self, p5):
         for k in (3, 4, 5):
-            for ref in find_pure_chord_cycles(p5, k):
-                assert len(ref.chords) == k - 3
-                assert len(ref.interior_faces) == k - 2
+            for op in find_pure_chord_cycles(p5, k):
+                assert len(op.chords) == k - 3
+                assert op.kind == f"phi{k - 2}"
 
     def test_k4_region_counts(self):
         emb = k4()
@@ -252,8 +279,25 @@ class TestPureChordCycles:
     def test_lone_triangle_has_only_its_two_faces(self):
         triangle = PlanarEmbedding(((1, 2), (2, 0), (0, 1)))
         for k in (3, 4, 5):
-            assert find_pure_chord_cycles(triangle, k) == merge_walk_cycles(triangle, k)
+            want = [(cyc, chords) for cyc, chords, _ in merge_walk_cycles(triangle, k)]
+            assert regions(find_pure_chord_cycles(triangle, k)) == want
         assert len(find_pure_chord_cycles(triangle, 3)) == 2
+
+    def test_set_counts_match_the_merge_walk_interiors_on_every_class(self, classes):
+        # Each face in turn is the outer one; a region is dropped when one of
+        # its interior faces is that face, and kept once per vertex set.
+        for records in classes.values():
+            for rec in records.values():
+                for face in rec.embedding.faces:
+                    outer = face.vertex_set
+                    emb = PlanarEmbedding(rec.embedding.rotation, outer_face=face.boundary)
+                    for k in (3, 4, 5):
+                        want: dict = {}
+                        for cyc, chords, interior in merge_walk_cycles(emb, k):
+                            if outer not in map(frozenset, interior):
+                                want.setdefault(frozenset(cyc), (cyc, chords))
+                        got = regions(pure_chord_cycle_sets(emb, k))
+                        assert got == list(want.values()), (emb.rotation, face, k)
 
     def test_matches_the_merge_walk_enumerator_on_every_class(self, classes):
         for records in classes.values():
@@ -318,21 +362,21 @@ class TestApplyEberhard:
     def test_k4_phi1_any_face_gives_the_unique_p5(self, p5):
         target = canonical_code(p5)
         emb = k4()
-        for ref in find_pure_chord_cycles(emb, 3):
-            child = apply_eberhard(emb, EberhardOp("phi1", ref))
+        for op in find_pure_chord_cycles(emb, 3):
+            child = apply_eberhard(emb, op)
             assert child.n == 5 and child.e == 9
             assert canonical_code(child) == target
 
     def test_p5_phi3_gives_standard_form(self, p5):
         target = canonical_code(standard_form(6))
-        for ref in find_pure_chord_cycles(p5, 5):
-            child = apply_eberhard(p5, EberhardOp("phi3", ref))
+        for op in find_pure_chord_cycles(p5, 5):
+            child = apply_eberhard(p5, op)
             assert canonical_code(child) == target
 
     def test_p5_phi2_reaches_both_six_vertex_forms(self, p5, octahedron):
         codes = {
-            canonical_code(apply_eberhard(p5, EberhardOp("phi2", ref)))
-            for ref in find_pure_chord_cycles(p5, 4)
+            canonical_code(apply_eberhard(p5, op))
+            for op in find_pure_chord_cycles(p5, 4)
         }
         assert codes == {canonical_code(standard_form(6)), canonical_code(octahedron)}
 
@@ -345,39 +389,53 @@ class TestApplyEberhard:
             assert sum(degree_sequence(child)) == 2 * child.e
 
     def test_new_vertex_forms_a_wheel(self, p5):
-        ref = find_pure_chord_cycles(p5, 5)[0]
-        child = apply_eberhard(p5, EberhardOp("phi3", ref))
+        op = find_pure_chord_cycles(p5, 5)[0]
+        child = apply_eberhard(p5, op)
         hub = p5.n
-        assert set(child.neighbors(hub)) == ref.vertex_set
+        assert set(child.neighbors(hub)) == set(op.cycle)
 
     def test_impure_cycle_rejected(self, octahedron):
         # A 3-cycle of the octahedron that is no face (there is none), and a
         # fabricated quad with the wrong chord.
         emb = standard_form(6)
         quad = next(iter(find_pure_chord_cycles(emb, 4)))
-        wrong = CycleRef(quad.vertices, chords=())
         with pytest.raises(OperationError):
-            apply_eberhard(emb, EberhardOp("phi2", wrong))
+            apply_eberhard(emb, EberhardOp(quad.cycle))
 
     def test_wrong_chord_count_rejected(self, p5):
         tri = find_pure_chord_cycles(p5, 3)[0]
-        with pytest.raises(OperationError):
-            apply_eberhard(p5, EberhardOp("phi2", tri))
+        quad = find_pure_chord_cycles(p5, 4)[0]
+        # On p5 every 5-cycle has two chords on each side.  Deleting one more
+        # from the far side still leaves the cycle bounding exactly one face,
+        # so only the chord count stops this op.
+        pent = find_pure_chord_cycles(p5, 5)[0]
+        cycle_sides = {frozenset(s) for s in zip(pent.cycle, pent.cycle[1:] + pent.cycle[:1])}
+        far = next(
+            e for e in p5.edges()
+            if frozenset(e) not in cycle_sides and e not in pent.chords
+        )
+        for op in (
+            EberhardOp(tri.cycle, quad.chords),
+            EberhardOp(quad.cycle),
+            EberhardOp(pent.cycle, pent.chords + (far,)),
+        ):
+            with pytest.raises(OperationError, match="exactly"):
+                apply_eberhard(p5, op)
+
+    @pytest.mark.parametrize("cycle", [(0, 1), (0, 1, 2, 3, 4, 0), (0, 1, 0)])
+    def test_cycle_of_three_to_five_distinct_vertices_required(self, p5, cycle):
+        with pytest.raises(OperationError, match="3 to 5 distinct"):
+            apply_eberhard(p5, EberhardOp(cycle))
 
     def test_nonadjacent_cycle_rejected(self):
         with pytest.raises(OperationError):
-            apply_eberhard(k4(), EberhardOp("phi1", CycleRef((0, 1, 9))))
-
-    def test_unknown_kind_rejected(self, p5):
-        tri = find_pure_chord_cycles(p5, 3)[0]
-        with pytest.raises(InputError):
-            apply_eberhard(p5, EberhardOp("phi9", tri))
+            apply_eberhard(k4(), EberhardOp((0, 1, 9)))
 
     def test_cycle_bounding_two_faces_rejected(self):
         # Both sides of a lone triangle are faces, so the cycle fixes no region.
         triangle = PlanarEmbedding(((1, 2), (0, 2), (0, 1)))
         with pytest.raises(OperationError, match="pure chord-cycle"):
-            apply_eberhard(triangle, EberhardOp("phi1", CycleRef((0, 1, 2))))
+            apply_eberhard(triangle, EberhardOp((0, 1, 2)))
 
     @pytest.mark.parametrize(
         "rotation, op",
@@ -387,13 +445,13 @@ class TestApplyEberhard:
             # the cycle's vertices, but only the square is a 4-face on them.
             (
                 ((1, 2, 3, 4), (0, 4, 2), (0, 1, 3), (0, 2), (0, 1)),
-                EberhardOp("phi2", CycleRef((0, 1, 2, 3), ((0, 2),))),
+                EberhardOp((0, 1, 2, 3), ((0, 2),)),
             ),
             # Two triangles joined at 0: the outer walk 0, 1, 2, 0, 3, 4 is
             # back at 0 after three steps, but leaves it on another dart.
             (
                 ((1, 4, 3, 2), (0, 2), (0, 1), (0, 4), (0, 3)),
-                EberhardOp("phi1", CycleRef((0, 1, 2))),
+                EberhardOp((0, 1, 2)),
             ),
         ],
     )
@@ -401,16 +459,15 @@ class TestApplyEberhard:
         emb = PlanarEmbedding(rotation)
         got = apply_eberhard(emb, op)
         assert got == validating_apply_eberhard(emb, op)
-        assert set(got.neighbors(emb.n)) == op.cycle.vertex_set
+        assert set(got.neighbors(emb.n)) == set(op.cycle)
 
     @pytest.mark.parametrize("reverse", [False, True])
     def test_repeated_chord_rejected(self, reverse):
         emb = random_triangulation(8, seed=1)
         op = next(op for op in eberhard_ops(emb) if op.kind == "phi3")
-        c = op.cycle.chords[0]
-        ref = CycleRef(op.cycle.vertices, (c, c[::-1] if reverse else c))
+        c = op.chords[0]
         with pytest.raises(OperationError, match="repeated"):
-            apply_eberhard(emb, EberhardOp("phi3", ref))
+            apply_eberhard(emb, EberhardOp(op.cycle, (c, c[::-1] if reverse else c)))
 
     def test_matches_the_validating_version_on_every_op(self):
         rng = random.Random(5)
@@ -439,7 +496,7 @@ class TestApplyEberhard:
                     else:
                         assert type(got) is type(want), (op, want, got)
                         outcomes[type(want).__name__] += 1
-        kinds = {"same rotation", "repeated chord", "OperationError", "InputError", "IndexError"}
+        kinds = {"same rotation", "repeated chord", "OperationError", "IndexError"}
         assert set(outcomes) == kinds and min(outcomes.values()) > 50, outcomes
 
     def test_matches_the_validating_version_on_pruned_embeddings(self):
@@ -462,7 +519,7 @@ class TestApplyEberhard:
                     rot[u].insert(iu, v)
                     rot[v].insert(iv, u)
             pruned = PlanarEmbedding(rot)
-            for k, kind in ((3, "phi1"), (4, "phi2"), (5, "phi3")):
+            for k in (3, 4, 5):
                 for cyc in itertools.permutations(range(pruned.n), k):
                     sides = {frozenset((cyc[i - 1], cyc[i])) for i in range(k)}
                     if cyc[0] != min(cyc) or not all(pruned.has_edge(*e) for e in sides):
@@ -472,7 +529,7 @@ class TestApplyEberhard:
                         if pruned.has_edge(*c) and frozenset(c) not in sides
                     ]
                     for chords in itertools.combinations(inner, k - 3):
-                        op = EberhardOp(kind, CycleRef(cyc, chords))
+                        op = EberhardOp(cyc, chords)
                         try:
                             want = validating_apply_eberhard(pruned, op)
                         except OperationError:
@@ -484,6 +541,57 @@ class TestApplyEberhard:
                         assert got == want, (pruned.rotation, op)
                         outcomes[want is None] += 1
         assert min(outcomes.values()) > 500, outcomes
+
+
+class TestFlipScans:
+    @staticmethod
+    def outcome(pick, *args):
+        try:
+            return pick(*args)
+        except StructuralError as exc:
+            return type(exc)
+
+    def test_degree_raising_flip_matches_the_full_scan(self, classes):
+        # Every vertex below degree n - 1 of every class up to n = 8, then the
+        # whole flip path that raises one of several poles of a random
+        # triangulation to degree n - 1, which reaches the chord phase.
+        for recs in classes.values():
+            for rec in recs.values():
+                emb = rec.embedding
+                for p in range(emb.n):
+                    if emb.degree(p) < emb.n - 1:
+                        want = self.outcome(scanning_degree_raising_flip, emb, p)
+                        assert self.outcome(_degree_raising_flip, emb, p) == want
+        chord_moves = 0
+        for n in range(9, 61, 2):
+            for p in range(0, n, 6):
+                emb = random_triangulation(n, seed=n)
+                while emb.degree(p) < n - 1:
+                    move = scanning_degree_raising_flip(emb, p)
+                    assert _degree_raising_flip(emb, p) == move, (emb.rotation, p)
+                    chord_moves += p not in _face_apexes(emb, *move.shared_edge)
+                    emb = diagonal_flip(emb, move)
+        assert chord_moves > 100, chord_moves
+
+    def test_fan_flip_matches_the_full_scan(self):
+        # Every neighbor q of a dominant pole p, on the way to the standard form.
+        checked = 0
+        for n in range(6, 61, 3):
+            emb = random_triangulation(n, seed=n)
+            p = max(range(n), key=lambda v: (emb.degree(v), -v))
+            while emb.degree(p) < n - 1:
+                emb = diagonal_flip(emb, _degree_raising_flip(emb, p))
+            for _ in range(n):
+                for q in emb.rotation[p]:
+                    if emb.degree(q) < n - 1:
+                        want = self.outcome(scanning_fan_flip, emb, p, q)
+                        assert self.outcome(_fan_flip, emb, p, q) == want, (emb.rotation, p, q)
+                        checked += 1
+                q = max(emb.rotation[p], key=lambda v: (emb.degree(v), -v))
+                if emb.degree(q) == n - 1:
+                    break
+                emb = diagonal_flip(emb, _fan_flip(emb, p, q))
+        assert checked > 1000, checked
 
 
 class TestDiagonalFlip:

@@ -2,7 +2,16 @@ from itertools import combinations_with_replacement
 
 import pytest
 
-from pmfg import InputError, degree_census, degree_multisets, run_campaign, verify_level
+import pmfg.generator
+from pmfg import (
+    CanonicalCode,
+    InputError,
+    degree_census,
+    degree_multisets,
+    run_campaign,
+    verify_level,
+)
+from pmfg.cli import main
 
 
 class TestDegreeMultisets:
@@ -81,6 +90,16 @@ class TestVerifyLevel:
         assert doc["c3_bounds"] == [6, 7]
         assert doc["c4_bounds"] == [0, 2]
         assert doc["ok"] is True
+
+    def test_normalization_mismatch_fails_the_report(self, monkeypatch, capsys):
+        # normalize_to_standard checks its result against this code; the
+        # report's own standard_code is looked up separately and stays true.
+        monkeypatch.setattr(pmfg.generator, "standard_form_code", lambda n: CanonicalCode(b""))
+        report = verify_level(6)
+        assert not report.normalization_ok and not report.ok
+        assert report.closure_agreement and report.bound_violations == []
+        assert main(["verify", "--n-max", "5", "--workers", "1"]) == 1
+        assert "FAILED" in capsys.readouterr().err
 
 
 class TestCampaign:
