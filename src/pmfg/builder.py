@@ -20,12 +20,11 @@ import io
 from dataclasses import dataclass
 from pathlib import Path
 
-import networkx as nx
 import numpy as np
 
 from .embedding import Edge, PlanarEmbedding, trace_faces
 from .errors import InputError
-from .planarity import is_planar
+from .planarity import _lr_rotation, is_planar
 
 SYMMETRY_TOLERANCE = 1e-12
 
@@ -194,10 +193,11 @@ def _is_triconnected(walks: list[list[int]], face_of: dict[Edge, int], size: int
 class _PlanarityGate:
     """The kept graph of a PMFG scan, growing one planar edge at a time.
 
-    The gate holds a rotation system of the kept graph, union-find
-    components, the face walks of the rotation with per-vertex face bitmasks,
-    and a stored 3-connected subgraph H with the face bitmasks of its
-    embedding.  ``add_if_planar`` applies the first rule that decides:
+    The gate holds a rotation system of the kept graph, its adjacency lists
+    in accept order, union-find components, the face walks of the rotation
+    with per-vertex face bitmasks, and a stored 3-connected subgraph H with
+    the face bitmasks of its embedding.  ``add_if_planar`` applies the first
+    rule that decides:
 
     1. endpoints in different components: accept, joining them at any corner;
     2. endpoints on a common face: accept, splicing the edge into that face;
@@ -205,7 +205,8 @@ class _PlanarityGate:
        3-connected, so its embedding is unique (Whitney) and every embedding
        of the kept graph restricts to it; H + uv, hence kept + uv, is
        non-planar;
-    4. otherwise run LR planarity (networkx) on the kept graph plus uv and,
+    4. otherwise run the left-right planarity test (``_lr_rotation``, our
+       own port of networkx's algorithm) on the adjacency lists plus uv and,
        on accept, adopt its rotation.
 
     H is the 3-core of the kept graph whenever that core is 3-connected.  It
@@ -221,8 +222,7 @@ class _PlanarityGate:
         self._h_mask = [0] * n  # face bitmasks of H's embedding; 0 off H
         self._grown = False  # an edge was accepted since H's last refresh
         self._parent = list(range(n))
-        self._graph = nx.Graph()
-        self._graph.add_nodes_from(range(n))
+        self._adjacency: list[list[int]] = [[] for _ in range(n)]  # in accept order
         self.component_joins = self.face_accepts = 0
         self.whitney_rejects = self.lr_calls = 0
 
@@ -237,32 +237,32 @@ class _PlanarityGate:
         """Add uv (not yet an edge) if the kept graph stays planar."""
         ru, rv = self._root(u), self._root(v)
         shared = self._face_mask[u] & self._face_mask[v]
+        adjacency = self._adjacency
+        adjacency[u].append(v)
+        adjacency[v].append(u)
         if ru != rv:
             self._parent[ru] = rv
             self.rotation[u].append(v)
             self.rotation[v].append(u)
-            self._graph.add_edge(u, v)
             self.component_joins += 1
         elif shared:
             self._splice(u, v, self._faces[(shared & -shared).bit_length() - 1])
-            self._graph.add_edge(u, v)
             self.face_accepts += 1
         else:
             hu, hv = self._h_mask[u], self._h_mask[v]
+            found = None
             if hu and hv and not hu & hv:
                 self.whitney_rejects += 1
-                return False
-            self.lr_calls += 1
-            self._graph.add_edge(u, v)
-            planar, cert = nx.check_planarity(self._graph)
-            if not planar:
-                self._graph.remove_edge(u, v)
-                if self._grown:
+            else:
+                self.lr_calls += 1
+                found = _lr_rotation(self.n, adjacency)
+                if found is None and self._grown:
                     self._refresh_h()
+            if found is None:
+                adjacency[u].pop()
+                adjacency[v].pop()
                 return False
-            # networkx stores clockwise orders; PlanarEmbedding's are
-            # counter-clockwise.
-            self.rotation = [list(cert.neighbors_cw_order(x))[::-1] for x in range(self.n)]
+            self.rotation = found[0]
         self._grown = True
         self._faces, _ = trace_faces(self.rotation)
         self._face_mask = _face_masks(self.n, self._faces)

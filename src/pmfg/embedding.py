@@ -8,9 +8,10 @@ values; nothing here mutates an existing instance.
 
 Validation happens only at the trust boundaries: the public
 ``PlanarEmbedding`` constructor checks every invariant of user rotations,
-JSON documents and networkx output.  Operations that derive a rotation from
-a valid embedding check their own preconditions instead, and build the
-result through ``PlanarEmbedding._trusted`` without the re-check.
+JSON documents and the left-right planarity test's output.  Operations that
+derive a rotation from a valid embedding check their own preconditions
+instead, and build the result through ``PlanarEmbedding._trusted`` without
+the re-check.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, NamedTuple, Sequence
 
-from .errors import InputError, StructuralError
+from .errors import InputError, StructuralError, VerificationFailure
 
 Edge = tuple[int, int]
 Dart = tuple[int, int]
@@ -388,15 +389,15 @@ def euler_check(emb: PlanarEmbedding) -> EulerReport:
     """Report (n, e, f, is_triangulation) for an embedding.
 
     For a triangulation the identities e = 3n - 6, f = 2n - 4 and 3f = 2e
-    follow from Euler's formula; they are re-asserted here as a guard against
-    internal corruption.
+    follow from Euler's formula; they are checked here as a guard against
+    internal corruption, and a violation raises ``VerificationFailure``.
     """
     n, e, f = emb.n, emb.e, len(emb.faces)
     tri = all(face.degree == 3 for face in emb.faces)
-    if tri:
-        assert e == 3 * n - 6, (n, e)
-        assert f == 2 * n - 4, (n, f)
-        assert 3 * f == 2 * e, (e, f)
+    if tri and not (e == 3 * n - 6 and f == 2 * n - 4 and 3 * f == 2 * e):
+        raise VerificationFailure(
+            f"triangulation breaks Euler's identities: n={n} e={e} f={f}"
+        )
     return EulerReport(n, e, f, tri)
 
 

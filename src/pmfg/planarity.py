@@ -1,19 +1,17 @@
 """Planarity decisions for abstract graphs.
 
 Two independent routes are provided.  ``is_planar`` is the production gate:
-a linear-time test that also extracts a concrete sphere embedding.
-``kuratowski_oracle`` re-decides planarity from first principles by
-exhaustively searching for a subdivision of K5 or K3,3; it is exponential
-and capped at small n, and exists so the two routes can be checked against
-each other.
+the linear-time left-right planarity test of de Fraysseix and Rosenstiehl,
+which also extracts a concrete sphere embedding.  ``kuratowski_oracle``
+re-decides planarity from first principles by exhaustively searching for a
+subdivision of K5 or K3,3; it is exponential and capped at small n, and
+exists so the two routes can be checked against each other.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-
-import networkx as nx
 
 from .embedding import Edge, PlanarEmbedding
 from .errors import CeilingError, InputError
@@ -59,27 +57,354 @@ def is_planar(n: int, edges, *, want_witness: bool = False) -> PlanarityVerdict:
 
     Planar connected inputs additionally get a rotation system realizing a
     sphere embedding (counter-clockwise convention of ``PlanarEmbedding``).
+    The witness is the edge set left by deleting, for each vertex u in turn
+    and each neighbour v in adjacency order, every edge uv whose removal
+    keeps the graph non-planar.
     """
-    edge_list = _check_graph(n, edges)
-    graph = nx.Graph()
-    graph.add_nodes_from(range(n))
-    graph.add_edges_from(edge_list)
-    ok, cert = nx.check_planarity(graph, counterexample=want_witness)
-    if not ok:
-        witness = None
-        if want_witness:
-            witness = tuple(
-                (u, v) if u < v else (v, u) for u, v in cert.edges()
-            )
+    adjacency: list[list[int]] = [[] for _ in range(n)]
+    for u, v in _check_graph(n, edges):
+        adjacency[u].append(v)
+        adjacency[v].append(u)
+    found = _lr_rotation(n, adjacency)
+    if found is None:
+        witness = _kuratowski_witness(n, adjacency) if want_witness else None
         return PlanarityVerdict(planar=False, witness=witness)
-    if n < 2 or not nx.is_connected(graph):
+    rotation, roots = found
+    if n < 2 or roots > 1:
         return PlanarityVerdict(planar=True)
-    # networkx stores clockwise orders; reversing them yields the
-    # counter-clockwise convention used by PlanarEmbedding.
-    rotation = [
-        list(cert.neighbors_cw_order(v))[::-1] for v in range(n)
-    ]
     return PlanarityVerdict(planar=True, embedding=PlanarEmbedding(rotation))
+
+
+def _kuratowski_witness(n: int, adjacency: list[list[int]]) -> tuple[Edge, ...]:
+    """A minimal non-planar subgraph of a non-planar graph, by edge deletion.
+
+    Every edge whose removal leaves the graph non-planar is deleted; the
+    rest is a subdivision of K5 or K3,3 (Kuratowski).  A kept edge moves to
+    the end of both adjacency lists, as in networkx's ``get_counterexample``,
+    so the same edge set comes out.
+    """
+    adj = [list(nbrs) for nbrs in adjacency]
+    kept: dict[Edge, None] = {}
+    for u in range(n):
+        for v in list(adj[u]):
+            adj[u].remove(v)
+            adj[v].remove(u)
+            if _lr_rotation(n, adj) is not None:
+                adj[u].append(v)
+                adj[v].append(u)
+                kept[(u, v) if u < v else (v, u)] = None
+    return tuple(kept)
+
+
+def _lr_rotation(
+    n: int, adjacency: list[list[int]]
+) -> tuple[list[list[int]], int] | None:
+    """Left-right planarity test; a counter-clockwise rotation system or None.
+
+    Returns ``None`` if the graph on 0..n-1 with the given (symmetric,
+    simple) adjacency lists is not planar.  Otherwise returns a rotation
+    system realizing a planar embedding of every component, and the number
+    of DFS roots, which is the number of components.
+
+    This is the left-right test of de Fraysseix and Rosenstiehl as given by
+    U. Brandes, "The Left-Right Planarity Test" (2009), ported step for step
+    from networkx 3.x's ``LRPlanarity`` (iterative form) onto int edge ids
+    and plain lists.  Its four phases are the orientation DFS (lowpoints and
+    nesting depths), the testing DFS over conflict pairs of return-edge
+    intervals, ``sign`` (resolving each edge's side relative to its
+    reference edge), and the embedding DFS.  The graph is traversed as
+    networkx's internal copy of an ``nx.Graph`` traverses it: vertices in
+    ascending order, and each vertex's edges to smaller vertices (ascending)
+    before its edges to larger ones (in adjacency order).  So the rotation,
+    including where each cyclic order starts, is the reverse of networkx's
+    ``neighbors_cw_order``.  Time is linear up to the sort by nesting depth.
+    """
+    # Edges e = 0..m-1, listed as networkx's copy lists them.
+    ends: list[int] = []  # v, w of edge e at 2e, 2e + 1
+    incident: list[list[int]] = [[] for _ in range(n)]
+    for v, nbrs in enumerate(adjacency):
+        for w in nbrs:
+            if w > v:
+                e = len(ends) >> 1
+                ends += (v, w)
+                incident[v].append(e)
+                incident[w].append(e)
+    m = len(ends) >> 1
+    if n > 2 and m > 3 * n - 6:
+        return None
+
+    # Orientation: a DFS orients every edge away from the root (tree edges)
+    # or towards an ancestor (back edges) and computes its lowpoints.
+    height = [-1] * n
+    parent = [-1] * n  # tree edge entering each vertex, -1 at a root
+    src = [-1] * m  # tail of each oriented edge; -1 until oriented
+    dst = [0] * m
+    lowpt = [0] * m
+    lowpt2 = [0] * m
+    depth = [0] * m  # nesting depth
+    out: list[list[int]] = [[] for _ in range(n)]  # edges leaving v, as oriented
+    nxt = [0] * n  # next position in v's edge list
+    roots: list[int] = []
+    for root in range(n):
+        if height[root] >= 0:
+            continue
+        height[root] = 0
+        roots.append(root)
+        stack = [root]
+        while stack:
+            v = stack[-1]
+            hv = height[v]
+            e = parent[v]
+            edges = incident[v]
+            i = nxt[v]
+            while i < len(edges):
+                ei = edges[i]
+                if src[ei] < 0:
+                    w = ends[2 * ei] + ends[2 * ei + 1] - v
+                    src[ei] = v
+                    dst[ei] = w
+                    out[v].append(ei)
+                    lowpt[ei] = lowpt2[ei] = hv
+                    if height[w] < 0:  # tree edge; finish it on return
+                        parent[w] = ei
+                        height[w] = hv + 1
+                        break
+                    lowpt[ei] = height[w]  # back edge
+                elif src[ei] != v:  # oriented from the other end already
+                    i += 1
+                    continue
+                low = lowpt[ei]
+                depth[ei] = 2 * low + (lowpt2[ei] < hv)  # +1 if chordal
+                if e >= 0:  # fold ei's lowpoints into the parent edge's
+                    if low < lowpt[e]:
+                        lowpt2[e] = min(lowpt[e], lowpt2[ei])
+                        lowpt[e] = low
+                    elif low > lowpt[e]:
+                        lowpt2[e] = min(lowpt2[e], low)
+                    else:
+                        lowpt2[e] = min(lowpt2[e], lowpt2[ei])
+                i += 1
+            nxt[v] = i
+            if i < len(edges):
+                stack.append(dst[edges[i]])
+            else:
+                stack.pop()
+
+    # Testing: a second DFS, children in nesting order, keeps a stack S of
+    # conflict pairs [left.low, left.high, right.low, right.high] of return
+    # edges (None for an empty end) and fails at a forced conflict.
+    key = depth.__getitem__
+    ordered = [sorted(edges, key=key) for edges in out]
+    ref: list[int | None] = [None] * m
+    side = [1] * m
+    lowpt_edge = [0] * m
+    bottom: list[list | None] = [None] * m  # top of S when each edge was entered
+    S: list[list] = []
+
+    def add_constraints(ei: int, e: int) -> bool:
+        """Merge the return edges of ei into the constraints of e."""
+        P: list = [None, None, None, None]
+        while True:  # merge the return edges of ei into P.right
+            ll, lh, rl, rh = S.pop()
+            if ll is not None or lh is not None:
+                ll, lh, rl, rh = rl, rh, ll, lh
+                if ll is not None or lh is not None:
+                    return False
+            if lowpt[rl] > lowpt[e]:  # merge intervals
+                if P[2] is None and P[3] is None:  # topmost interval
+                    P[3] = rh
+                else:
+                    ref[P[2]] = rh
+                P[2] = rl
+            else:  # align
+                ref[rl] = lowpt_edge[e]
+            if (S[-1] if S else None) is bottom[ei]:
+                break
+        low = lowpt[ei]
+        while True:  # merge conflicting return edges of earlier siblings into P.left
+            ll, lh, rl, rh = S[-1]
+            right_hit = (rl is not None or rh is not None) and lowpt[rh] > low
+            left_hit = (ll is not None or lh is not None) and lowpt[lh] > low
+            if not (left_hit or right_hit):
+                break
+            S.pop()
+            if right_hit:
+                ll, lh, rl, rh = rl, rh, ll, lh
+                if (rl is not None or rh is not None) and lowpt[rh] > low:
+                    return False
+            if P[2] is not None:  # merge the interval below lowpt(ei) into P.right
+                ref[P[2]] = rh
+            if rl is not None:
+                P[2] = rl
+            if P[0] is None and P[1] is None:  # topmost interval
+                P[1] = lh
+            else:
+                ref[P[0]] = lh
+            P[0] = ll
+        if P[0] is not None or P[1] is not None or P[2] is not None or P[3] is not None:
+            S.append(P)
+        return True
+
+    def remove_back_edges(e: int) -> None:
+        """Trim the back edges ending at the parent u of tree edge e."""
+        u = src[e]
+        hu = height[u]
+        while S:  # drop entire conflict pairs
+            ll, lh, rl, rh = P = S[-1]
+            if ll is None and lh is None:
+                lowest = lowpt[rl]
+            elif rl is None and rh is None:
+                lowest = lowpt[ll]
+            else:
+                lowest = min(lowpt[ll], lowpt[rl])
+            if lowest != hu:
+                break
+            S.pop()
+            if ll is not None:
+                side[ll] = -1
+        if S:  # one more conflict pair to consider
+            P = S[-1]
+            while P[1] is not None and dst[P[1]] == u:  # trim the left interval
+                P[1] = ref[P[1]]
+            if P[1] is None and P[0] is not None:  # just emptied
+                ref[P[0]] = P[2]
+                side[P[0]] = -1
+                P[0] = None
+            while P[3] is not None and dst[P[3]] == u:  # trim the right interval
+                P[3] = ref[P[3]]
+            if P[3] is None and P[2] is not None:  # just emptied
+                ref[P[2]] = P[0]
+                side[P[2]] = -1
+                P[2] = None
+        if lowpt[e] < hu:  # e's side is the side of a highest return edge
+            hl, hr = S[-1][1], S[-1][3]
+            highest_left = hl is not None and (hr is None or lowpt[hl] > lowpt[hr])
+            ref[e] = hl if highest_left else hr
+
+    def integrate(ei: int, v: int) -> bool:
+        """Account for the return edges of ei, an edge leaving v."""
+        if lowpt[ei] < height[v]:
+            e = parent[v]
+            if ordered[v][0] == ei:  # ei is the first return edge of e
+                lowpt_edge[e] = lowpt_edge[ei]
+            elif not add_constraints(ei, e):
+                return False
+        return True
+
+    nxt = [0] * n
+    for root in roots:
+        stack = [root]
+        while stack:
+            v = stack[-1]
+            edges = ordered[v]
+            i = nxt[v]
+            child = -1
+            while i < len(edges):
+                ei = edges[i]
+                i += 1
+                bottom[ei] = S[-1] if S else None
+                w = dst[ei]
+                if parent[w] == ei:  # tree edge; integrated on return
+                    child = w
+                    break
+                lowpt_edge[ei] = ei  # back edge
+                S.append([None, None, ei, ei])
+                if not integrate(ei, v):
+                    return None
+            nxt[v] = i
+            if child >= 0:
+                stack.append(child)
+                continue
+            stack.pop()
+            e = parent[v]
+            if e >= 0:
+                remove_back_edges(e)
+                if not integrate(e, src[e]):
+                    return None
+
+    # sign: each edge's side relative to its reference edge, made absolute.
+    for e in range(m):
+        chain = []
+        x = e
+        while ref[x] is not None:
+            chain.append(x)
+            x = ref[x]
+        s = side[x]
+        for x in reversed(chain):
+            s = side[x] = side[x] * s
+            ref[x] = None
+    for e in range(m):
+        depth[e] *= side[e]
+
+    # Embedding: each vertex's out-edges in signed nesting order start its
+    # clockwise cycle; a last DFS hangs each tree edge and back edge onto
+    # the rotation of its head.  Dart 2e runs src[e] -> dst[e] and dart
+    # 2e + 1 back; cw and ccw link the darts around their tail, and
+    # leftmost[v] is the dart networkx keeps last in v's dict.
+    cw = [0] * (2 * m)
+    ccw = [0] * (2 * m)
+    leftmost = [-1] * n
+    for v in range(n):
+        edges = ordered[v] = sorted(out[v], key=key)
+        if edges:
+            darts = [2 * e for e in edges]
+            leftmost[v] = darts[0]
+            for d, d_next in zip(darts, darts[1:] + darts[:1]):
+                cw[d] = d_next
+                ccw[d_next] = d
+    left_ref = [0] * n
+    right_ref = [0] * n
+    nxt = [0] * n
+    for root in roots:
+        stack = [root]
+        while stack:
+            v = stack.pop()
+            edges = ordered[v]
+            i = nxt[v]
+            while i < len(edges):
+                ei = edges[i]
+                i += 1
+                w = dst[ei]
+                d = 2 * ei + 1  # the dart w -> v
+                if parent[w] == ei:  # tree edge: v becomes w's leftmost neighbour
+                    first = leftmost[w]
+                    if first < 0:
+                        cw[d] = ccw[d] = d
+                    else:
+                        p = ccw[first]
+                        cw[d], ccw[d], cw[p], ccw[first] = first, p, d, d
+                    leftmost[w] = d
+                    left_ref[v] = right_ref[v] = 2 * ei
+                    nxt[v] = i
+                    stack += (v, w)
+                    break
+                if side[ei] == 1:  # just clockwise after right_ref[w]
+                    r = right_ref[w]
+                    q = cw[r]
+                    ccw[d], cw[d], cw[r], ccw[q] = r, q, d, d
+                else:  # just counter-clockwise before left_ref[w]
+                    r = left_ref[w]
+                    p = ccw[r]
+                    cw[d], ccw[d], cw[p], ccw[r] = r, p, d, d
+                    if leftmost[w] == r:
+                        leftmost[w] = d
+                    left_ref[w] = d
+
+    # networkx lists clockwise from the leftmost dart; reversed, that is
+    # counter-clockwise from the dart before it, ending at the leftmost.
+    head = [0] * (2 * m)
+    head[0::2] = dst
+    head[1::2] = src
+    rotation: list[list[int]] = []
+    for v in range(n):
+        nbrs: list[int] = []
+        if leftmost[v] >= 0:
+            d = ccw[leftmost[v]]
+            for _ in incident[v]:
+                nbrs.append(head[d])
+                d = ccw[d]
+        rotation.append(nbrs)
+    return rotation, len(roots)
 
 
 # ----------------------------------------------------------------------

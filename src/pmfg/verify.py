@@ -44,6 +44,8 @@ class BoundsReport:
     c3_max_attaining: list[str] = field(default_factory=list)
     c4_max_attaining: list[str] = field(default_factory=list)
     standard_code: str = ""
+    # Clique-bound breaches, a standard-form census mismatch, or a class that
+    # breaks Euler's identities; each entry names the class by its code.
     bound_violations: list[dict] = field(default_factory=list)
     closure_agreement: bool = True
     census_oracle_agreement: bool = True
@@ -180,7 +182,10 @@ def verify_level(n: int, *, ceiling: int = GENERATION_CEILING) -> BoundsReport:
     c3s: list[int] = []
     c4s: list[int] = []
     for code, rec in records.items():
-        euler_check(rec.embedding)
+        try:
+            euler_check(rec.embedding)
+        except VerificationFailure as exc:
+            report.bound_violations.append({"code": code.hex(), "euler": str(exc)})
         try:
             normalize_to_standard(rec.embedding)
         except (StructuralError, VerificationFailure):

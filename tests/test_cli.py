@@ -1,5 +1,9 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -128,6 +132,34 @@ class TestBuildCommand:
         assert rc == 0
         census = json.loads((out / "returns.census.json").read_text())
         assert census["accepted_edges"] == 9
+
+    def test_build_and_verify_run_without_networkx(self, tmp_path):
+        rng = np.random.default_rng(1)
+        path = tmp_path / "returns.csv"
+        rows = [",".join(f"E{i}" for i in range(8))]
+        rows += [",".join(repr(float(x)) for x in row) for row in rng.normal(size=(30, 8))]
+        path.write_text("\n".join(rows) + "\n")
+        script = (
+            "import sys\n"
+            "from pmfg.cli import main\n"
+            "rc = main(sys.argv[1:])\n"
+            "if 'networkx' in sys.modules:\n"
+            "    sys.exit('networkx was imported')\n"
+            "sys.exit(rc)\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+        for argv in (
+            ["build", str(path), "--format", "returns", "--output-dir", str(tmp_path)],
+            ["verify", "--n-max", "6"],
+        ):
+            proc = subprocess.run(
+                [sys.executable, "-c", script, *argv],
+                env=env,
+                capture_output=True,
+                text=True,
+                timeout=120,
+            )
+            assert proc.returncode == 0, (argv, proc.returncode, proc.stderr)
 
 
 class TestCliquesCommand:

@@ -8,6 +8,7 @@ from pmfg import (
     InputError,
     PlanarEmbedding,
     StructuralError,
+    VerificationFailure,
     degree_sequence,
     euler_check,
     k4,
@@ -79,6 +80,12 @@ class TestEulerCheck:
         report = euler_check(path)
         assert not report.is_triangulation
         assert report.n - report.e + report.f == 2
+
+    def test_broken_identity_raises(self):
+        emb = PlanarEmbedding._trusted(k4().rotation)
+        emb.faces = k4().faces[1:]  # three triangles: f != 2n - 4
+        with pytest.raises(VerificationFailure, match="Euler"):
+            euler_check(emb)
 
 
 class TestDegreeSequence:

@@ -1,15 +1,29 @@
+import importlib.util
 import random
+import sys
 from itertools import combinations
+from pathlib import Path
 
+import networkx as nx
+import numpy as np
 import pytest
+from networkx.algorithms.planarity import get_counterexample
 
+import pmfg.builder
 from pmfg import (
     CeilingError,
     InputError,
+    build_pmfg,
+    correlation_from_returns,
     euler_check,
     is_planar,
     kuratowski_oracle,
+    random_triangulation,
 )
+from pmfg.embedding import _canonical_rotation
+from pmfg.planarity import _lr_rotation
+
+WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 
 
 def complete_graph(n):
@@ -114,3 +128,160 @@ class TestKuratowskiOracle:
             extra = rng.choice(missing)
             assert not kuratowski_oracle(n, edges + [extra])
             checked += 1
+
+
+# ----------------------------------------------------------------------
+# The left-right test against networkx's implementation
+# ----------------------------------------------------------------------
+
+
+def adjacency_of(n, edges):
+    adjacency = [[] for _ in range(n)]
+    for u, v in edges:
+        adjacency[u].append(v)
+        adjacency[v].append(u)
+    return adjacency
+
+
+def nx_graph(n, edges):
+    graph = nx.Graph()
+    graph.add_nodes_from(range(n))
+    graph.add_edges_from(edges)
+    return graph
+
+
+def nx_rotation(n, edges):
+    """networkx's canonical counter-clockwise rotation, or None if non-planar."""
+    planar, cert = nx.check_planarity(nx_graph(n, edges))
+    if not planar:
+        return None
+    return [_canonical_rotation(list(cert.neighbors_cw_order(v))[::-1]) for v in range(n)]
+
+
+def shuffled(rng, edges):
+    """The edges in random order, each with its endpoints in random order."""
+    edges = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in edges]
+    rng.shuffle(edges)
+    return edges
+
+
+def assert_same_as_networkx(n, edges, adjacency=None):
+    """_lr_rotation and is_planar decide and embed as networkx does."""
+    want = nx_rotation(n, edges)
+    found = _lr_rotation(n, adjacency or adjacency_of(n, edges))
+    assert (found is None) == (want is None), (n, edges)
+    verdict = is_planar(n, edges)
+    assert verdict.planar == (want is not None)
+    if want is None:
+        return False
+    rotation, roots = found
+    assert [_canonical_rotation(nbrs) for nbrs in rotation] == want
+    assert roots == nx.number_connected_components(nx_graph(n, edges))
+    if verdict.embedding is not None:
+        assert list(verdict.embedding.rotation) == want
+    else:
+        assert n < 2 or roots > 1
+    return True
+
+
+def pruned_or_augmented(rng, tri):
+    """A random triangulation with edges removed, or with non-edges added."""
+    n = tri.n
+    edges = list(tri.edges())
+    if rng.random() < 0.5:
+        return rng.sample(edges, rng.randrange(len(edges) // 2, len(edges) + 1))
+    present = set(edges)
+    while len(edges) < tri.e + 3:
+        u, v = sorted(rng.sample(range(n), 2))
+        if (u, v) not in present:
+            present.add((u, v))
+            edges.append((u, v))
+    return edges
+
+
+def standard_form_edges(n):
+    """The standard triangulation: poles 0 and 1 on everything, a path 2..n-1."""
+    edges = [(0, 1)] + [(p, i) for i in range(2, n) for p in (0, 1)]
+    return edges + [(i, i + 1) for i in range(2, n - 1)]
+
+
+def gate_lr_graphs(monkeypatch):
+    """Every (n, adjacency) the gate hands to the LR rule in the benchmark's
+    n = 40 sector-model builds at seed 7, tasks 0-3."""
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # dataclasses look it up
+    spec.loader.exec_module(workloads)
+    seen = []
+
+    def recording(n, adjacency):
+        seen.append((n, [list(nbrs) for nbrs in adjacency]))
+        return _lr_rotation(n, adjacency)
+
+    monkeypatch.setattr(pmfg.builder, "_lr_rotation", recording)
+    lr_calls = 0
+    for j in range(4):
+        table = workloads.sector_returns(np.random.default_rng([7, j]), 40, 500)
+        sim = correlation_from_returns(table, [f"E{i:03d}" for i in range(40)])
+        lr_calls += build_pmfg(sim).gate_counts.lr_calls
+    assert len(seen) == lr_calls
+    return seen
+
+
+class TestLeftRightAgainstNetworkx:
+    def test_random_small_graphs(self):
+        rng = random.Random(31)
+        decided = {True: 0, False: 0}
+        for _ in range(5000):
+            n = rng.randrange(0, 17)
+            pairs = list(combinations(range(n), 2))
+            edges = rng.sample(pairs, rng.randrange(0, min(len(pairs), 3 * n) + 1))
+            decided[assert_same_as_networkx(n, shuffled(rng, edges))] += 1
+        assert min(decided.values()) > 1000, decided
+
+    def test_pruned_and_augmented_triangulations(self):
+        rng = random.Random(32)
+        decided = {True: 0, False: 0}
+        for trial, n in enumerate([4, 5, 6, 150] + [rng.randrange(7, 151) for _ in range(20)]):
+            edges = pruned_or_augmented(rng, random_triangulation(n, seed=trial))
+            decided[assert_same_as_networkx(n, shuffled(rng, edges))] += 1
+        assert min(decided.values()) > 5, decided
+
+    def test_every_graph_the_gate_sends_to_lr(self, monkeypatch):
+        decided = {True: 0, False: 0}
+        for n, adjacency in gate_lr_graphs(monkeypatch):
+            edges = [(v, w) for v, nbrs in enumerate(adjacency) for w in nbrs if v < w]
+            decided[assert_same_as_networkx(n, edges, adjacency)] += 1
+        assert min(decided.values()) > 50, decided
+
+    def test_witness_is_networkx_counterexample(self):
+        rng = random.Random(33)
+        checked = 0
+        while checked < 40:
+            n = rng.randrange(5, 11)
+            pairs = list(combinations(range(n), 2))
+            edges = shuffled(rng, rng.sample(pairs, rng.randrange(2 * n, len(pairs) + 1)))
+            verdict = is_planar(n, edges, want_witness=True)
+            if verdict.planar:
+                continue
+            want = {tuple(sorted(e)) for e in get_counterexample(nx_graph(n, edges)).edges()}
+            assert set(verdict.witness) == want
+            assert len(verdict.witness) == len(want)
+            checked += 1
+
+    def test_long_path_needs_no_recursion(self):
+        n = 3000
+        edges = [(i, i + 1) for i in range(n - 1)]
+        verdict = is_planar(n, edges)
+        assert verdict.planar and len(verdict.embedding.faces) == 1
+        assert _lr_rotation(n, adjacency_of(n, edges[::-1]))[1] == 1
+
+    def test_large_triangulation_needs_no_recursion(self):
+        n = 2000
+        edges = standard_form_edges(n)
+        assert len(edges) == 3 * n - 6
+        assert assert_same_as_networkx(n, edges)
+        assert is_planar(n, edges).embedding.is_triangulation()
+        # Swap one edge for a non-edge: 3n - 6 edges, no longer planar.
+        swapped = [e for e in edges if e != (0, 1000)] + [(2, 1000)]
+        assert not assert_same_as_networkx(n, swapped)

@@ -1,17 +1,40 @@
+import dataclasses
+import os
+import subprocess
+import sys
 from itertools import combinations_with_replacement
+from pathlib import Path
 
 import pytest
 
 import pmfg.generator
+import pmfg.verify
 from pmfg import (
     CanonicalCode,
     InputError,
+    PlanarEmbedding,
     degree_census,
     degree_multisets,
     run_campaign,
     verify_level,
 )
 from pmfg.cli import main
+
+TESTS = Path(__file__).resolve().parent
+
+
+def drop_a_face(generate_all):
+    """``generate_all`` whose first class reports one face too few."""
+
+    def corrupted(*args, **kwargs):
+        records = generate_all(*args, **kwargs)
+        code, rec = next(iter(records.items()))
+        emb = PlanarEmbedding._trusted(rec.embedding.rotation)
+        emb.faces = rec.embedding.faces[1:]  # shadows the cached property
+        records[code] = dataclasses.replace(rec, embedding=emb)
+        return records
+
+    return corrupted
 
 
 class TestDegreeMultisets:
@@ -100,6 +123,38 @@ class TestVerifyLevel:
         assert report.closure_agreement and report.bound_violations == []
         assert main(["verify", "--n-max", "5", "--workers", "1"]) == 1
         assert "FAILED" in capsys.readouterr().err
+
+    def test_euler_breach_fails_the_report(self, monkeypatch, capsys):
+        monkeypatch.setattr(pmfg.verify, "generate_all", drop_a_face(pmfg.verify.generate_all))
+        report = verify_level(6)
+        assert not report.ok
+        assert [sorted(entry) for entry in report.bound_violations] == [["code", "euler"]]
+        assert report.normalization_ok and report.closure_agreement
+        assert report.census_oracle_agreement
+        assert main(["verify", "--n-max", "5", "--workers", "1"]) == 1
+        assert "FAILED" in capsys.readouterr().err
+
+    def test_euler_breach_is_caught_under_python_O(self):
+        # With asserts stripped, the Euler identities must still be checked.
+        script = (
+            "import sys\n"
+            "if not sys.flags.optimize:\n"
+            "    sys.exit(3)\n"
+            "import pmfg.verify, test_verify\n"
+            "pmfg.verify.generate_all = test_verify.drop_a_face(pmfg.verify.generate_all)\n"
+            "from pmfg.cli import main\n"
+            "sys.exit(main(['verify', '--n-max', '5', '--workers', '1']))\n"
+        )
+        path = os.pathsep.join([str(TESTS.parent / "src"), str(TESTS)])
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", script],
+            env={**os.environ, "PYTHONPATH": path},
+            capture_output=True,
+            text=True,
+            timeout=300,
+        )
+        assert proc.returncode == 1, proc.stderr
+        assert "2 vertex counts FAILED" in proc.stderr
 
 
 class TestCampaign:
