@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .embedding import Edge, PlanarEmbedding, trace_faces
-from .errors import InputError
+from .errors import InputError, VerificationFailure
 from .planarity import _lr_rotation, is_planar
 
 SYMMETRY_TOLERANCE = 1e-12
@@ -342,7 +342,8 @@ def build_pmfg(
         else:
             rejected.append((u, v, w))
     verdict = is_planar(n, [(u, v) for u, v, _ in accepted])
-    assert verdict.planar and verdict.embedding is not None
+    if not verdict.planar or verdict.embedding is None:
+        raise VerificationFailure("the accepted edges fail the final planarity test")
     emb = PlanarEmbedding._trusted(verdict.embedding.rotation, labels=sim.labels)
     return PmfgResult(
         embedding=emb,

@@ -360,44 +360,82 @@ def apply_trace(
 # ----------------------------------------------------------------------
 
 
-def _bfs_code(
-    rotation: Sequence[Sequence[int]], u: int, v: int, best: list[int] | None
-) -> list[int] | None:
-    """Breadth-first canonical labeling started on the dart u -> v.
+Automorphism = tuple[int, ...]
 
-    Vertices are numbered in discovery order; each vertex emits its neighbor
-    numbers in rotation order starting from its discovery dart, followed by a
-    0 separator.  The code is compared with ``best`` entry by entry as it
-    grows: the start is abandoned (None) at the first entry larger than
-    ``best``'s, and once an entry is smaller the BFS just runs to the end.
-    A code equal to ``best`` is None as well, since it improves nothing.
+
+def _canonical_search(
+    rotation: Sequence[Sequence[int]],
+) -> tuple[CanonicalCode, tuple[Automorphism, ...]]:
+    """Minimum BFS code over every starting dart and both orientations, and
+    the automorphisms of the rotation system.
+
+    A start on the dart u -> v numbers the vertices in breadth-first
+    discovery order (u is 1, v is 2); each vertex emits its neighbors'
+    numbers in rotation order from its discovery dart, then a 0.  Every
+    start runs in lockstep, one vertex block at a time, and only the starts
+    whose block is smallest survive each step.  Each block ends in its only
+    0, so comparing block by block compares the whole codes
+    lexicographically.
+
+    Only darts leaving a minimum-degree vertex are tried.  The code started
+    on u -> v opens with the block [2, 3, ..., deg(u) + 1, 0], and every code
+    of a connected embedding has the same length 2e + n, so a start at a
+    vertex of smaller degree always gives the lexicographically smaller code.
+    The minimum over these darts therefore equals the minimum over all 4e
+    darts.
+
+    The surviving starts are exactly the automorphisms: equal codes number
+    the vertices alike, so each survivor s maps order_0[i] to order_s[i],
+    and every automorphism carries the first survivor to one that ties it.
+    A survivor of the mirrored rotation gives an orientation-reversing map.
+    Each map is returned as a tuple with ``aut[v]`` the image of v; the
+    first one is the identity.
     """
-    number = [0] * len(rotation)
-    entry = [0] * len(rotation)
-    number[u], number[v] = 1, 2
-    entry[u], entry[v] = v, u
-    order = [u, v]
+    n = len(rotation)
+    mirror = tuple(nbrs[::-1] for nbrs in rotation)
+    low = min(map(len, rotation))
+    # A start is (rotation, number, entry, order); entry[x] is the neighbor
+    # from which x was discovered, where its block opens.
+    starts = []
+    for rot in (rotation, mirror):
+        for u, nbrs in enumerate(rot):
+            if len(nbrs) == low:
+                for v in nbrs:
+                    number, entry = [0] * n, [0] * n
+                    number[u], number[v] = 1, 2
+                    entry[u], entry[v] = v, u
+                    starts.append((rot, number, entry, [u, v]))
     code: list[int] = []
-    smaller = best is None
-    for x in order:
-        nbrs = rotation[x]
-        i = nbrs.index(entry[x])
-        for w in nbrs[i:] + nbrs[:i]:
-            got = number[w]
-            if not got:
-                order.append(w)
-                got = number[w] = len(order)
-                entry[w] = x
-            if not smaller:
-                b = best[len(code)]
-                if got > b:
-                    return None
-                smaller = got < b
-            code.append(got)
-        if not smaller:
-            smaller = best[len(code)] != 0
-        code.append(0)
-    return code if smaller else None
+    for i in range(n):
+        best: list[int] | None = None
+        for start in starts:
+            rot, number, entry, order = start
+            x = order[i]
+            nbrs = rot[x]
+            j = nbrs.index(entry[x])
+            block = []
+            for w in nbrs[j:] + nbrs[:j]:
+                got = number[w]
+                if not got:
+                    order.append(w)
+                    got = number[w] = len(order)
+                    entry[w] = x
+                block.append(got)
+            block.append(0)
+            if best is None or block < best:
+                best, kept = block, [start]
+            elif block == best:
+                kept.append(start)
+        starts = kept
+        code += best
+    order0 = starts[0][3]
+    auts = []
+    for *_, order in starts:
+        aut = [0] * n
+        for x, y in zip(order0, order):
+            aut[x] = y
+        auts.append(tuple(aut))
+    return CanonicalCode(struct.pack(f">{len(code)}H", *code)), tuple(auts)
 
 
 def canonical_code(emb: PlanarEmbedding) -> CanonicalCode:
@@ -405,27 +443,11 @@ def canonical_code(emb: PlanarEmbedding) -> CanonicalCode:
 
     Mirror images receive equal codes, so the code keys triangulations by
     abstract graph isomorphism (sphere triangulations on four or more
-    vertices are 3-connected, hence embed uniquely up to reflection).
-
-    Only darts leaving a minimum-degree vertex are tried.  The code started
-    on u -> v opens with the block [2, 3, ..., deg(u) + 1, 0], and every code
-    of a connected embedding has the same length 2e + n, so a start at a
-    vertex of smaller degree always gives the lexicographically smaller code.
-    The minimum over these darts therefore equals the minimum over all 4e
-    darts, and the bytes (two-byte big-endian labels, comparable for n up to
-    65535) are those of the exhaustive search.
+    vertices are 3-connected, hence embed uniquely up to reflection).  The
+    labels are two-byte big-endian, comparable for n up to 65535; see
+    ``_canonical_search`` for the search.
     """
-    rotation = emb.rotation
-    mirror = tuple(nbrs[::-1] for nbrs in rotation)
-    low = min(map(len, rotation))
-    best: list[int] | None = None
-    for rot in (rotation, mirror):
-        for u, nbrs in enumerate(rot):
-            if len(nbrs) == low:
-                for v in nbrs:
-                    best = _bfs_code(rot, u, v, best) or best
-    assert best is not None
-    return CanonicalCode(struct.pack(f">{len(best)}H", *best))
+    return _canonical_search(emb.rotation)[0]
 
 
 @functools.lru_cache(maxsize=None)
@@ -472,6 +494,15 @@ def _check_clique_delta(
     return (dc3, dc4)
 
 
+def _op_image(op: EberhardOp, aut: Automorphism) -> tuple:
+    """The vertex set of the op's cycle and the set of its chords, under aut;
+    these fix the op's region, so equal images mean automorphic ops."""
+    return (
+        frozenset(aut[v] for v in op.cycle),
+        frozenset(frozenset((aut[u], aut[v])) for u, v in op.chords),
+    )
+
+
 def generate_all(
     n: int,
     *,
@@ -485,33 +516,54 @@ def generate_all(
     triangulations.  With ``check_deltas`` every application is audited
     against the per-operation clique bounds; ``on_application`` additionally
     receives (kind, dC3, dC4) for empirical recording.
+
+    Each parent's ops are applied once per orbit of its automorphism group
+    (McKay, J. Algorithms 26 (1998)).  An op that some automorphism maps
+    onto an earlier op of the same parent yields an isomorphic child, so it
+    is skipped: the class it reaches was already coded, and the first-found
+    record of every class stays the one the unpruned loop keeps.  A skipped
+    op is still reported to ``on_application``, with the deltas of the op it
+    mirrors, which are equal; so every op is reported exactly once.
     """
     _refuse_above_ceiling(n, ceiling)
     audit = check_deltas or on_application is not None
     seed = k4()
-    code = canonical_code(seed)
+    code, auts = _canonical_search(seed.rotation)
     level = {code: GenerationRecord(seed, (), code)}
-    # Clique counts per class, kept only when applications are audited.
+    # Automorphisms per class, and clique counts when applications are audited.
+    symmetries = {code: auts}
     counts = {code: count_cliques(seed).counts} if audit else {}
     for _ in range(n - 4):
         next_level: dict[CanonicalCode, GenerationRecord] = {}
+        next_symmetries: dict[CanonicalCode, tuple[Automorphism, ...]] = {}
         next_counts: dict[CanonicalCode, tuple[int, int]] = {}
         for code, rec in level.items():
+            auts = symmetries[code]
+            # Images of the ops applied so far under every automorphism
+            # (auts[0] is the identity) -> that op's (dC3, dC4).
+            applied: dict[tuple, tuple[int, int] | None] = {}
             for op in eberhard_ops(rec.embedding):
+                if (key := _op_image(op, auts[0])) in applied:
+                    if on_application is not None:
+                        on_application(op.kind, *applied[key])
+                    continue
                 child = apply_eberhard(rec.embedding, op)
+                deltas = None
                 if audit:
                     child_counts = count_cliques(child).counts
-                    dc3, dc4 = _check_clique_delta(op.kind, counts[code], child_counts)
+                    deltas = _check_clique_delta(op.kind, counts[code], child_counts)
                     if on_application is not None:
-                        on_application(op.kind, dc3, dc4)
-                ccode = canonical_code(child)
+                        on_application(op.kind, *deltas)
+                applied.update(dict.fromkeys((_op_image(op, aut) for aut in auts), deltas))
+                ccode, child_auts = _canonical_search(child.rotation)
                 if ccode not in next_level:
                     next_level[ccode] = GenerationRecord(
                         child, rec.trace + (op,), ccode
                     )
+                    next_symmetries[ccode] = child_auts
                     if audit:
                         next_counts[ccode] = child_counts
-        level, counts = next_level, next_counts
+        level, symmetries, counts = next_level, next_symmetries, next_counts
     return level
 
 

@@ -20,6 +20,7 @@ from .errors import InputError, StructuralError, VerificationFailure
 # perfbench/spans.py traces canonical_code under this module's name.
 from .generator import (
     GENERATION_CEILING,
+    EberhardOp,
     canonical_code,
     flip_closure,
     generate_all,
@@ -45,7 +46,8 @@ class BoundsReport:
     c4_max_attaining: list[str] = field(default_factory=list)
     standard_code: str = ""
     # Clique-bound breaches, a standard-form census mismatch, or a class that
-    # breaks Euler's identities; each entry names the class by its code.
+    # breaks Euler's identities; each entry names the class by its code, and
+    # a generated class's entry also carries its wheel insertions from K4.
     bound_violations: list[dict] = field(default_factory=list)
     closure_agreement: bool = True
     census_oracle_agreement: bool = True
@@ -145,7 +147,7 @@ def degree_census(n: int, *, ceiling: int = GENERATION_CEILING) -> DegreeSequenc
         realized[seq] = realized.get(seq, 0) + 1
     unknown = set(realized) - set(candidates)
     if unknown:
-        raise AssertionError(f"realized sequences missing from enumeration: {unknown}")
+        raise VerificationFailure(f"realized sequences missing from enumeration: {unknown}")
     ambiguous = sorted(s for s, k in realized.items() if k >= 2)
     return DegreeSequenceCensus(
         n=n,
@@ -155,6 +157,14 @@ def degree_census(n: int, *, ceiling: int = GENERATION_CEILING) -> DegreeSequenc
         realizable_sequences=sorted(realized),
         ambiguous_sequences=ambiguous,
     )
+
+
+def _trace_json(trace: tuple[EberhardOp, ...]) -> list[dict]:
+    """A class's wheel insertions as JSON, replayable from K4 through
+    ``apply_trace`` once each entry is read back into an ``EberhardOp``."""
+    return [
+        {"cycle": list(op.cycle), "chords": [list(c) for c in op.chords]} for op in trace
+    ]
 
 
 def verify_level(n: int, *, ceiling: int = GENERATION_CEILING) -> BoundsReport:
@@ -185,7 +195,9 @@ def verify_level(n: int, *, ceiling: int = GENERATION_CEILING) -> BoundsReport:
         try:
             euler_check(rec.embedding)
         except VerificationFailure as exc:
-            report.bound_violations.append({"code": code.hex(), "euler": str(exc)})
+            report.bound_violations.append(
+                {"code": code.hex(), "euler": str(exc), "trace": _trace_json(rec.trace)}
+            )
         try:
             normalize_to_standard(rec.embedding)
         except (StructuralError, VerificationFailure):
@@ -200,7 +212,7 @@ def verify_level(n: int, *, ceiling: int = GENERATION_CEILING) -> BoundsReport:
         c4s.append(c4)
         if not (2 * n - 4 <= c3 <= 3 * n - 8 and 0 <= c4 <= n - 3):
             report.bound_violations.append(
-                {"code": code.hex(), "c3": c3, "c4": c4}
+                {"code": code.hex(), "c3": c3, "c4": c4, "trace": _trace_json(rec.trace)}
             )
         if c3 == 3 * n - 8:
             report.c3_max_attaining.append(code.hex())

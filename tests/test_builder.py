@@ -6,10 +6,13 @@ import networkx as nx
 import numpy as np
 import pytest
 
+import pmfg.builder
 from pmfg import (
     InputError,
     PlanarEmbedding,
+    PlanarityVerdict,
     SimilarityMatrix,
+    VerificationFailure,
     build_pmfg,
     canonical_code,
     correlation_from_returns,
@@ -316,6 +319,12 @@ class TestBuildPmfg:
     def test_too_few_entities_rejected(self):
         with pytest.raises(InputError):
             build_pmfg(random_similarity(2, seed=11))
+
+    def test_non_planar_final_verdict_is_a_verification_failure(self, monkeypatch):
+        # A plain assert here would vanish under python -O.
+        monkeypatch.setattr(pmfg.builder, "is_planar", lambda n, edges: PlanarityVerdict(False))
+        with pytest.raises(VerificationFailure, match="final planarity test"):
+            build_pmfg(random_similarity(6, seed=12))
 
 
 class TestCsvInterfaces:

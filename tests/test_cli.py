@@ -375,6 +375,19 @@ class TestDegreeCensusCommand:
         doc = json.loads(capsys.readouterr().out)
         assert doc["realizable_sequences"] == [[4, 4, 4, 3, 3]]
 
+    def test_unenumerated_realized_sequence_exits_1_with_one_line(
+        self, monkeypatch, capsys
+    ):
+        import pmfg.verify
+
+        monkeypatch.setattr(pmfg.verify, "degree_multisets", lambda n: [])
+        assert main(["degree-census", "--n", "6"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err
+        assert err.startswith("verification failure: realized sequences missing"), err
+        assert err.count("\n") == 1, err
+
 
 class TestPinnedOutputBytes:
     """sha256 of CLI outputs, recorded at commit c395e97 (the ``cliques``

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pmfg.generator
 from pmfg import (
     CeilingError,
     EberhardOp,
@@ -39,6 +40,8 @@ from pmfg import (
 )
 from pmfg.generator import (
     CLASS_COUNTS,
+    GenerationRecord,
+    _canonical_search,
     _degree_raising_flip,
     _face_apexes,
     _fan_flip,
@@ -77,6 +80,66 @@ def reference_code(emb: PlanarEmbedding) -> bytes:
                 if best is None or code < best:
                     best = code
     return best
+
+
+def unpruned_generate_all(n: int, on_application) -> dict:
+    """``generate_all`` as it was before automorphism pruning: every op of
+    every parent is applied, audited and coded.  The reference for the
+    records, their order and the reported deltas."""
+    seed = k4()
+    code = canonical_code(seed)
+    level = {code: GenerationRecord(seed, (), code)}
+    counts = {code: count_cliques(seed).counts}
+    for _ in range(n - 4):
+        next_level, next_counts = {}, {}
+        for code, rec in level.items():
+            c3, c4 = counts[code]
+            for op in eberhard_ops(rec.embedding):
+                child = apply_eberhard(rec.embedding, op)
+                child_counts = count_cliques(child).counts
+                on_application(op.kind, child_counts[0] - c3, child_counts[1] - c4)
+                ccode = canonical_code(child)
+                if ccode not in next_level:
+                    next_level[ccode] = GenerationRecord(child, rec.trace + (op,), ccode)
+                    next_counts[ccode] = child_counts
+        level, counts = next_level, next_counts
+    return level
+
+
+def orientation(emb: PlanarEmbedding, aut) -> int | None:
+    """+1 if the vertex map carries each rotation onto its image's rotation,
+    cyclically; -1 if it carries each onto the reverse; None otherwise."""
+
+    def same_cycle(a, b):
+        return len(a) == len(b) and any(list(b) == a[i:] + a[:i] for i in range(len(a)))
+
+    images = [[aut[w] for w in nbrs] for nbrs in emb.rotation]
+    for sense in (1, -1):
+        if all(same_cycle(img[::sense], emb.rotation[aut[v]]) for v, img in enumerate(images)):
+            return sense
+    return None
+
+
+def brute_automorphism_count(emb: PlanarEmbedding) -> int:
+    """Permutations of the vertices that keep the edge set, by backtracking."""
+    adj = [set(nbrs) for nbrs in emb.rotation]
+    image: list[int] = []
+
+    def extend() -> int:
+        v = len(image)
+        if v == emb.n:
+            return 1
+        found = 0
+        for w in range(emb.n):
+            if w in image or len(adj[w]) != len(adj[v]):
+                continue
+            if all((u in adj[v]) == (image[u] in adj[w]) for u in range(v)):
+                image.append(w)
+                found += extend()
+                image.pop()
+        return found
+
+    return extend()
 
 
 def validating_apply_eberhard(emb: PlanarEmbedding, op: EberhardOp) -> PlanarEmbedding:
@@ -767,6 +830,49 @@ class TestCanonicalCode:
             for copy in (emb, emb.relabel(perm), emb.relabel(perm).mirrored()):
                 assert canonical_code(copy).code == reference_code(copy), n
 
+    def test_automorphisms_carry_each_rotation_onto_its_image(self, classes):
+        for records in classes.values():
+            for rec in records.values():
+                emb = rec.embedding
+                code, auts = _canonical_search(emb.rotation)
+                assert code == rec.code
+                assert auts[0] == tuple(range(emb.n))
+                for aut in auts:
+                    assert sorted(aut) == list(range(emb.n)), aut
+                    assert orientation(emb, aut) is not None, (emb.rotation, aut)
+
+    def test_group_orders_match_a_brute_force_count(self, classes):
+        _, auts = _canonical_search(k4().rotation)
+        assert len(auts) == 24
+        _, auts = _canonical_search(standard_form(5).rotation)
+        assert len(auts) == 12
+        orders = Counter()
+        for records in classes.values():
+            for rec in records.values():
+                _, auts = _canonical_search(rec.embedding.rotation)
+                assert len(set(auts)) == len(auts)
+                assert len(auts) == brute_automorphism_count(rec.embedding), rec.code
+                orders[len(auts)] += 1
+        assert orders[1] and len(orders) > 4, orders
+
+    def test_half_the_symmetries_reverse_the_orientation_or_none(self, classes):
+        senses = Counter()
+        for records in classes.values():
+            for rec in records.values():
+                emb = rec.embedding
+                _, auts = _canonical_search(emb.rotation)
+                reversing = sum(orientation(emb, aut) == -1 for aut in auts)
+                assert 2 * reversing in (0, len(auts)), rec.code
+                senses[reversing > 0] += 1
+        assert senses[True] and senses[False], senses
+        # The octahedron's 48 symmetries: 24 rotations and 24 reflections.
+        octahedron = next(
+            rec.embedding for rec in classes[6].values()
+            if degree_sequence(rec.embedding) == [4] * 6
+        )
+        _, auts = _canonical_search(octahedron.rotation)
+        assert Counter(orientation(octahedron, aut) for aut in auts) == {1: 24, -1: 24}
+
     def test_standard_form_code_is_pinned(self):
         # The hex printed by ``pmfg verify`` as n=5's standard_form_code.
         pinned = (
@@ -807,6 +913,29 @@ class TestClosures:
     def test_ceiling_override(self):
         # n=10 exceeds the default ceiling but must work when raised.
         assert len(generate_all(10, ceiling=10, check_deltas=False)) == 233
+
+    @pytest.mark.parametrize("n", [*range(4, 10), pytest.param(10, marks=pytest.mark.slow)])
+    def test_orbit_pruning_matches_the_unpruned_loop(self, n):
+        # Same classes in the same order, the same first-found traces and
+        # rotations, and every op reported with the same deltas.
+        want_calls, got_calls = Counter(), Counter()
+        want = unpruned_generate_all(n, lambda *call: want_calls.update([call]))
+        got = generate_all(n, ceiling=n, on_application=lambda *call: got_calls.update([call]))
+        assert list(got) == list(want)
+        for code, rec in want.items():
+            assert got[code].trace == rec.trace
+            assert got[code].embedding.rotation == rec.embedding.rotation
+        assert got_calls == want_calls
+
+    def test_one_application_per_orbit(self, monkeypatch):
+        # 1,216 ops reach n = 9; 463 are distinct up to their parent's symmetries.
+        applied, reported = [], []
+        apply = pmfg.generator.apply_eberhard
+        monkeypatch.setattr(
+            pmfg.generator, "apply_eberhard", lambda emb, op: applied.append(op) or apply(emb, op)
+        )
+        generate_all(9, on_application=lambda *call: reported.append(call))
+        assert (len(applied), len(reported)) == (463, 1216)
 
     @pytest.mark.slow
     @pytest.mark.parametrize("n", [10, 11])

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import os
 import subprocess
 import sys
@@ -11,10 +12,14 @@ import pmfg.generator
 import pmfg.verify
 from pmfg import (
     CanonicalCode,
+    EberhardOp,
     InputError,
     PlanarEmbedding,
+    apply_trace,
+    canonical_code,
     degree_census,
     degree_multisets,
+    k4,
     run_campaign,
     verify_level,
 )
@@ -128,7 +133,9 @@ class TestVerifyLevel:
         monkeypatch.setattr(pmfg.verify, "generate_all", drop_a_face(pmfg.verify.generate_all))
         report = verify_level(6)
         assert not report.ok
-        assert [sorted(entry) for entry in report.bound_violations] == [["code", "euler"]]
+        assert [sorted(entry) for entry in report.bound_violations] == [
+            ["code", "euler", "trace"]
+        ]
         assert report.normalization_ok and report.closure_agreement
         assert report.census_oracle_agreement
         assert main(["verify", "--n-max", "5", "--workers", "1"]) == 1
@@ -155,6 +162,48 @@ class TestVerifyLevel:
         )
         assert proc.returncode == 1, proc.stderr
         assert "2 vertex counts FAILED" in proc.stderr
+
+
+def replay(entry: dict) -> PlanarEmbedding:
+    """Rebuild a violating class from the JSON trace of its report entry."""
+    trace = [
+        EberhardOp(tuple(op["cycle"]), tuple(map(tuple, op["chords"])))
+        for op in entry["trace"]
+    ]
+    return apply_trace(k4(), trace)
+
+
+def inflate_first_census(count_cliques):
+    """``count_cliques`` whose first census claims n extra 4-cliques."""
+    calls = []
+
+    def inflated(emb):
+        census = count_cliques(emb)
+        calls.append(emb)
+        if len(calls) == 1:
+            census = dataclasses.replace(census, c4_total=census.c4_total + emb.n)
+        return census
+
+    return inflated
+
+
+class TestReplayableViolations:
+    @pytest.mark.parametrize("n", [6, 8])
+    def test_euler_breach_replays_from_k4_to_its_class(self, monkeypatch, n):
+        monkeypatch.setattr(pmfg.verify, "generate_all", drop_a_face(pmfg.verify.generate_all))
+        doc = json.loads(json.dumps(verify_level(n).to_json_dict()))
+        (entry,) = doc["bound_violations"]
+        assert "euler" in entry and len(entry["trace"]) == n - 4
+        assert canonical_code(replay(entry)).hex() == entry["code"]
+
+    def test_clique_bound_breach_replays_from_k4_to_its_class(self, monkeypatch):
+        monkeypatch.setattr(
+            pmfg.verify, "count_cliques", inflate_first_census(pmfg.verify.count_cliques)
+        )
+        doc = json.loads(json.dumps(verify_level(7).to_json_dict()))
+        (entry,) = doc["bound_violations"]
+        assert entry["c4"] > 7 - 3 and len(entry["trace"]) == 3
+        assert canonical_code(replay(entry)).hex() == entry["code"]
 
 
 class TestCampaign:
