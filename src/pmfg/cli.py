@@ -122,13 +122,14 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     ceiling = _ceiling(args)
     records = generate_all(args.n, ceiling=ceiling, check_deltas=False)
     out = Path(args.output_dir)
+    ordered = [records[code] for code in sorted(records)]
     lines = []
-    for code, rec in sorted(records.items(), key=lambda kv: kv[0]):
+    for rec in ordered:
         census = count_cliques(rec.embedding)
         lines.append(
             json.dumps(
                 {
-                    "code": code.hex(),
+                    "code": rec.code.hex(),
                     "degree_sequence": degree_sequence(rec.embedding),
                     "c3": census.c3_total,
                     "c4": census.c4_total,
@@ -138,9 +139,11 @@ def _cmd_generate(args: argparse.Namespace) -> int:
         )
     _write(out / f"triangulations_n{args.n}.jsonl", "\n".join(lines) + "\n")
     if args.dot_dir:
+        # Named by the class's line in the JSONL: a whole code is too long for
+        # a file name from n = 11 on, and its prefixes are shared.
         dot_dir = Path(args.dot_dir)
-        for code, rec in records.items():
-            _write(dot_dir / f"n{args.n}_{code.hex()[:16]}.dot", rec.embedding.to_dot())
+        for line, rec in enumerate(ordered, 1):
+            _write(dot_dir / f"n{args.n}_{line}.dot", rec.embedding.to_dot())
     print(f"{len(records)} isomorphism classes on {args.n} vertices")
     return EXIT_OK
 

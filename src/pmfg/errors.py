@@ -26,4 +26,10 @@ class CeilingError(InputError):
 
 
 class VerificationFailure(PmfgError):
-    """A verification campaign found a counterexample to a claimed identity."""
+    """A verification campaign found a counterexample to a claimed identity.
+
+    ``trace`` holds, when known, the operations that rebuild the offending
+    triangulation from K4 through ``pmfg.generator.apply_trace``.
+    """
+
+    trace: tuple = ()

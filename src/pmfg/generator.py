@@ -20,6 +20,7 @@ and its own rotation is the boundary walk itself.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 import random
@@ -140,7 +141,9 @@ def eberhard_ops(emb: PlanarEmbedding) -> list[EberhardOp]:
     or a chain of three faces glued along two sides of the middle one
     (k = 5).  A cycle that can be filled from both sides appears once per
     side, with the chords of that side.  The list holds the triangles, then
-    the quads, then the pentagons.
+    the quads, then the pentagons: the phi1 op of each face in sorted face
+    order, the phi2 op of each edge in ``emb.edges()`` order, and the phi3
+    ops of each face in sorted face order.
 
     ``apex[u, v]`` is the third vertex of the face left of the dart u -> v,
     the neighbor preceding u in the rotation of v.  The faces are the triples
@@ -156,9 +159,117 @@ def eberhard_ops(emb: PlanarEmbedding) -> list[EberhardOp]:
     vertex off the middle face.  So skipping exactly the chains with equal
     outer apexes keeps the same regions, in the same order, as deduplicating
     face sets and then dropping walks that repeat a vertex.
+
+    The list is assembled from a table kept with the embedding: the sorted
+    faces, each face's phi1 op and phi3 ops (``_face_ops``), and each
+    vertex's phi2 ops (``_vertex_ops``).  A face's phi3 ops read only the
+    apexes across its sides, and vertex u's phi2 ops only u's rotation.  So
+    the child of a wheel insertion on walk W with hub h derives its table
+    from its parent's: it drops the k - 2 region faces, the parent's faces
+    left of W's darts, inserts the k hub faces in order, and recomputes the
+    ops of the hub faces, of the k faces across the cycle sides and of the
+    k cycle vertices, whose rotations are the only ones that changed; h,
+    the largest vertex, owns no phi2 op.  Every other embedding, and the
+    child of a parent that has no table yet, builds the table from scratch
+    with the same two helpers.  Each call returns a fresh list.
     """
     if not emb.is_triangulation():
         raise StructuralError("pure chord-cycle search requires a triangulation")
+    table = _wheel_table(emb)
+    entries = list(map(table.face_ops.__getitem__, table.faces))
+    ops = [entry[0] for entry in entries]
+    ops += itertools.chain.from_iterable(table.vertex_ops)
+    ops += itertools.chain.from_iterable(entry[1] for entry in entries)
+    return ops
+
+
+def _face_triple(u: int, v: int, w: int) -> tuple[int, int, int]:
+    """The face walk u, v, w started at its minimum."""
+    if u < v and u < w:
+        return (u, v, w)
+    return (v, w, u) if v < w else (w, u, v)
+
+
+def _face_ops(
+    face: tuple[int, int, int], apex
+) -> tuple[EberhardOp, tuple[EberhardOp, ...]]:
+    """The phi1 op of a face and the phi3 ops of the chains it is the middle
+    of, one per pair of its sides whose outer apexes differ.  ``apex[u, v]``
+    is read from the full apex table or, for a derived table, from
+    ``_RotationApex``."""
+    b0, b1, b2 = face
+    # b0 is the face's minimum: (b0, b1) and (b0, b2) are sorted chords,
+    # and both sort before the chord on b1, b2.
+    a0, a1, a2 = apex[b1, b0], apex[b2, b1], apex[b0, b2]
+    c01, c02 = (b0, b1), (b0, b2)
+    c12 = (b1, b2) if b1 < b2 else (b2, b1)
+    chains = []
+    if a0 != a1:
+        chains.append(EberhardOp((b2, b0, a0, b1, a1), (c01, c12)))
+    if a0 != a2:
+        chords = (c01, c02) if b1 < b2 else (c02, c01)
+        chains.append(EberhardOp((b0, a0, b1, b2, a2), chords))
+    if a1 != a2:
+        chains.append(EberhardOp((b0, b1, a1, b2, a2), (c02, c12)))
+    return EberhardOp(face), tuple(chains)
+
+
+def _vertex_ops(u: int, nbrs: Sequence[int]) -> list[EberhardOp]:
+    """The phi2 ops of u's edges to larger vertices, in rotation order.
+
+    The neighbors after and before t around u are apex[u, t] and apex[t, u]:
+    the face left of u -> t is the triangle u, t, w, whose walk turns at u
+    from w onto the neighbor preceding w, which is t.
+    """
+    before = nbrs[-1:] + nbrs[:-1]
+    after = nbrs[1:] + nbrs[:1]
+    return [
+        EberhardOp((t, w, u, x), ((u, t),))
+        for x, t, w in zip(before, nbrs, after)
+        if u < t
+    ]
+
+
+class _RotationApex:
+    """``apex[u, v]`` read off a rotation on demand, for the few darts a
+    derived table needs."""
+
+    __slots__ = ("rotation",)
+
+    def __init__(self, rotation: Sequence[Sequence[int]]) -> None:
+        self.rotation = rotation
+
+    def __getitem__(self, dart: tuple[int, int]) -> int:
+        u, v = dart
+        r = self.rotation[v]
+        return r[r.index(u) - 1]
+
+
+@dataclass
+class _WheelTable:
+    """The candidate wheel insertions of one triangulation, by face and
+    vertex; ``eberhard_ops`` assembles its list from them."""
+
+    faces: list[tuple[int, int, int]]
+    face_ops: dict[tuple[int, int, int], tuple[EberhardOp, tuple[EberhardOp, ...]]]
+    vertex_ops: list[list[EberhardOp]]
+
+
+def _wheel_table(emb: PlanarEmbedding) -> _WheelTable:
+    """The embedding's table: kept from an earlier call, derived from the
+    parent that ``apply_eberhard`` recorded, or built from scratch.  The
+    parent reference is dropped once the table exists, so no chain of
+    ancestors is retained."""
+    table = emb.__dict__.get("_wheel_table")
+    if table is None:
+        source = emb.__dict__.pop("_wheel_source", None)
+        table = _derived_table(emb, *source) if source else _scratch_table(emb)
+        emb._wheel_table = table
+    return table
+
+
+def _scratch_table(emb: PlanarEmbedding) -> _WheelTable:
+    """The table read off every face and vertex of ``emb``."""
     apex: dict[Edge, int] = {}
     faces: list[tuple[int, int, int]] = []
     for v, nbrs in enumerate(emb.rotation):
@@ -169,24 +280,40 @@ def eberhard_ops(emb: PlanarEmbedding) -> list[EberhardOp]:
                 faces.append((u, v, w))
             w = u
     faces.sort()
-    ops = [EberhardOp(f) for f in faces]
     if emb.n == 3:  # a lone triangle bounds no region beyond its two faces
-        return ops
-    ops += [EberhardOp((t, apex[s, t], s, apex[t, s]), ((s, t),)) for s, t in emb.edges()]
-    for b0, b1, b2 in faces:
-        # b0 is the face's minimum: (b0, b1) and (b0, b2) are sorted chords,
-        # and both sort before the chord on b1, b2.
-        a0, a1, a2 = apex[b1, b0], apex[b2, b1], apex[b0, b2]
-        c01, c02 = (b0, b1), (b0, b2)
-        c12 = (b1, b2) if b1 < b2 else (b2, b1)
-        if a0 != a1:
-            ops.append(EberhardOp((b2, b0, a0, b1, a1), (c01, c12)))
-        if a0 != a2:
-            chords = (c01, c02) if b1 < b2 else (c02, c01)
-            ops.append(EberhardOp((b0, a0, b1, b2, a2), chords))
-        if a1 != a2:
-            ops.append(EberhardOp((b0, b1, a1, b2, a2), (c02, c12)))
-    return ops
+        return _WheelTable(faces, {f: (EberhardOp(f), ()) for f in faces}, [[], [], []])
+    return _WheelTable(
+        faces,
+        {f: _face_ops(f, apex) for f in faces},
+        [_vertex_ops(u, nbrs) for u, nbrs in enumerate(emb.rotation)],
+    )
+
+
+def _derived_table(
+    emb: PlanarEmbedding, parent: PlanarEmbedding, walk: Sequence[int]
+) -> _WheelTable:
+    """The table of ``emb``, the wheel insertion on ``walk`` into ``parent``,
+    from the parent's table (see ``eberhard_ops``)."""
+    old = parent._wheel_table
+    faces = old.faces.copy()
+    face_ops = old.face_ops.copy()
+    vertex_ops = old.vertex_ops.copy()
+    hub = parent.n
+    sides = list(zip(walk, walk[1:] + walk[:1]))
+    before, after = _RotationApex(parent.rotation), _RotationApex(emb.rotation)
+    for region_face in {_face_triple(u, v, before[u, v]) for u, v in sides}:
+        del faces[bisect.bisect_left(faces, region_face)]
+        del face_ops[region_face]
+    changed = [_face_triple(u, v, hub) for u, v in sides]
+    for hub_face in changed:
+        bisect.insort(faces, hub_face)
+    changed += {_face_triple(v, u, after[v, u]) for u, v in sides}
+    for face in changed:
+        face_ops[face] = _face_ops(face, after)
+    vertex_ops.append([])
+    for u in walk:
+        vertex_ops[u] = _vertex_ops(u, emb.rotation[u])
+    return _WheelTable(faces, face_ops, vertex_ops)
 
 
 def find_pure_chord_cycles(emb: PlanarEmbedding, k: int) -> list[EberhardOp]:
@@ -256,10 +383,11 @@ def apply_eberhard(emb: PlanarEmbedding, op: EberhardOp) -> PlanarEmbedding:
     # Removing chords between cycle vertices keeps the embedding valid as long
     # as it stays connected, which a face walk through every cycle vertex
     # guarantees; the hub then fills that face.  A walk of length k on the k
-    # cycle vertices passes verts[0] exactly once, so it is found exactly once
-    # by walking k steps from each dart leaving verts[0]: the steps meet every
-    # cycle vertex and end back on the first dart.
-    v0 = verts[0]
+    # cycle vertices passes each of them exactly once, so it is found exactly
+    # once by walking k steps from each dart leaving any one of them: the
+    # steps meet every cycle vertex and end back on the first dart.  Walking
+    # from the cycle vertex of least degree tries the fewest darts.
+    v0 = min(verts, key=lambda v: len(rot[v]))
     matches = []
     for b in rot[v0]:
         a, walk = v0, []
@@ -279,7 +407,11 @@ def apply_eberhard(emb: PlanarEmbedding, op: EberhardOp) -> PlanarEmbedding:
     for i, v in enumerate(walk):
         arrival = walk[i - 1]
         rot[v].insert(rot[v].index(arrival), hub)
-    return PlanarEmbedding._trusted(rot)
+    child = PlanarEmbedding._trusted(rot)
+    if emb.n > 3 and "_wheel_table" in emb.__dict__:
+        # The child's first eberhard_ops call derives its table from this one.
+        child._wheel_source = (emb, walk)
+    return child
 
 
 def _face_apexes(emb: PlanarEmbedding, x: int, y: int) -> tuple[int, int]:
@@ -551,7 +683,11 @@ def generate_all(
                 deltas = None
                 if audit:
                     child_counts = count_cliques(child).counts
-                    deltas = _check_clique_delta(op.kind, counts[code], child_counts)
+                    try:
+                        deltas = _check_clique_delta(op.kind, counts[code], child_counts)
+                    except VerificationFailure as exc:
+                        exc.trace = rec.trace + (op,)
+                        raise
                     if on_application is not None:
                         on_application(op.kind, *deltas)
                 applied.update(dict.fromkeys((_op_image(op, aut) for aut in auts), deltas))

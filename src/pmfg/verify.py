@@ -45,9 +45,10 @@ class BoundsReport:
     c3_max_attaining: list[str] = field(default_factory=list)
     c4_max_attaining: list[str] = field(default_factory=list)
     standard_code: str = ""
-    # Clique-bound breaches, a standard-form census mismatch, or a class that
-    # breaks Euler's identities; each entry names the class by its code, and
-    # a generated class's entry also carries its wheel insertions from K4.
+    # Clique-bound breaches, a standard-form census mismatch, a class that
+    # breaks Euler's identities or fails to normalize; each entry names the
+    # class by its code, and a generated class's entry also carries its wheel
+    # insertions from K4.
     bound_violations: list[dict] = field(default_factory=list)
     closure_agreement: bool = True
     census_oracle_agreement: bool = True
@@ -200,8 +201,15 @@ def verify_level(n: int, *, ceiling: int = GENERATION_CEILING) -> BoundsReport:
             )
         try:
             normalize_to_standard(rec.embedding)
-        except (StructuralError, VerificationFailure):
+        except (StructuralError, VerificationFailure) as exc:
             report.normalization_ok = False
+            report.bound_violations.append(
+                {
+                    "code": code.hex(),
+                    "normalization": str(exc),
+                    "trace": _trace_json(rec.trace),
+                }
+            )
         census = count_cliques(rec.embedding)
         c3, c4 = census.counts
         if n <= BRUTE_CENSUS_LIMIT:

@@ -225,14 +225,21 @@ class TestGenerateCommand:
         assert all(sum(doc["degree_sequence"]) == 30 for doc in docs)
 
     def test_dot_dump(self, tmp_path):
+        # One file per class, named by the class's line in the JSONL.
         out = tmp_path / "gen"
         dots = tmp_path / "dots"
         assert main(
-            ["generate", "--n", "5", "--output-dir", str(out), "--dot-dir", str(dots)]
+            ["generate", "--n", "8", "--output-dir", str(out), "--dot-dir", str(dots)]
         ) == 0
-        files = list(dots.glob("*.dot"))
-        assert len(files) == 1
-        assert "--" in files[0].read_text()
+        records = {code.hex(): rec for code, rec in generate_all(8).items()}
+        lines = (out / "triangulations_n8.jsonl").read_text().splitlines()
+        assert len(lines) == 14
+        assert sorted(p.name for p in dots.glob("*.dot")) == sorted(
+            f"n8_{i}.dot" for i in range(1, 15)
+        )
+        for i, line in enumerate(lines, 1):
+            emb = records[json.loads(line)["code"]].embedding
+            assert (dots / f"n8_{i}.dot").read_text() == emb.to_dot()
 
     def test_ceiling_exits_2(self, capsys):
         assert main(["generate", "--n", "11"]) == 2

@@ -1,6 +1,7 @@
 import itertools
 import random
 import sys
+import weakref
 from collections import Counter
 
 import numpy as np
@@ -382,6 +383,85 @@ class TestPureChordCycles:
                 for copy in (emb.mirrored(), relabeled, relabeled.mirrored()):
                     assert_enumerators_agree(copy)
             emb = apply_eberhard(emb, grow.choice(eberhard_ops(emb)))
+
+
+def from_scratch(emb: PlanarEmbedding) -> list[EberhardOp]:
+    """The ops of a validated copy, whose table is built from scratch."""
+    return eberhard_ops(PlanarEmbedding(emb.rotation))
+
+
+class TestWheelTable:
+    @pytest.mark.parametrize("seed", [3, 17, 1009])
+    def test_derived_tables_match_scratch_along_growth_chains(self, seed):
+        rng = random.Random(seed)
+        emb = k4()
+        while emb.n < 300:
+            # Every step after K4 derives its table from its parent's.
+            assert emb.n == 4 or "_wheel_source" in emb.__dict__
+            ops = eberhard_ops(emb)
+            assert ops == from_scratch(emb), (seed, emb.n)
+            emb = apply_eberhard(emb, rng.choice(ops))
+
+    def test_derived_tables_match_scratch_on_every_generated_class(self):
+        for n in range(5, 10):
+            for rec in generate_all(n, check_deltas=False).values():
+                assert "_wheel_source" in rec.embedding.__dict__
+                assert eberhard_ops(rec.embedding) == from_scratch(rec.embedding)
+
+    def test_child_of_a_parent_without_a_table_builds_from_scratch(self):
+        parent = random_triangulation(40, seed=5)
+        for op in from_scratch(parent)[::17]:
+            child = apply_eberhard(PlanarEmbedding(parent.rotation), op)
+            assert "_wheel_source" not in child.__dict__
+            assert eberhard_ops(child) == from_scratch(child)
+
+    def test_mirrored_and_relabeled_copies_build_their_own_tables(self):
+        rng = random.Random(8)
+        emb = k4()
+        while emb.n < 40:
+            emb = apply_eberhard(emb, rng.choice(eberhard_ops(emb)))
+        eberhard_ops(emb)
+        perm = list(range(emb.n))
+        rng.shuffle(perm)
+        for copy in (emb.mirrored(), emb.relabel(perm), emb.relabel(perm).mirrored()):
+            assert eberhard_ops(copy) == from_scratch(copy)
+
+    def test_returned_lists_are_fresh(self):
+        emb = random_triangulation(30, seed=2)
+        ops = eberhard_ops(emb)
+        want = list(ops)
+        ops.reverse()
+        ops.append(ops[0])
+        ops[1] = EberhardOp((0, 1, 2))
+        assert eberhard_ops(emb) == want
+        child = apply_eberhard(emb, want[len(want) // 2])
+        assert eberhard_ops(child) == from_scratch(child)
+
+    def test_no_ancestor_is_retained(self):
+        rng = random.Random(4)
+        emb = k4()
+        refs = []
+        for _ in range(40):
+            refs.append(weakref.ref(emb))
+            emb = apply_eberhard(emb, rng.choice(eberhard_ops(emb)))
+        # Only the parent is held, until the child's table exists.
+        assert [ref() is None for ref in refs] == [True] * 39 + [False]
+        eberhard_ops(emb)
+        assert all(ref() is None for ref in refs)
+
+    def test_insertions_without_tables_hold_no_parent(self):
+        emb = standard_form(30)
+        ref = weakref.ref(emb)
+        child = apply_eberhard(emb, EberhardOp((0, 1, 29)))
+        del emb
+        assert ref() is None and child.n == 31
+
+    def test_large_standard_form_needs_no_recursion(self):
+        n = 2000
+        kinds = Counter(op.kind for op in eberhard_ops(standard_form(n)))
+        # Every face is the middle of three chains, except that each of the
+        # three faces at either degree-3 vertex loses the chain around it.
+        assert kinds == {"phi1": 2 * n - 4, "phi2": 3 * n - 6, "phi3": 3 * (2 * n - 4) - 6}
 
 
 class TestIsTriangulation:

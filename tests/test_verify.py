@@ -15,6 +15,7 @@ from pmfg import (
     EberhardOp,
     InputError,
     PlanarEmbedding,
+    VerificationFailure,
     apply_trace,
     canonical_code,
     degree_census,
@@ -125,7 +126,10 @@ class TestVerifyLevel:
         monkeypatch.setattr(pmfg.generator, "standard_form_code", lambda n: CanonicalCode(b""))
         report = verify_level(6)
         assert not report.normalization_ok and not report.ok
-        assert report.closure_agreement and report.bound_violations == []
+        assert report.closure_agreement
+        assert [sorted(entry) for entry in report.bound_violations] == [
+            ["code", "normalization", "trace"]
+        ] * report.classes
         assert main(["verify", "--n-max", "5", "--workers", "1"]) == 1
         assert "FAILED" in capsys.readouterr().err
 
@@ -203,6 +207,51 @@ class TestReplayableViolations:
         doc = json.loads(json.dumps(verify_level(7).to_json_dict()))
         (entry,) = doc["bound_violations"]
         assert entry["c4"] > 7 - 3 and len(entry["trace"]) == 3
+        assert canonical_code(replay(entry)).hex() == entry["code"]
+
+
+def inflate_first_child_census(count_cliques, n):
+    """``count_cliques`` whose first census of an n-vertex embedding claims n
+    extra 4-cliques; that embedding is recorded."""
+    inflated_for = []
+
+    def inflated(emb):
+        census = count_cliques(emb)
+        if emb.n == n and not inflated_for:
+            inflated_for.append(emb)
+            census = dataclasses.replace(census, c4_total=census.c4_total + n)
+        return census
+
+    return inflated, inflated_for
+
+
+class TestReplayableFailures:
+    def test_delta_audit_failure_replays_from_k4_to_its_class(self, monkeypatch):
+        inflated, inflated_for = inflate_first_child_census(pmfg.generator.count_cliques, 7)
+        monkeypatch.setattr(pmfg.generator, "count_cliques", inflated)
+        with pytest.raises(VerificationFailure, match=r"changed \(C3, C4\) by") as info:
+            verify_level(7)
+        (child,) = inflated_for
+        trace = info.value.trace
+        assert len(trace) == 3 and all(isinstance(op, EberhardOp) for op in trace)
+        assert canonical_code(apply_trace(k4(), trace)) == canonical_code(child)
+
+    def test_normalization_failure_replays_from_k4_to_its_class(self, monkeypatch):
+        normalize = pmfg.verify.normalize_to_standard
+        failed = []
+
+        def fail_once(emb):
+            if not failed:
+                failed.append(canonical_code(emb).hex())
+                raise VerificationFailure("injected normalization failure")
+            return normalize(emb)
+
+        monkeypatch.setattr(pmfg.verify, "normalize_to_standard", fail_once)
+        doc = json.loads(json.dumps(verify_level(8).to_json_dict()))
+        assert doc["normalization_ok"] is False and doc["ok"] is False
+        (entry,) = doc["bound_violations"]
+        assert entry["normalization"] == "injected normalization failure"
+        assert entry["code"] == failed[0] and len(entry["trace"]) == 4
         assert canonical_code(replay(entry)).hex() == entry["code"]
 
 
