@@ -45,7 +45,6 @@ from .generator import (
     canonical_code,
     diagonal_flip,
     eberhard_ops,
-    find_pure_chord_cycles,
     flip_closure,
     generate_all,
     k4,
@@ -100,7 +99,6 @@ __all__ = [
     "diagonal_flip",
     "eberhard_ops",
     "euler_check",
-    "find_pure_chord_cycles",
     "flip_closure",
     "generate_all",
     "is_planar",

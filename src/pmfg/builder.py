@@ -361,13 +361,19 @@ def build_pmfg(
 # ----------------------------------------------------------------------
 
 
-def read_returns_csv(path: str | Path) -> tuple[list[str], np.ndarray]:
-    """Returns table: header row of entity names, one row per observation."""
+def _read_rows(path: str | Path) -> list[list[str]]:
+    """The rows of a CSV file.  A file that cannot be opened or decoded, or
+    that holds a field over the csv module's size limit, is an InputError."""
     try:
         with open(path, newline="") as fh:
-            rows = list(csv.reader(fh))
-    except OSError as exc:
+            return list(csv.reader(fh))
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
+
+
+def read_returns_csv(path: str | Path) -> tuple[list[str], np.ndarray]:
+    """Returns table: header row of entity names, one row per observation."""
+    rows = _read_rows(path)
     if not rows or len(rows) < 3:
         raise InputError(f"{path}: need a header and at least two observations")
     labels = [c.strip() for c in rows[0]]
@@ -384,11 +390,7 @@ def read_returns_csv(path: str | Path) -> tuple[list[str], np.ndarray]:
 
 def read_matrix_csv(path: str | Path) -> SimilarityMatrix:
     """Square similarity matrix with labels in the first row and column."""
-    try:
-        with open(path, newline="") as fh:
-            rows = list(csv.reader(fh))
-    except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc}") from exc
+    rows = _read_rows(path)
     if not rows:
         raise InputError(f"{path}: empty file")
     labels = [c.strip() for c in rows[0][1:]]

@@ -58,7 +58,7 @@ def _ceiling(args: argparse.Namespace) -> int:
 def _load_embedding(path: str) -> PlanarEmbedding:
     try:
         text = Path(path).read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
     return PlanarEmbedding.from_json(text)
 
@@ -67,11 +67,6 @@ def _write(path: Path, text: str) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(text)
     print(f"wrote {path}")
-
-
-def _census_doc(emb: PlanarEmbedding) -> dict:
-    census = count_cliques(emb)
-    return census.to_json_dict(emb.n)
 
 
 # ----------------------------------------------------------------------
@@ -97,16 +92,15 @@ def _cmd_build(args: argparse.Namespace) -> int:
         "total_weight": result.total_weight,
     }
     if result.embedding.n >= 4:
-        doc["census"] = _census_doc(result.embedding)
+        doc["census"] = count_cliques(result.embedding).to_json_dict(result.embedding.n)
     _write(out / f"{stem}.census.json", json.dumps(doc, indent=2) + "\n")
     return EXIT_OK
 
 
 def _cmd_cliques(args: argparse.Namespace) -> int:
     emb = _load_embedding(args.graph)
-    doc = _census_doc(emb)
+    c = count_cliques(emb)
     if args.csv:
-        c = count_cliques(emb)
         n = emb.n
         print("n,c3_total,c3_surface,c3_separating,c4_total,c3_max,c4_max")
         print(
@@ -114,7 +108,7 @@ def _cmd_cliques(args: argparse.Namespace) -> int:
             f"{c.c4_total},{3 * n - 8},{n - 3}"
         )
     else:
-        print(json.dumps(doc, indent=2))
+        print(json.dumps(c.to_json_dict(emb.n), indent=2))
     return EXIT_OK
 
 

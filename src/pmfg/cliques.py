@@ -74,7 +74,8 @@ def count_cliques(emb: PlanarEmbedding) -> CliqueCensus:
         raise InputError("clique census needs n >= 4")
     if not emb.is_triangulation():
         raise StructuralError("clique census requires a triangulation")
-    masks = emb.neighbor_masks
+    # Bit w of masks[v] is set iff vw is an edge; neighbors are distinct, so + is |.
+    masks = [sum(1 << w for w in nbrs) for nbrs in emb.rotation]
     triangles: list[tuple[int, int, int]] = []
     for u, v in emb.edges():
         w_mask = masks[u] & masks[v] & ~((1 << (v + 1)) - 1)

@@ -182,17 +182,6 @@ class PlanarEmbedding:
     def neighbors(self, v: int) -> tuple[int, ...]:
         return self.rotation[v]
 
-    @cached_property
-    def neighbor_masks(self) -> tuple[int, ...]:
-        """Adjacency as bitmasks; bit w of entry v is set iff vw is an edge."""
-        masks = []
-        for nbrs in self.rotation:
-            m = 0
-            for w in nbrs:
-                m |= 1 << w
-            masks.append(m)
-        return tuple(masks)
-
     def has_edge(self, u: int, v: int) -> bool:
         return v in self.rotation[u]
 
@@ -363,9 +352,10 @@ class PlanarEmbedding:
 
     @classmethod
     def from_json(cls, text: str) -> "PlanarEmbedding":
+        # JSONDecodeError is a ValueError, as is an int over Python's digit limit.
         try:
             doc = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:
             raise InputError(f"invalid JSON: {exc}") from exc
         return cls.from_json_dict(doc)
 

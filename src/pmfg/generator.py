@@ -316,15 +316,8 @@ def _derived_table(
     return _WheelTable(faces, face_ops, vertex_ops)
 
 
-def find_pure_chord_cycles(emb: PlanarEmbedding, k: int) -> list[EberhardOp]:
-    """The wheel insertions of ``eberhard_ops`` on cycles of length k."""
-    if k not in (3, 4, 5):
-        raise InputError(f"pure chord-cycle length must be 3, 4 or 5, not {k}")
-    return [op for op in eberhard_ops(emb) if len(op.cycle) == k]
-
-
 def pure_chord_cycle_sets(emb: PlanarEmbedding, k: int) -> list[EberhardOp]:
-    """Pure chord-cycles counted the way a plane drawing counts them.
+    """Pure chord-cycles of length k, counted as a plane drawing counts them.
 
     Relative to ``emb.outer_face``, only regions on the bounded side qualify
     as interiors, and cycles are identified by vertex set.  This is the
@@ -336,12 +329,16 @@ def pure_chord_cycle_sets(emb: PlanarEmbedding, k: int) -> list[EberhardOp]:
     the region is a triangulated polygon, a maximal outerplanar graph, and
     such a graph has no separating triangle, so its triangles are its faces.
     """
+    if k not in (3, 4, 5):
+        raise InputError(f"pure chord-cycle length must be 3, 4 or 5, not {k}")
     if emb.outer_face is None:
         raise InputError("set-level counting needs a distinguished outer face")
     outer_sides = {frozenset(s) for s in itertools.combinations(emb.outer_face, 2)}
     by_set: dict[frozenset[int], EberhardOp] = {}
-    for op in find_pure_chord_cycles(emb, k):
+    for op in eberhard_ops(emb):
         cyc = op.cycle
+        if len(cyc) != k:
+            continue
         joined = {frozenset(s) for s in zip(cyc, cyc[1:] + cyc[:1])}
         joined.update(map(frozenset, op.chords))
         if not outer_sides <= joined:
@@ -661,16 +658,13 @@ def generate_all(
     audit = check_deltas or on_application is not None
     seed = k4()
     code, auts = _canonical_search(seed.rotation)
-    level = {code: GenerationRecord(seed, (), code)}
-    # Automorphisms per class, and clique counts when applications are audited.
-    symmetries = {code: auts}
-    counts = {code: count_cliques(seed).counts} if audit else {}
+    # code -> (record, automorphisms, clique counts when applications are
+    # audited, else None), in the order the classes were first found.
+    seed_counts = count_cliques(seed).counts if audit else None
+    level = {code: (GenerationRecord(seed, (), code), auts, seed_counts)}
     for _ in range(n - 4):
-        next_level: dict[CanonicalCode, GenerationRecord] = {}
-        next_symmetries: dict[CanonicalCode, tuple[Automorphism, ...]] = {}
-        next_counts: dict[CanonicalCode, tuple[int, int]] = {}
-        for code, rec in level.items():
-            auts = symmetries[code]
+        next_level: dict[CanonicalCode, tuple] = {}
+        for rec, auts, counts in level.values():
             # Images of the ops applied so far under every automorphism
             # (auts[0] is the identity) -> that op's (dC3, dC4).
             applied: dict[tuple, tuple[int, int] | None] = {}
@@ -680,11 +674,11 @@ def generate_all(
                         on_application(op.kind, *applied[key])
                     continue
                 child = apply_eberhard(rec.embedding, op)
-                deltas = None
+                deltas = child_counts = None
                 if audit:
                     child_counts = count_cliques(child).counts
                     try:
-                        deltas = _check_clique_delta(op.kind, counts[code], child_counts)
+                        deltas = _check_clique_delta(op.kind, counts, child_counts)
                     except VerificationFailure as exc:
                         exc.trace = rec.trace + (op,)
                         raise
@@ -693,14 +687,10 @@ def generate_all(
                 applied.update(dict.fromkeys((_op_image(op, aut) for aut in auts), deltas))
                 ccode, child_auts = _canonical_search(child.rotation)
                 if ccode not in next_level:
-                    next_level[ccode] = GenerationRecord(
-                        child, rec.trace + (op,), ccode
-                    )
-                    next_symmetries[ccode] = child_auts
-                    if audit:
-                        next_counts[ccode] = child_counts
-        level, symmetries, counts = next_level, next_symmetries, next_counts
-    return level
+                    record = GenerationRecord(child, rec.trace + (op,), ccode)
+                    next_level[ccode] = (record, child_auts, child_counts)
+        level = next_level
+    return {code: rec for code, (rec, _, _) in level.items()}
 
 
 def flip_closure(n: int, *, ceiling: int = GENERATION_CEILING) -> set[CanonicalCode]:

@@ -14,7 +14,12 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
-from .cliques import brute_force_cliques, count_cliques, standard_form_expected
+from .cliques import (
+    BRUTE_FORCE_CEILING,
+    brute_force_cliques,
+    count_cliques,
+    standard_form_expected,
+)
 from .embedding import degree_sequence, euler_check
 from .errors import InputError, StructuralError, VerificationFailure
 # perfbench/spans.py traces canonical_code under this module's name.
@@ -28,8 +33,6 @@ from .generator import (
     standard_form,
     standard_form_code,
 )
-
-BRUTE_CENSUS_LIMIT = 16
 
 
 @dataclass
@@ -212,7 +215,7 @@ def verify_level(n: int, *, ceiling: int = GENERATION_CEILING) -> BoundsReport:
             )
         census = count_cliques(rec.embedding)
         c3, c4 = census.counts
-        if n <= BRUTE_CENSUS_LIMIT:
+        if n <= BRUTE_FORCE_CEILING:
             brute = brute_force_cliques(n, list(rec.embedding.edges()))
             if brute != (c3, c4):
                 report.census_oracle_agreement = False

@@ -7,13 +7,17 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+import pmfg.cli
 import pmfg.generator
 from pmfg import (
     CanonicalCode,
     PlanarEmbedding,
     count_cliques,
     generate_all,
+    k4,
     random_triangulation,
     standard_form,
 )
@@ -36,16 +40,19 @@ def alt6_path(tmp_path):
     raise AssertionError
 
 
+MATRIX4_CSV = (
+    ",A,B,C,D\n"
+    "A,1,0.9,0.8,0.7\n"
+    "B,0.9,1,0.6,0.5\n"
+    "C,0.8,0.6,1,0.4\n"
+    "D,0.7,0.5,0.4,1\n"
+)
+
+
 @pytest.fixture()
 def matrix4_path(tmp_path):
     path = tmp_path / "four.csv"
-    path.write_text(
-        ",A,B,C,D\n"
-        "A,1,0.9,0.8,0.7\n"
-        "B,0.9,1,0.6,0.5\n"
-        "C,0.8,0.6,1,0.4\n"
-        "D,0.7,0.5,0.4,1\n"
-    )
+    path.write_text(MATRIX4_CSV)
     return path
 
 
@@ -176,6 +183,16 @@ class TestCliquesCommand:
         assert lines[0].startswith("n,c3_total")
         assert lines[1] == "6,8,8,0,0,10,3"
 
+    @pytest.mark.parametrize("extra", [[], ["--csv"]], ids=["json", "csv"])
+    def test_one_census_per_run(self, alt6_path, monkeypatch, capsys, extra):
+        calls = []
+        real = pmfg.cli.count_cliques
+        monkeypatch.setattr(
+            pmfg.cli, "count_cliques", lambda emb: calls.append(emb) or real(emb)
+        )
+        assert main(["cliques", str(alt6_path), *extra]) == 0
+        assert len(calls) == 1
+
     def test_non_triangulation_exits_2(self, tmp_path, capsys):
         path = tmp_path / "path.json"
         path.write_text(PlanarEmbedding(((1,), (0, 2), (1,))).to_json())
@@ -211,6 +228,111 @@ class TestCliquesCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: graph document:")
         assert len(err.strip().splitlines()) == 1
+
+
+RETURNS4_CSV = (
+    "A,B,C,D\n"
+    "0.1,0.2,-0.1,0.05\n"
+    "-0.2,0.1,0.3,0.0\n"
+    "0.05,-0.1,0.2,0.1\n"
+    "0.3,0.0,-0.2,-0.1\n"
+)
+GRAPH_JSONS = [
+    standard_form(6).to_json(),
+    PlanarEmbedding(k4().rotation, labels=["a", "b", "c", "d"]).to_json(),
+]
+# Byte strings that steer a mutation towards the readers' edge cases.
+TOKENS = [
+    b",", b"\n", b"\r", b'"', b"[", b"]", b"{", b"}", b":", b"-", b"0", b"1e999",
+    b"nan", b"inf", b"null", b"true", b"1.5", b"-1", b"99", b"\xff", b"\x00",
+]
+
+
+@st.composite
+def mutated(draw, valid: str) -> bytes:
+    """``valid`` with one to four short slices replaced."""
+    data = bytearray(valid.encode())
+    for _ in range(draw(st.integers(1, 4))):
+        i = draw(st.integers(0, len(data)))
+        j = draw(st.integers(i, min(len(data), i + 4)))
+        data[i:j] = draw(st.one_of(st.binary(max_size=4), st.sampled_from(TOKENS)))
+    return bytes(data)
+
+
+def inputs(*valid: str):
+    """Random bytes, random text, or a mutation of one of the valid files."""
+    return st.one_of(
+        st.binary(max_size=200),
+        st.text(max_size=200).map(str.encode),
+        *(mutated(v) for v in valid),
+    )
+
+
+def assert_clean_exit(rc: int, err: str) -> None:
+    """Exit 0, or exit 2 with a single ``error:`` line: never 1, no traceback."""
+    assert rc in (0, 2), (rc, err)
+    if rc == 2:
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+class TestMalformedInput:
+    """Malformed input files exit 2 with one line (exit 1 is reserved for a
+    failed mathematical claim)."""
+
+    @pytest.mark.parametrize(
+        ("argv", "data"),
+        [
+            (["build"], b",A,B\nA,1,0.5\nB,0.5\xff,1\n"),
+            (["build", "--format", "returns"], b"A,B,C\n1,2,3\n2,\xff1,3\n3,1,2\n"),
+            (["build"], b",A\nA," + b"1" * 200_000 + b"\n"),
+            (["cliques"], GRAPH_JSONS[1].encode().replace(b'"a"', b'"\xff"')),
+            (["cliques"], b"[" * 100_000),
+        ],
+        ids=[
+            "matrix-undecodable",
+            "returns-undecodable",
+            "field-over-csv-limit",
+            "graph-undecodable",
+            "graph-nested-too-deep",
+        ],
+    )
+    def test_exits_2_with_one_line(self, tmp_path, capsys, argv, data):
+        path = tmp_path / "bad.in"
+        path.write_bytes(data)
+        rc = main([argv[0], str(path), *argv[1:]])
+        assert rc == 2
+        assert_clean_exit(rc, capsys.readouterr().err)
+
+    FUZZ = settings(
+        max_examples=100,
+        deadline=None,
+        derandomize=True,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+
+    @FUZZ
+    @given(data=inputs(MATRIX4_CSV))
+    def test_fuzz_matrix_csv(self, tmp_path, capsys, data):
+        path = tmp_path / "m.csv"
+        path.write_bytes(data)
+        rc = main(["build", str(path), "--format", "matrix", "--output-dir", str(tmp_path)])
+        assert_clean_exit(rc, capsys.readouterr().err)
+
+    @FUZZ
+    @given(data=inputs(RETURNS4_CSV))
+    def test_fuzz_returns_csv(self, tmp_path, capsys, data):
+        path = tmp_path / "r.csv"
+        path.write_bytes(data)
+        rc = main(["build", str(path), "--format", "returns", "--output-dir", str(tmp_path)])
+        assert_clean_exit(rc, capsys.readouterr().err)
+
+    @FUZZ
+    @given(data=inputs(*GRAPH_JSONS))
+    def test_fuzz_graph_json(self, tmp_path, capsys, data):
+        path = tmp_path / "g.json"
+        path.write_bytes(data)
+        rc = main(["cliques", str(path)])
+        assert_clean_exit(rc, capsys.readouterr().err)
 
 
 class TestGenerateCommand:

@@ -29,7 +29,6 @@ from pmfg import (
     diagonal_flip,
     eberhard_ops,
     euler_check,
-    find_pure_chord_cycles,
     flip_closure,
     generate_all,
     k4,
@@ -179,7 +178,7 @@ def validating_apply_eberhard(emb: PlanarEmbedding, op: EberhardOp) -> PlanarEmb
 
 
 def merge_walk_cycles(emb: PlanarEmbedding, k: int) -> list[tuple]:
-    """``find_pure_chord_cycles`` as it was when it glued face walks.
+    """The pure chord-cycle enumerator as it was when it glued face walks.
 
     Every candidate region is built as the merged boundary walk of its faces;
     chains of three faces are deduplicated by face set, and walks that repeat
@@ -265,6 +264,11 @@ def scanning_fan_flip(emb: PlanarEmbedding, p: int, q: int) -> FlipMove:
     raise StructuralError(f"no fan flip available toward vertex {q}")
 
 
+def cycles_of_length(emb: PlanarEmbedding, k: int) -> list[EberhardOp]:
+    """The wheel insertions of ``eberhard_ops`` on cycles of length k."""
+    return [op for op in eberhard_ops(emb) if len(op.cycle) == k]
+
+
 def regions(ops) -> list[tuple]:
     return [(op.cycle, op.chords) for op in ops]
 
@@ -273,7 +277,7 @@ def assert_enumerators_agree(emb: PlanarEmbedding) -> None:
     """Same cycles and chords, in the same order."""
     want = [[(cyc, chords) for cyc, chords, _ in merge_walk_cycles(emb, k)] for k in (3, 4, 5)]
     for k, cycles in zip((3, 4, 5), want):
-        assert regions(find_pure_chord_cycles(emb, k)) == cycles, (emb.rotation, k)
+        assert regions(cycles_of_length(emb, k)) == cycles, (emb.rotation, k)
     assert regions(eberhard_ops(emb)) == [c for cycles in want for c in cycles]
 
 
@@ -304,9 +308,9 @@ def malformed_ops(emb: PlanarEmbedding, ops: list[EberhardOp], rng: random.Rando
 class TestPureChordCycles:
     def test_region_counts_on_five_vertices(self, p5):
         # One region per interior choice: 6 faces, 9 edge-pairs, 12 chains.
-        assert len(find_pure_chord_cycles(p5, 3)) == 6
-        assert len(find_pure_chord_cycles(p5, 4)) == 9
-        assert len(find_pure_chord_cycles(p5, 5)) == 12
+        assert len(cycles_of_length(p5, 3)) == 6
+        assert len(cycles_of_length(p5, 4)) == 9
+        assert len(cycles_of_length(p5, 5)) == 12
 
     def test_plane_relative_counts_on_five_vertices(self, p5):
         # Counted as vertex sets of bounded regions: 5, 4 and 1.
@@ -322,30 +326,31 @@ class TestPureChordCycles:
 
     def test_region_chord_counts_by_length(self, p5):
         for k in (3, 4, 5):
-            for op in find_pure_chord_cycles(p5, k):
+            for op in cycles_of_length(p5, k):
                 assert len(op.chords) == k - 3
                 assert op.kind == f"phi{k - 2}"
 
     def test_k4_region_counts(self):
         emb = k4()
-        assert len(find_pure_chord_cycles(emb, 3)) == 4
-        assert len(find_pure_chord_cycles(emb, 4)) == 6
-        assert len(find_pure_chord_cycles(emb, 5)) == 0
+        assert len(cycles_of_length(emb, 3)) == 4
+        assert len(cycles_of_length(emb, 4)) == 6
+        assert len(cycles_of_length(emb, 5)) == 0
 
     def test_set_level_needs_outer_face(self, octahedron):
         with pytest.raises(InputError):
             pure_chord_cycle_sets(octahedron, 3)
 
-    def test_bad_length_rejected(self, p5):
-        with pytest.raises(InputError):
-            find_pure_chord_cycles(p5, 6)
+    def test_bad_length_rejected(self, octahedron):
+        # The length is checked first, even without an outer face.
+        with pytest.raises(InputError, match="must be 3, 4 or 5, not 6"):
+            pure_chord_cycle_sets(octahedron, 6)
 
     def test_lone_triangle_has_only_its_two_faces(self):
         triangle = PlanarEmbedding(((1, 2), (2, 0), (0, 1)))
         for k in (3, 4, 5):
             want = [(cyc, chords) for cyc, chords, _ in merge_walk_cycles(triangle, k)]
-            assert regions(find_pure_chord_cycles(triangle, k)) == want
-        assert len(find_pure_chord_cycles(triangle, 3)) == 2
+            assert regions(cycles_of_length(triangle, k)) == want
+        assert len(cycles_of_length(triangle, 3)) == 2
 
     def test_set_counts_match_the_merge_walk_interiors_on_every_class(self, classes):
         # Each face in turn is the outer one; a region is dropped when one of
@@ -505,21 +510,21 @@ class TestApplyEberhard:
     def test_k4_phi1_any_face_gives_the_unique_p5(self, p5):
         target = canonical_code(p5)
         emb = k4()
-        for op in find_pure_chord_cycles(emb, 3):
+        for op in cycles_of_length(emb, 3):
             child = apply_eberhard(emb, op)
             assert child.n == 5 and child.e == 9
             assert canonical_code(child) == target
 
     def test_p5_phi3_gives_standard_form(self, p5):
         target = canonical_code(standard_form(6))
-        for op in find_pure_chord_cycles(p5, 5):
+        for op in cycles_of_length(p5, 5):
             child = apply_eberhard(p5, op)
             assert canonical_code(child) == target
 
     def test_p5_phi2_reaches_both_six_vertex_forms(self, p5, octahedron):
         codes = {
             canonical_code(apply_eberhard(p5, op))
-            for op in find_pure_chord_cycles(p5, 4)
+            for op in cycles_of_length(p5, 4)
         }
         assert codes == {canonical_code(standard_form(6)), canonical_code(octahedron)}
 
@@ -532,7 +537,7 @@ class TestApplyEberhard:
             assert sum(degree_sequence(child)) == 2 * child.e
 
     def test_new_vertex_forms_a_wheel(self, p5):
-        op = find_pure_chord_cycles(p5, 5)[0]
+        op = cycles_of_length(p5, 5)[0]
         child = apply_eberhard(p5, op)
         hub = p5.n
         assert set(child.neighbors(hub)) == set(op.cycle)
@@ -541,17 +546,17 @@ class TestApplyEberhard:
         # A 3-cycle of the octahedron that is no face (there is none), and a
         # fabricated quad with the wrong chord.
         emb = standard_form(6)
-        quad = next(iter(find_pure_chord_cycles(emb, 4)))
+        quad = next(iter(cycles_of_length(emb, 4)))
         with pytest.raises(OperationError):
             apply_eberhard(emb, EberhardOp(quad.cycle))
 
     def test_wrong_chord_count_rejected(self, p5):
-        tri = find_pure_chord_cycles(p5, 3)[0]
-        quad = find_pure_chord_cycles(p5, 4)[0]
+        tri = cycles_of_length(p5, 3)[0]
+        quad = cycles_of_length(p5, 4)[0]
         # On p5 every 5-cycle has two chords on each side.  Deleting one more
         # from the far side still leaves the cycle bounding exactly one face,
         # so only the chord count stops this op.
-        pent = find_pure_chord_cycles(p5, 5)[0]
+        pent = cycles_of_length(p5, 5)[0]
         cycle_sides = {frozenset(s) for s in zip(pent.cycle, pent.cycle[1:] + pent.cycle[:1])}
         far = next(
             e for e in p5.edges()
