@@ -109,11 +109,18 @@ def correlation_from_returns(
     if not np.isfinite(table).all():
         kind = "NaN" if np.isnan(table).any() else "infinite values"
         raise InputError(f"returns table contains {kind}")
-    stds = table.std(axis=0)
-    for j, s in enumerate(stds):
-        if s == 0.0:
-            raise InputError(f"column {labels[j]} is constant; correlation undefined")
-    corr = np.corrcoef(table, rowvar=False)
+    # Finite returns can overflow; numpy would only warn and return wrong values.
+    with np.errstate(over="raise", invalid="raise"):
+        try:
+            stds = table.std(axis=0)
+            for j, s in enumerate(stds):
+                if s == 0.0:
+                    raise InputError(
+                        f"column {labels[j]} is constant; correlation undefined"
+                    )
+            corr = np.corrcoef(table, rowvar=False)
+        except FloatingPointError as exc:
+            raise InputError(f"returns table overflows double precision: {exc}") from exc
     return SimilarityMatrix(tuple(labels), corr, correlation=True)
 
 

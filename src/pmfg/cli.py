@@ -9,6 +9,7 @@ variables (PMFG_WORKERS, PMFG_CEILING), then the defaults shown in --help.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -101,11 +102,11 @@ def _cmd_cliques(args: argparse.Namespace) -> int:
     emb = _load_embedding(args.graph)
     c = count_cliques(emb)
     if args.csv:
-        n = emb.n
+        bounds = standard_form_expected(emb.n)
         print("n,c3_total,c3_surface,c3_separating,c4_total,c3_max,c4_max")
         print(
-            f"{n},{c.c3_total},{c.c3_surface},{c.c3_separating},"
-            f"{c.c4_total},{3 * n - 8},{n - 3}"
+            f"{emb.n},{c.c3_total},{c.c3_surface},{c.c3_separating},"
+            f"{c.c4_total},{bounds.c3},{bounds.c4}"
         )
     else:
         print(json.dumps(c.to_json_dict(emb.n), indent=2))
@@ -114,7 +115,7 @@ def _cmd_cliques(args: argparse.Namespace) -> int:
 
 def _cmd_generate(args: argparse.Namespace) -> int:
     ceiling = _ceiling(args)
-    records = generate_all(args.n, ceiling=ceiling, check_deltas=False)
+    records = generate_all(args.n, ceiling=ceiling)
     out = Path(args.output_dir)
     ordered = [records[code] for code in sorted(records)]
     lines = []
@@ -155,7 +156,7 @@ def _cmd_normalize(args: argparse.Namespace) -> int:
         out / f"{stem}.flips.json",
         json.dumps(
             [
-                {"shared_edge": list(m.shared_edge), "replacement": list(m.replacement or ())}
+                {"shared_edge": list(m.shared_edge), "replacement": list(m.replacement)}
                 for m in trace
             ],
             indent=2,
@@ -233,6 +234,9 @@ def build_parser() -> argparse.ArgumentParser:
         formatter_class=argparse.ArgumentDefaultsHelpFormatter,
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    add_parser = functools.partial(
+        sub.add_parser, formatter_class=argparse.ArgumentDefaultsHelpFormatter
+    )
     ceiling = argparse.ArgumentParser(add_help=False)
     ceiling.add_argument(
         "--unsafe-ceiling",
@@ -241,10 +245,8 @@ def build_parser() -> argparse.ArgumentParser:
         help=f"override the closure ceiling (default {GENERATION_CEILING})",
     )
 
-    p = sub.add_parser(
-        "build",
-        help="construct a PMFG from a CSV of returns or a similarity matrix",
-        formatter_class=argparse.ArgumentDefaultsHelpFormatter,
+    p = add_parser(
+        "build", help="construct a PMFG from a CSV of returns or a similarity matrix"
     )
     p.add_argument("input", help="CSV file")
     p.add_argument(
@@ -262,51 +264,39 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output-dir", default=".", help="directory for output files")
     p.set_defaults(func=_cmd_build)
 
-    p = sub.add_parser(
-        "cliques",
-        help="census the 3- and 4-cliques of a graph JSON file",
-        formatter_class=argparse.ArgumentDefaultsHelpFormatter,
-    )
+    p = add_parser("cliques", help="census the 3- and 4-cliques of a graph JSON file")
     p.add_argument("graph", help="graph JSON file")
     p.add_argument("--csv", action="store_true", help="one CSV summary row instead of JSON")
     p.set_defaults(func=_cmd_cliques)
 
-    p = sub.add_parser(
+    p = add_parser(
         "generate",
         help="enumerate all triangulation classes on n vertices",
         parents=[ceiling],
-        formatter_class=argparse.ArgumentDefaultsHelpFormatter,
     )
     p.add_argument("--n", type=int, required=True, help="vertex count")
     p.add_argument("--output-dir", default=".", help="directory for the JSONL report")
     p.add_argument("--dot-dir", default=None, help="also dump one DOT file per class")
     p.set_defaults(func=_cmd_generate)
 
-    p = sub.add_parser(
-        "normalize",
-        help="flip a triangulation into standard spherical form",
-        formatter_class=argparse.ArgumentDefaultsHelpFormatter,
+    p = add_parser(
+        "normalize", help="flip a triangulation into standard spherical form"
     )
     p.add_argument("graph", help="graph JSON file (must be a triangulation)")
     p.add_argument("--output-dir", default=".", help="directory for output files")
     p.set_defaults(func=_cmd_normalize)
 
-    p = sub.add_parser(
-        "flip",
-        help="apply one diagonal flip to a triangulation",
-        formatter_class=argparse.ArgumentDefaultsHelpFormatter,
-    )
+    p = add_parser("flip", help="apply one diagonal flip to a triangulation")
     p.add_argument("graph", help="graph JSON file")
     p.add_argument("u", type=int, help="first endpoint of the shared edge")
     p.add_argument("v", type=int, help="second endpoint of the shared edge")
     p.add_argument("--output", default=None, help="output path (default: stdout)")
     p.set_defaults(func=_cmd_flip)
 
-    p = sub.add_parser(
+    p = add_parser(
         "verify",
         help="exhaustively verify clique bounds and closure agreement",
         parents=[ceiling],
-        formatter_class=argparse.ArgumentDefaultsHelpFormatter,
     )
     p.add_argument("--n-max", type=int, default=9, help="largest vertex count to verify")
     p.add_argument("--output-dir", default=None, help="write per-n JSON reports here")
@@ -319,11 +309,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(func=_cmd_verify)
 
-    p = sub.add_parser(
+    p = add_parser(
         "degree-census",
         help="count candidate vs realizable degree multisets",
         parents=[ceiling],
-        formatter_class=argparse.ArgumentDefaultsHelpFormatter,
     )
     p.add_argument("--n", type=int, required=True, help="vertex count")
     p.add_argument("--sequences", action="store_true", help="include the sequence lists")

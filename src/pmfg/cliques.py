@@ -43,12 +43,13 @@ class CliqueCensus:
             "four_cliques": [list(q) for q in self.four_cliques],
         }
         if n is not None:
+            bounds = standard_form_expected(n)
             doc["bounds"] = {
-                "c3_min": 2 * n - 4,
-                "c3_max": 3 * n - 8,
-                "c4_max": n - 3,
-                "c3_max_attained": self.c3_total == 3 * n - 8,
-                "c4_max_attained": self.c4_total == n - 3,
+                "c3_min": bounds.surface,
+                "c3_max": bounds.c3,
+                "c4_max": bounds.c4,
+                "c3_max_attained": self.c3_total == bounds.c3,
+                "c4_max_attained": self.c4_total == bounds.c4,
             }
         return doc
 
@@ -112,7 +113,9 @@ def count_cliques(emb: PlanarEmbedding) -> CliqueCensus:
 
 
 def standard_form_expected(n: int) -> StandardFormCensus:
-    """Clique counts the standard form attains: the maxima 3n - 8 and n - 3."""
+    """Clique counts the standard form attains, which are the clique bounds
+    of every triangulation on n vertices: 2n - 4 <= C3 <= 3n - 8, since each
+    of the 2n - 4 faces is a 3-clique, and 0 <= C4 <= n - 3."""
     if n < 4:
         raise InputError("standard form is defined for n >= 4")
     return StandardFormCensus(

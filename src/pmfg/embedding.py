@@ -74,15 +74,22 @@ def _is_vertex(x: object) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+def apex(rotation: Sequence[Sequence[int]], u: int, v: int) -> int:
+    """The face walk's step: after the dart u -> v it turns at v onto the
+    neighbor immediately preceding u.  With counter-clockwise rotations it
+    walks the face left of the dart, in a triangulation the face u, v, apex."""
+    r = rotation[v]
+    return r[r.index(u) - 1]
+
+
 def trace_faces(
     rotation: Sequence[Sequence[int]],
 ) -> tuple[list[list[int]], dict[Dart, int]]:
     """Boundary walks of a rotation system, and the walk index of every dart.
 
-    With counter-clockwise rotations the walk along the face to the left of
-    the dart u -> v turns at v onto the neighbor immediately preceding u.
-    The rotation need not be a valid embedding: isolated vertices lie on no
-    walk, and a disconnected rotation gives the walks of each component.
+    Each walk follows ``apex`` from dart to dart.  The rotation need not be
+    a valid embedding: isolated vertices lie on no walk, and a disconnected
+    rotation gives the walks of each component.
     """
     walks: list[list[int]] = []
     face_of: dict[Dart, int] = {}
@@ -96,6 +103,7 @@ def trace_faces(
             while (a, b) not in face_of:
                 face_of[a, b] = k
                 walk.append(a)
+                # apex(rotation, a, b) inlined: this is the builder's hot loop.
                 r = rotation[b]
                 a, b = b, r[r.index(a) - 1]
             walks.append(walk)

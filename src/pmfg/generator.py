@@ -11,11 +11,10 @@ Three families of machinery live here:
 * an orientation-aware canonical code used to deduplicate triangulations
   up to graph isomorphism, and the two exhaustive closures built on it.
 
-All rotation surgery follows the face convention of ``PlanarEmbedding``:
-rotations are counter-clockwise and the face walk turns onto the neighbor
-immediately preceding the arrival vertex.  Consequently a new hub is spliced
-into each boundary rotation directly before the walk's arrival neighbor,
-and its own rotation is the boundary walk itself.
+All rotation surgery follows the face walk of ``pmfg.embedding.apex`` on
+counter-clockwise rotations.  Consequently a new hub is spliced into each
+boundary rotation directly before the walk's arrival neighbor, and its own
+rotation is the boundary walk itself.
 """
 
 from __future__ import annotations
@@ -29,7 +28,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 from .cliques import count_cliques
-from .embedding import Edge, PlanarEmbedding
+from .embedding import Edge, PlanarEmbedding, apex
 from .errors import (
     CeilingError,
     FlipForbiddenError,
@@ -145,9 +144,8 @@ def eberhard_ops(emb: PlanarEmbedding) -> list[EberhardOp]:
     order, the phi2 op of each edge in ``emb.edges()`` order, and the phi3
     ops of each face in sorted face order.
 
-    ``apex[u, v]`` is the third vertex of the face left of the dart u -> v,
-    the neighbor preceding u in the rotation of v.  The faces are the triples
-    (u, v, apex[u, v]) with u their minimum, sorted: exactly ``emb.faces``.
+    The faces are the triples (u, v, apex(rotation, u, v)) with u their
+    minimum, sorted: exactly ``emb.faces``.
 
     On a triangulation with n >= 4 no two faces share their vertex set.  So
     the two faces at an edge bound a 4-cycle, the faces across two sides of
@@ -191,16 +189,14 @@ def _face_triple(u: int, v: int, w: int) -> tuple[int, int, int]:
 
 
 def _face_ops(
-    face: tuple[int, int, int], apex
+    face: tuple[int, int, int], rot: Sequence[Sequence[int]]
 ) -> tuple[EberhardOp, tuple[EberhardOp, ...]]:
     """The phi1 op of a face and the phi3 ops of the chains it is the middle
-    of, one per pair of its sides whose outer apexes differ.  ``apex[u, v]``
-    is read from the full apex table or, for a derived table, from
-    ``_RotationApex``."""
+    of, one per pair of its sides whose outer apexes differ."""
     b0, b1, b2 = face
     # b0 is the face's minimum: (b0, b1) and (b0, b2) are sorted chords,
     # and both sort before the chord on b1, b2.
-    a0, a1, a2 = apex[b1, b0], apex[b2, b1], apex[b0, b2]
+    a0, a1, a2 = apex(rot, b1, b0), apex(rot, b2, b1), apex(rot, b0, b2)
     c01, c02 = (b0, b1), (b0, b2)
     c12 = (b1, b2) if b1 < b2 else (b2, b1)
     chains = []
@@ -217,9 +213,9 @@ def _face_ops(
 def _vertex_ops(u: int, nbrs: Sequence[int]) -> list[EberhardOp]:
     """The phi2 ops of u's edges to larger vertices, in rotation order.
 
-    The neighbors after and before t around u are apex[u, t] and apex[t, u]:
-    the face left of u -> t is the triangle u, t, w, whose walk turns at u
-    from w onto the neighbor preceding w, which is t.
+    The neighbors after and before t around u are the apexes of the darts
+    u -> t and t -> u: the face left of u -> t is the triangle u, t, w, whose
+    walk turns at u from w onto the neighbor preceding w, which is t.
     """
     before = nbrs[-1:] + nbrs[:-1]
     after = nbrs[1:] + nbrs[:1]
@@ -228,21 +224,6 @@ def _vertex_ops(u: int, nbrs: Sequence[int]) -> list[EberhardOp]:
         for x, t, w in zip(before, nbrs, after)
         if u < t
     ]
-
-
-class _RotationApex:
-    """``apex[u, v]`` read off a rotation on demand, for the few darts a
-    derived table needs."""
-
-    __slots__ = ("rotation",)
-
-    def __init__(self, rotation: Sequence[Sequence[int]]) -> None:
-        self.rotation = rotation
-
-    def __getitem__(self, dart: tuple[int, int]) -> int:
-        u, v = dart
-        r = self.rotation[v]
-        return r[r.index(u) - 1]
 
 
 @dataclass
@@ -270,12 +251,10 @@ def _wheel_table(emb: PlanarEmbedding) -> _WheelTable:
 
 def _scratch_table(emb: PlanarEmbedding) -> _WheelTable:
     """The table read off every face and vertex of ``emb``."""
-    apex: dict[Edge, int] = {}
     faces: list[tuple[int, int, int]] = []
     for v, nbrs in enumerate(emb.rotation):
         w = nbrs[-1]
         for u in nbrs:
-            apex[u, v] = w
             if u < v and u < w:
                 faces.append((u, v, w))
             w = u
@@ -284,7 +263,7 @@ def _scratch_table(emb: PlanarEmbedding) -> _WheelTable:
         return _WheelTable(faces, {f: (EberhardOp(f), ()) for f in faces}, [[], [], []])
     return _WheelTable(
         faces,
-        {f: _face_ops(f, apex) for f in faces},
+        {f: _face_ops(f, emb.rotation) for f in faces},
         [_vertex_ops(u, nbrs) for u, nbrs in enumerate(emb.rotation)],
     )
 
@@ -300,19 +279,19 @@ def _derived_table(
     vertex_ops = old.vertex_ops.copy()
     hub = parent.n
     sides = list(zip(walk, walk[1:] + walk[:1]))
-    before, after = _RotationApex(parent.rotation), _RotationApex(emb.rotation)
-    for region_face in {_face_triple(u, v, before[u, v]) for u, v in sides}:
+    before, after = parent.rotation, emb.rotation
+    for region_face in {_face_triple(u, v, apex(before, u, v)) for u, v in sides}:
         del faces[bisect.bisect_left(faces, region_face)]
         del face_ops[region_face]
     changed = [_face_triple(u, v, hub) for u, v in sides]
     for hub_face in changed:
         bisect.insort(faces, hub_face)
-    changed += {_face_triple(v, u, after[v, u]) for u, v in sides}
+    changed += {_face_triple(v, u, apex(after, v, u)) for u, v in sides}
     for face in changed:
         face_ops[face] = _face_ops(face, after)
     vertex_ops.append([])
     for u in walk:
-        vertex_ops[u] = _vertex_ops(u, emb.rotation[u])
+        vertex_ops[u] = _vertex_ops(u, after[u])
     return _WheelTable(faces, face_ops, vertex_ops)
 
 
@@ -390,8 +369,7 @@ def apply_eberhard(emb: PlanarEmbedding, op: EberhardOp) -> PlanarEmbedding:
         a, walk = v0, []
         for _ in range(k):
             walk.append(a)
-            r = rot[b]
-            a, b = b, r[r.index(a) - 1]
+            a, b = b, apex(rot, a, b)
         if (a, b) == (v0, walk[1]) and set(walk) == cycle_set:
             matches.append(walk)
     if len(matches) != 1:
@@ -413,6 +391,7 @@ def apply_eberhard(emb: PlanarEmbedding, op: EberhardOp) -> PlanarEmbedding:
 
 def _face_apexes(emb: PlanarEmbedding, x: int, y: int) -> tuple[int, int]:
     """Apexes of the two faces incident to edge xy (dart x->y side first)."""
+    # apex() of both darts, inlined: flips and normalization call this per edge.
     rx, ry = emb.rotation[x], emb.rotation[y]
     return (ry[ry.index(x) - 1], rx[rx.index(y) - 1])
 
@@ -428,11 +407,7 @@ def diagonal_flip(emb: PlanarEmbedding, move: FlipMove) -> PlanarEmbedding:
     if not (0 <= a < emb.n and 0 <= c < emb.n) or not emb.has_edge(a, c):
         raise OperationError(f"({a}, {c}) is not an edge")
     p, q = _face_apexes(emb, a, c)
-    rot_p, rot_q = emb.rotation[p], emb.rotation[q]
-    if (
-        rot_p[rot_p.index(c) - 1] != a
-        or rot_q[rot_q.index(a) - 1] != c
-    ):
+    if apex(emb.rotation, c, p) != a or apex(emb.rotation, a, q) != c:
         raise StructuralError(f"faces at edge ({a}, {c}) are not both triangles")
     if p == q or emb.has_edge(p, q):
         raise FlipForbiddenError(
@@ -636,14 +611,13 @@ def generate_all(
     n: int,
     *,
     ceiling: int = GENERATION_CEILING,
-    check_deltas: bool = True,
     on_application: Callable[[str, int, int], None] | None = None,
 ) -> dict[CanonicalCode, GenerationRecord]:
     """Closure of {K4} under phi1/phi2/phi3, deduplicated at every level.
 
     Returns one record per isomorphism class of n-vertex sphere
-    triangulations.  With ``check_deltas`` every application is audited
-    against the per-operation clique bounds; ``on_application`` additionally
+    triangulations.  When ``on_application`` is given, every application is
+    audited against the per-operation clique bounds, and the callback
     receives (kind, dC3, dC4) for empirical recording.
 
     Each parent's ops are applied once per orbit of its automorphism group
@@ -655,7 +629,7 @@ def generate_all(
     mirrors, which are equal; so every op is reported exactly once.
     """
     _refuse_above_ceiling(n, ceiling)
-    audit = check_deltas or on_application is not None
+    audit = on_application is not None
     seed = k4()
     code, auts = _canonical_search(seed.rotation)
     # code -> (record, automorphisms, clique counts when applications are
@@ -670,7 +644,7 @@ def generate_all(
             applied: dict[tuple, tuple[int, int] | None] = {}
             for op in eberhard_ops(rec.embedding):
                 if (key := _op_image(op, auts[0])) in applied:
-                    if on_application is not None:
+                    if audit:
                         on_application(op.kind, *applied[key])
                     continue
                 child = apply_eberhard(rec.embedding, op)
@@ -682,8 +656,7 @@ def generate_all(
                     except VerificationFailure as exc:
                         exc.trace = rec.trace + (op,)
                         raise
-                    if on_application is not None:
-                        on_application(op.kind, *deltas)
+                    on_application(op.kind, *deltas)
                 applied.update(dict.fromkeys((_op_image(op, aut) for aut in auts), deltas))
                 ccode, child_auts = _canonical_search(child.rotation)
                 if ccode not in next_level:
@@ -702,7 +675,7 @@ def flip_closure(n: int, *, ceiling: int = GENERATION_CEILING) -> set[CanonicalC
     """
     _refuse_above_ceiling(n, ceiling)
     start = standard_form(n)
-    seen: dict[CanonicalCode, PlanarEmbedding] = {canonical_code(start): start}
+    seen = {canonical_code(start)}
     frontier = [start]
     while frontier:
         nxt: list[PlanarEmbedding] = []
@@ -711,10 +684,10 @@ def flip_closure(n: int, *, ceiling: int = GENERATION_CEILING) -> set[CanonicalC
                 child = diagonal_flip(emb, move)
                 code = canonical_code(child)
                 if code not in seen:
-                    seen[code] = child
+                    seen.add(code)
                     nxt.append(child)
         frontier = nxt
-    return set(seen)
+    return seen
 
 
 # ----------------------------------------------------------------------
@@ -768,6 +741,12 @@ def _fan_flip(emb: PlanarEmbedding, p: int, q: int) -> FlipMove:
     return FlipMove(min(chords))
 
 
+def _recorded(emb: PlanarEmbedding, move: FlipMove) -> FlipMove:
+    """The move with its replacement: the edge joining the apexes of the two
+    faces at its shared edge."""
+    return FlipMove(move.shared_edge, tuple(sorted(_face_apexes(emb, *move.shared_edge))))
+
+
 def normalize_to_standard(
     emb: PlanarEmbedding,
 ) -> tuple[PlanarEmbedding, list[FlipMove]]:
@@ -777,7 +756,8 @@ def normalize_to_standard(
     raises the pole degree or strictly shrinks the chord structure inside its
     neighborhood, so the phase terminates.  The rest of the graph is then a
     triangulated polygon, which is fanned from a second pole; those flips are
-    always legal.  Each intermediate graph is a simple triangulation.
+    always legal.  Each intermediate graph is a simple triangulation, and
+    each move of the returned trace names its replacement edge.
     """
     if not emb.is_triangulation():
         raise StructuralError("normalization requires a triangulation")
@@ -789,7 +769,7 @@ def normalize_to_standard(
     p = max(range(n), key=lambda v: (cur.degree(v), -v))
     guard = 10 * n * n + 64
     while cur.degree(p) < n - 1:
-        move = _degree_raising_flip(cur, p)
+        move = _recorded(cur, _degree_raising_flip(cur, p))
         cur = diagonal_flip(cur, move)
         trace.append(move)
         guard -= 1
@@ -797,7 +777,7 @@ def normalize_to_standard(
             raise StructuralError("normalization did not converge")
     q = max(cur.rotation[p], key=lambda v: (cur.degree(v), -v))
     while cur.degree(q) < n - 1:
-        move = _fan_flip(cur, p, q)
+        move = _recorded(cur, _fan_flip(cur, p, q))
         cur = diagonal_flip(cur, move)
         trace.append(move)
         guard -= 1

@@ -26,6 +26,7 @@ from .errors import InputError, StructuralError, VerificationFailure
 from .generator import (
     GENERATION_CEILING,
     EberhardOp,
+    GenerationRecord,
     canonical_code,
     flip_closure,
     generate_all,
@@ -60,18 +61,20 @@ class BoundsReport:
 
     @property
     def ok(self) -> bool:
+        bounds = standard_form_expected(self.n)
         return (
             not self.bound_violations
             and self.closure_agreement
             and self.census_oracle_agreement
             and self.normalization_ok
-            and self.c3_max == 3 * self.n - 8
-            and self.c4_max == self.n - 3
+            and self.c3_max == bounds.c3
+            and self.c4_max == bounds.c4
             and self.standard_code in self.c3_max_attaining
             and self.standard_code in self.c4_max_attaining
         )
 
     def to_json_dict(self) -> dict:
+        bounds = standard_form_expected(self.n)
         return {
             "n": self.n,
             "classes": self.classes,
@@ -79,8 +82,8 @@ class BoundsReport:
             "c3_max": self.c3_max,
             "c4_min": self.c4_min,
             "c4_max": self.c4_max,
-            "c3_bounds": [2 * self.n - 4, 3 * self.n - 8],
-            "c4_bounds": [0, self.n - 3],
+            "c3_bounds": [bounds.surface, bounds.c3],
+            "c4_bounds": [0, bounds.c4],
             "c3_max_attaining": sorted(self.c3_max_attaining),
             "c4_max_attaining": sorted(self.c4_max_attaining),
             "standard_form_code": self.standard_code,
@@ -146,7 +149,7 @@ def degree_census(n: int, *, ceiling: int = GENERATION_CEILING) -> DegreeSequenc
     """Compare possible degree multisets with those realized by some class."""
     candidates = degree_multisets(n)
     realized: dict[tuple[int, ...], int] = {}
-    for rec in generate_all(n, ceiling=ceiling, check_deltas=False).values():
+    for rec in generate_all(n, ceiling=ceiling).values():
         seq = tuple(degree_sequence(rec.embedding))
         realized[seq] = realized.get(seq, 0) + 1
     unknown = set(realized) - set(candidates)
@@ -193,26 +196,24 @@ def verify_level(n: int, *, ceiling: int = GENERATION_CEILING) -> BoundsReport:
         eberhard_delta_range=deltas,
     )
     report.closure_agreement = set(records) == flip_codes
+    bounds = standard_form_expected(n)
+
+    def violation(rec: GenerationRecord, **facts) -> None:
+        doc = {"code": rec.code.hex(), **facts, "trace": _trace_json(rec.trace)}
+        report.bound_violations.append(doc)
+
     c3s: list[int] = []
     c4s: list[int] = []
     for code, rec in records.items():
         try:
             euler_check(rec.embedding)
         except VerificationFailure as exc:
-            report.bound_violations.append(
-                {"code": code.hex(), "euler": str(exc), "trace": _trace_json(rec.trace)}
-            )
+            violation(rec, euler=str(exc))
         try:
             normalize_to_standard(rec.embedding)
         except (StructuralError, VerificationFailure) as exc:
             report.normalization_ok = False
-            report.bound_violations.append(
-                {
-                    "code": code.hex(),
-                    "normalization": str(exc),
-                    "trace": _trace_json(rec.trace),
-                }
-            )
+            violation(rec, normalization=str(exc))
         census = count_cliques(rec.embedding)
         c3, c4 = census.counts
         if n <= BRUTE_FORCE_CEILING:
@@ -221,19 +222,16 @@ def verify_level(n: int, *, ceiling: int = GENERATION_CEILING) -> BoundsReport:
                 report.census_oracle_agreement = False
         c3s.append(c3)
         c4s.append(c4)
-        if not (2 * n - 4 <= c3 <= 3 * n - 8 and 0 <= c4 <= n - 3):
-            report.bound_violations.append(
-                {"code": code.hex(), "c3": c3, "c4": c4, "trace": _trace_json(rec.trace)}
-            )
-        if c3 == 3 * n - 8:
+        if not (bounds.surface <= c3 <= bounds.c3 and 0 <= c4 <= bounds.c4):
+            violation(rec, c3=c3, c4=c4)
+        if c3 == bounds.c3:
             report.c3_max_attaining.append(code.hex())
-        if c4 == n - 3:
+        if c4 == bounds.c4:
             report.c4_max_attaining.append(code.hex())
     report.c3_min, report.c3_max = min(c3s), max(c3s)
     report.c4_min, report.c4_max = min(c4s), max(c4s)
-    expected = standard_form_expected(n)
     std_census = count_cliques(standard_form(n))
-    if std_census.counts != (expected.c3, expected.c4):
+    if std_census.counts != (bounds.c3, bounds.c4):
         report.bound_violations.append(
             {"code": report.standard_code, "standard_form_mismatch": std_census.counts}
         )

@@ -30,7 +30,7 @@ def pytest_collection_modifyitems(config, items):
 def classes():
     """All isomorphism classes keyed by vertex count, for n = 4..8."""
     return {
-        n: generate_all(n, check_deltas=False) for n in range(4, 9)
+        n: generate_all(n) for n in range(4, 9)
     }
 
 

@@ -45,7 +45,7 @@ def audited_generation():
 
     started = time.monotonic()
     records = {
-        n: generate_all(n, check_deltas=True, on_application=record)
+        n: generate_all(n, on_application=record)
         for n in range(4, 10)
     }
     elapsed = time.monotonic() - started
@@ -69,7 +69,7 @@ def test_criterion_1_euler_identities_over_many_graphs():
         assert report.f == 2 * report.n - 4
         checked += 1
     for n in range(4, 9):
-        for rec in generate_all(n, check_deltas=False).values():
+        for rec in generate_all(n).values():
             report = euler_check(rec.embedding)
             assert report.e == 3 * n - 6 and report.f == 2 * n - 4
             checked += 1
@@ -102,7 +102,7 @@ def test_criterion_2_degree_combination_census():
 def test_criterion_3_six_vertex_fixtures():
     censuses = sorted(
         count_cliques(rec.embedding).counts
-        for rec in generate_all(6, check_deltas=False).values()
+        for rec in generate_all(6).values()
     )
     assert censuses == [(8, 0), (10, 3)]
     print("criterion 3 (six-vertex censuses (10,3) and (8,0)): PASS")

@@ -6,9 +6,14 @@ site; a library change that drops or renames one of those names would break
 """
 
 import importlib.util
+import subprocess
+import sys
 from pathlib import Path
 
-SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+SPANS = ROOT / "perfbench" / "spans.py"
 
 
 def load_spans():
@@ -27,3 +32,17 @@ def test_every_traced_site_resolves_to_a_callable():
         if not callable(getattr(owner, attr, None))
     ]
     assert not missing, missing
+
+
+@pytest.mark.slow
+def test_benchmark_selftest_passes():
+    # The self-test also fails when a workload's hot counter reads zero, as
+    # when the library stops calling the function its span wraps.
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "selftest.py")],
+        cwd=ROOT,
+        capture_output=True,
+        text=True,
+        timeout=600,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr

@@ -14,8 +14,10 @@ import pmfg.cli
 import pmfg.generator
 from pmfg import (
     CanonicalCode,
+    FlipMove,
     PlanarEmbedding,
     count_cliques,
+    diagonal_flip,
     generate_all,
     k4,
     random_triangulation,
@@ -32,7 +34,7 @@ STANDARD6_EDGES = [
 
 @pytest.fixture()
 def alt6_path(tmp_path):
-    for rec in generate_all(6, check_deltas=False).values():
+    for rec in generate_all(6).values():
         if count_cliques(rec.embedding).counts == (8, 0):
             path = tmp_path / "alt6.json"
             path.write_text(rec.embedding.to_json())
@@ -139,6 +141,25 @@ class TestBuildCommand:
         assert rc == 0
         census = json.loads((out / "returns.census.json").read_text())
         assert census["accepted_edges"] == 9
+
+    def test_overflowing_returns_exit_2_without_warnings(self, tmp_path):
+        # Finite entries whose squares overflow make every correlation undefined.
+        path = tmp_path / "returns.csv"
+        path.write_text("A,B,C\n1e308,2,3\n-1e308,1,3\n3,1,2\n")
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+        argv = ["build", str(path), "--format", "returns", "--output-dir", str(tmp_path)]
+        proc = subprocess.run(
+            [sys.executable, "-m", "pmfg.cli", *argv],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert len(proc.stderr.splitlines()) == 1, proc.stderr
+        assert proc.stderr.startswith("error: "), proc.stderr
+        assert "RuntimeWarning" not in proc.stderr
+        assert not (tmp_path / "returns.pmfg.json").exists()
 
     def test_build_and_verify_run_without_networkx(self, tmp_path):
         rng = np.random.default_rng(1)
@@ -384,6 +405,20 @@ class TestNormalizeCommand:
         )
         assert count_cliques(normalized).counts == (10, 3)
 
+    @pytest.mark.parametrize("seed", [7, 11, 23])
+    def test_flips_replay_to_the_normalized_output(self, tmp_path, capsys, seed):
+        # diagonal_flip rejects a replacement that does not join the apexes
+        # of the two faces at the shared edge.
+        graph = tmp_path / "rt60.json"
+        graph.write_text(random_triangulation(60, seed=seed).to_json())
+        out = tmp_path / "out"
+        assert main(["normalize", str(graph), "--output-dir", str(out)]) == 0
+        replay = PlanarEmbedding.from_json(graph.read_text())
+        for flip in json.loads((out / "rt60.flips.json").read_text()):
+            move = FlipMove(tuple(flip["shared_edge"]), tuple(flip["replacement"]))
+            replay = diagonal_flip(replay, move)
+        assert replay == PlanarEmbedding.from_json((out / "rt60.normalized.json").read_text())
+
     def test_standard_input_needs_no_flips(self, tmp_path, capsys):
         path = tmp_path / "std.json"
         path.write_text(PlanarEmbedding(standard_form(7).rotation).to_json())
@@ -550,8 +585,9 @@ class TestPinnedOutputBytes:
         assert self.sha256((out / "rt60.normalized.json").read_bytes()) == (
             "7a5635158eff6067fc53a3c0e62f7c225f8246f85edb01b0bf2a3040c8475696"
         )
+        # Re-pinned when each flip began to record its replacement edge.
         assert self.sha256((out / "rt60.flips.json").read_bytes()) == (
-            "326ba6ce1c6e526994412514b2fe3bc7d821a0d29d0f98b8233a20f82bfac177"
+            "850848e5d519692a604781d3fabb6b47bfd4051470a99f269719c1b8987d39f3"
         )
 
     def test_cliques_json(self, tmp_path, capsys):

@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -15,6 +16,7 @@ from pmfg import (
     random_triangulation,
     standard_form,
 )
+from pmfg.embedding import apex, trace_faces
 
 
 class TestFaceTracing:
@@ -60,6 +62,47 @@ class TestFaceTracing:
             for i in range(len(edge_sets)):
                 for j in range(i + 1, len(edge_sets)):
                     assert len(edge_sets[i] & edge_sets[j]) <= 1
+
+
+def pruned(emb: PlanarEmbedding, rng: random.Random, share: float) -> PlanarEmbedding:
+    """``emb`` without a random ``share`` of its edges, deleted one at a time
+    while the graph stays connected; share 1 leaves a spanning tree."""
+    rot = [list(nbrs) for nbrs in emb.rotation]
+    edges = list(emb.edges())
+    rng.shuffle(edges)
+    for u, v in edges[: round(share * len(edges))]:
+        reached, stack = {u}, [u]
+        while stack:
+            x = stack.pop()
+            for w in rot[x]:
+                if w not in reached and {x, w} != {u, v}:
+                    reached.add(w)
+                    stack.append(w)
+        if v in reached:
+            rot[u].remove(v)
+            rot[v].remove(u)
+    return PlanarEmbedding(rot)
+
+
+class TestApex:
+    def test_apex_is_the_step_of_trace_faces(self):
+        # For every dart u -> v, apex gives the vertex after v on the walk
+        # through u -> v, on triangulations and on connected embeddings
+        # pruned from them, whose walks repeat vertices.
+        rng = random.Random(12)
+        for n in range(4, 61):
+            tri = random_triangulation(n, seed=n)
+            tree = pruned(tri, rng, 1.0)
+            assert tree.e == n - 1
+            for emb in (tri, pruned(tri, rng, 0.4), tree):
+                walks, _ = trace_faces(emb.rotation)
+                after = {}
+                for walk in walks:
+                    k = len(walk)
+                    for i in range(k):
+                        after[walk[i], walk[(i + 1) % k]] = walk[(i + 2) % k]
+                want = {(u, v): apex(emb.rotation, u, v) for u, v in emb.darts()}
+                assert after == want, (n, emb.rotation)
 
 
 class TestEulerCheck:

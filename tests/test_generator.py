@@ -409,7 +409,7 @@ class TestWheelTable:
 
     def test_derived_tables_match_scratch_on_every_generated_class(self):
         for n in range(5, 10):
-            for rec in generate_all(n, check_deltas=False).values():
+            for rec in generate_all(n).values():
                 assert "_wheel_source" in rec.embedding.__dict__
                 assert eberhard_ops(rec.embedding) == from_scratch(rec.embedding)
 
@@ -824,7 +824,7 @@ class TestTrustedConstruction:
     def test_closures_build_only_valid_embeddings(self, audited):
         rng = random.Random(3)
         for n in range(4, 9):
-            for rec in generate_all(n, check_deltas=False).values():
+            for rec in generate_all(n).values():
                 emb = rec.embedding
                 perm = list(range(n))
                 rng.shuffle(perm)
@@ -901,7 +901,7 @@ class TestCanonicalCode:
 
     def test_bytes_match_exhaustive_reference_on_every_class(self, classes):
         embeddings = [rec.embedding for recs in classes.values() for rec in recs.values()]
-        embeddings += [rec.embedding for rec in generate_all(9, check_deltas=False).values()]
+        embeddings += [rec.embedding for rec in generate_all(9).values()]
         assert len(embeddings) == sum(CLASS_COUNTS[n] for n in range(4, 10))
         for emb in embeddings:
             assert canonical_code(emb).code == reference_code(emb)
@@ -997,7 +997,7 @@ class TestClosures:
 
     def test_ceiling_override(self):
         # n=10 exceeds the default ceiling but must work when raised.
-        assert len(generate_all(10, ceiling=10, check_deltas=False)) == 233
+        assert len(generate_all(10, ceiling=10)) == 233
 
     @pytest.mark.parametrize("n", [*range(4, 10), pytest.param(10, marks=pytest.mark.slow)])
     def test_orbit_pruning_matches_the_unpruned_loop(self, n):
@@ -1022,10 +1022,19 @@ class TestClosures:
         generate_all(9, on_application=lambda *call: reported.append(call))
         assert (len(applied), len(reported)) == (463, 1216)
 
+    def test_no_clique_audit_without_a_callback(self, monkeypatch):
+        censuses = []
+        count = pmfg.generator.count_cliques
+        monkeypatch.setattr(
+            pmfg.generator, "count_cliques", lambda emb: censuses.append(emb) or count(emb)
+        )
+        assert len(generate_all(9)) == 50
+        assert censuses == []
+
     @pytest.mark.slow
     @pytest.mark.parametrize("n", [10, 11])
     def test_closures_agree_beyond_the_fast_tier(self, n):
-        codes = set(generate_all(n, ceiling=n, check_deltas=False))
+        codes = set(generate_all(n, ceiling=n))
         assert len(codes) == CLASS_COUNTS[n]
         assert flip_closure(n, ceiling=n) == codes
 

@@ -1,3 +1,5 @@
+import inspect
+
 import pmfg
 import pmfg.generator
 import pmfg.verify
@@ -21,3 +23,10 @@ def test_removed_names_stay_removed():
     assert not hasattr(pmfg.generator, "find_pure_chord_cycles")
     assert not hasattr(PlanarEmbedding, "neighbor_masks")
     assert not hasattr(pmfg.verify, "BRUTE_CENSUS_LIMIT")
+
+
+def test_generate_all_audits_only_through_its_callback():
+    # Clique deltas are audited exactly when ``on_application`` is given, so
+    # there is no separate switch; the apex step lives in pmfg.embedding.
+    assert "check_deltas" not in inspect.signature(pmfg.generate_all).parameters
+    assert not hasattr(pmfg.generator, "_RotationApex")
