@@ -5,7 +5,12 @@ The package builds PMFGs from similarity matrices, censuses their 3- and
 wheel insertions and by diagonal flips, normalizes triangulations to the
 standard spherical form, and verifies the clique maxima 3n - 8 and n - 3
 exhaustively at small n.
+
+The package logger ``pmfg`` is silent unless the application configures
+logging; a campaign logs one INFO line per vertex count it verifies.
 """
+
+import logging
 
 from .builder import (
     PmfgResult,
@@ -47,6 +52,7 @@ from .generator import (
     eberhard_ops,
     flip_closure,
     generate_all,
+    generate_levels,
     k4,
     legal_flips,
     normalize_to_standard,
@@ -65,6 +71,8 @@ from .verify import (
 )
 
 __version__ = "0.1.0"
+
+logging.getLogger(__name__).addHandler(logging.NullHandler())
 
 __all__ = [
     "BoundsReport",
@@ -101,6 +109,7 @@ __all__ = [
     "euler_check",
     "flip_closure",
     "generate_all",
+    "generate_levels",
     "is_planar",
     "k4",
     "kuratowski_oracle",

@@ -25,7 +25,7 @@ import itertools
 import random
 import struct
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .cliques import count_cliques
 from .embedding import Edge, PlanarEmbedding, apex
@@ -607,18 +607,20 @@ def _op_image(op: EberhardOp, aut: Automorphism) -> tuple:
     )
 
 
-def generate_all(
-    n: int,
+def generate_levels(
+    n_max: int,
     *,
     ceiling: int = GENERATION_CEILING,
     on_application: Callable[[str, int, int], None] | None = None,
-) -> dict[CanonicalCode, GenerationRecord]:
-    """Closure of {K4} under phi1/phi2/phi3, deduplicated at every level.
+) -> Iterator[dict[CanonicalCode, GenerationRecord]]:
+    """Closure of {K4} under phi1/phi2/phi3, one level per vertex count.
 
-    Returns one record per isomorphism class of n-vertex sphere
-    triangulations.  When ``on_application`` is given, every application is
-    audited against the per-operation clique bounds, and the callback
-    receives (kind, dC3, dC4) for empirical recording.
+    Yields, for n = 4, 5, ..., n_max in turn, one record per isomorphism
+    class of n-vertex sphere triangulations, in the order the classes were
+    first found; each level is built once, from the one before it.  When
+    ``on_application`` is given, every application is audited against the
+    per-operation clique bounds, and the callback receives (kind, dC3, dC4)
+    for empirical recording.
 
     Each parent's ops are applied once per orbit of its automorphism group
     (McKay, J. Algorithms 26 (1998)).  An op that some automorphism maps
@@ -628,7 +630,7 @@ def generate_all(
     op is still reported to ``on_application``, with the deltas of the op it
     mirrors, which are equal; so every op is reported exactly once.
     """
-    _refuse_above_ceiling(n, ceiling)
+    _refuse_above_ceiling(n_max, ceiling)
     audit = on_application is not None
     seed = k4()
     code, auts = _canonical_search(seed.rotation)
@@ -636,7 +638,10 @@ def generate_all(
     # audited, else None), in the order the classes were first found.
     seed_counts = count_cliques(seed).counts if audit else None
     level = {code: (GenerationRecord(seed, (), code), auts, seed_counts)}
-    for _ in range(n - 4):
+    for n in itertools.count(4):
+        yield {code: rec for code, (rec, _, _) in level.items()}
+        if n == n_max:
+            return
         next_level: dict[CanonicalCode, tuple] = {}
         for rec, auts, counts in level.values():
             # Images of the ops applied so far under every automorphism
@@ -663,7 +668,19 @@ def generate_all(
                     record = GenerationRecord(child, rec.trace + (op,), ccode)
                     next_level[ccode] = (record, child_auts, child_counts)
         level = next_level
-    return {code: rec for code, (rec, _, _) in level.items()}
+
+
+def generate_all(
+    n: int,
+    *,
+    ceiling: int = GENERATION_CEILING,
+    on_application: Callable[[str, int, int], None] | None = None,
+) -> dict[CanonicalCode, GenerationRecord]:
+    """One record per isomorphism class of n-vertex sphere triangulations:
+    the last level of ``generate_levels(n)``, whose arguments it takes."""
+    for records in generate_levels(n, ceiling=ceiling, on_application=on_application):
+        pass
+    return records
 
 
 def flip_closure(n: int, *, ceiling: int = GENERATION_CEILING) -> set[CanonicalCode]:

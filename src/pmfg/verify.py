@@ -10,7 +10,9 @@ to one of the claimed identities, so it is loud and machine-readable.
 
 from __future__ import annotations
 
+import logging
 import os
+import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
@@ -25,15 +27,19 @@ from .errors import InputError, StructuralError, VerificationFailure
 # perfbench/spans.py traces canonical_code under this module's name.
 from .generator import (
     GENERATION_CEILING,
+    CanonicalCode,
     EberhardOp,
     GenerationRecord,
     canonical_code,
     flip_closure,
     generate_all,
+    generate_levels,
     normalize_to_standard,
     standard_form,
     standard_form_code,
 )
+
+_log = logging.getLogger(__name__)
 
 
 @dataclass
@@ -175,15 +181,21 @@ def _trace_json(trace: tuple[EberhardOp, ...]) -> list[dict]:
 
 
 def verify_level(n: int, *, ceiling: int = GENERATION_CEILING) -> BoundsReport:
-    """Run every check for one vertex count and collect the evidence."""
-    deltas: dict[str, list[int]] = {}
+    """Run every check for one vertex count and collect the evidence.
 
-    def record(kind: str, dc3: int, dc4: int) -> None:
-        lo3, hi3, lo4, hi4 = deltas.get(kind, [dc3, dc3, dc4, dc4])
-        deltas[kind] = [min(lo3, dc3), max(hi3, dc3), min(lo4, dc4), max(hi4, dc4)]
+    This is the campaign over n alone, so it still builds every level below n.
+    """
+    return run_campaign(n, n_min=n, ceiling=ceiling)[0]
 
-    records = generate_all(n, ceiling=ceiling, on_application=record)
-    flip_codes = flip_closure(n, ceiling=ceiling)
+
+def _check_level(
+    n: int,
+    records: dict[CanonicalCode, GenerationRecord],
+    flip_codes: set[CanonicalCode],
+    deltas: dict[str, list[int]],
+) -> BoundsReport:
+    """The report on one generated level, its flip closure and the clique
+    delta ranges of every insertion up to it."""
     std_code = standard_form_code(n)
     report = BoundsReport(
         n=n,
@@ -241,18 +253,44 @@ def verify_level(n: int, *, ceiling: int = GENERATION_CEILING) -> BoundsReport:
 def run_campaign(
     n_max: int, *, n_min: int = 4, ceiling: int = GENERATION_CEILING, workers: int = 1
 ) -> list[BoundsReport]:
-    """Verify every vertex count in [n_min, n_max], optionally in parallel.
+    """Verify every vertex count in [n_min, n_max] in one generation pass.
 
-    At most one worker runs per vertex count and per CPU.
+    Each level is generated once, from the one below it; the levels below
+    n_min are generated but not reported.  With ``workers`` k >= 2, a pool
+    of k - 1 processes (fewer when there are fewer levels, or fewer CPUs
+    besides this process's) computes the flip closures while this process
+    generates and checks the levels.
     """
     if n_min < 4 or n_max < n_min:
         raise InputError("campaign range must satisfy 4 <= n_min <= n_max")
     if workers < 1:
         raise InputError(f"workers must be at least 1, not {workers}")
-    ns = list(range(n_min, n_max + 1))
-    workers = min(workers, len(ns), os.cpu_count() or 1)
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(verify_level, n, ceiling=ceiling) for n in ns]
-            return [f.result() for f in futures]
-    return [verify_level(n, ceiling=ceiling) for n in ns]
+    ns = range(n_min, n_max + 1)
+    helpers = min(workers - 1, (os.cpu_count() or 1) - 1, len(ns))
+    deltas: dict[str, list[int]] = {}
+
+    def record(kind: str, dc3: int, dc4: int) -> None:
+        lo3, hi3, lo4, hi4 = deltas.get(kind, [dc3, dc3, dc4, dc4])
+        deltas[kind] = [min(lo3, dc3), max(hi3, dc3), min(lo4, dc4), max(hi4, dc4)]
+
+    reports = []
+    pool = ProcessPoolExecutor(max_workers=helpers) if helpers else None
+    try:
+        flips = {n: pool.submit(flip_closure, n, ceiling=ceiling) for n in ns} if pool else {}
+        start = time.perf_counter()
+        levels = generate_levels(n_max, ceiling=ceiling, on_application=record)
+        for n, records in enumerate(levels, 4):
+            if n < n_min:
+                continue
+            flip_codes = flips[n].result() if pool else flip_closure(n, ceiling=ceiling)
+            # record() replaces a range rather than editing it, so a copy of
+            # the dict keeps the ranges of the insertions up to n.
+            reports.append(_check_level(n, records, flip_codes, dict(deltas)))
+            _log.info(
+                "n=%d: %d classes verified in %.2f s", n, len(records), time.perf_counter() - start
+            )
+            start = time.perf_counter()
+    finally:
+        if pool:
+            pool.shutdown(cancel_futures=True)
+    return reports

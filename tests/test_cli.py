@@ -480,6 +480,19 @@ class TestVerifyCommand:
         assert doc["ok"] is True
         assert doc["classes"] == 1
 
+    def test_default_run_writes_nothing_to_stderr(self):
+        # The campaign logs each level to the pmfg logger, which is silent
+        # unless the application configures logging.
+        proc = subprocess.run(
+            [sys.executable, "-m", "pmfg.cli", "verify", "--n-max", "6"],
+            env={**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")},
+            capture_output=True,
+            text=True,
+            timeout=300,
+        )
+        assert proc.returncode == 0 and proc.stdout.count("\n") == 3
+        assert proc.stderr == ""
+
     def test_workers_env_var(self, monkeypatch, capsys):
         monkeypatch.setenv("PMFG_WORKERS", "2")
         assert main(["verify", "--n-max", "5", "--table"]) == 0
@@ -496,7 +509,8 @@ class TestVerifyCommand:
         def no_work(*args, **kwargs):
             raise AssertionError("nothing may run with an invalid worker count")
 
-        monkeypatch.setattr(pmfg.verify, "verify_level", no_work)
+        monkeypatch.setattr(pmfg.verify, "generate_levels", no_work)
+        monkeypatch.setattr(pmfg.verify, "flip_closure", no_work)
         monkeypatch.setattr(pmfg.verify, "ProcessPoolExecutor", no_work)
         if env is None:
             monkeypatch.delenv("PMFG_WORKERS", raising=False)
@@ -571,11 +585,15 @@ class TestPinnedOutputBytes:
             "f3373b552ebb2451686d188e381b3fefa8b9a0c447b17a7306d836742e91eb65"
         )
 
+    VERIFY_N_MAX_9 = "36332ad85c315ed4d998a12874290acd89f69cc81912c9e28777a165c809f828"
+
     def test_verify_n_max_9_stdout(self, capsys):
         assert main(["verify", "--n-max", "9", "--workers", "1"]) == 0
-        assert self.sha256(capsys.readouterr().out.encode()) == (
-            "36332ad85c315ed4d998a12874290acd89f69cc81912c9e28777a165c809f828"
-        )
+        assert self.sha256(capsys.readouterr().out.encode()) == self.VERIFY_N_MAX_9
+
+    def test_verify_n_max_9_stdout_with_two_workers(self, capsys):
+        assert main(["verify", "--n-max", "9", "--workers", "2"]) == 0
+        assert self.sha256(capsys.readouterr().out.encode()) == self.VERIFY_N_MAX_9
 
     def test_normalize_outputs(self, tmp_path, capsys):
         graph = tmp_path / "rt60.json"

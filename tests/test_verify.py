@@ -1,6 +1,8 @@
 import dataclasses
 import json
+import logging
 import os
+import re
 import subprocess
 import sys
 from itertools import combinations_with_replacement
@@ -29,16 +31,17 @@ from pmfg.cli import main
 TESTS = Path(__file__).resolve().parent
 
 
-def drop_a_face(generate_all):
-    """``generate_all`` whose first class reports one face too few."""
+def drop_a_face(generate_levels):
+    """``generate_levels`` whose first class of each level reports one face
+    too few."""
 
     def corrupted(*args, **kwargs):
-        records = generate_all(*args, **kwargs)
-        code, rec = next(iter(records.items()))
-        emb = PlanarEmbedding._trusted(rec.embedding.rotation)
-        emb.faces = rec.embedding.faces[1:]  # shadows the cached property
-        records[code] = dataclasses.replace(rec, embedding=emb)
-        return records
+        for records in generate_levels(*args, **kwargs):
+            code, rec = next(iter(records.items()))
+            emb = PlanarEmbedding._trusted(rec.embedding.rotation)
+            emb.faces = rec.embedding.faces[1:]  # shadows the cached property
+            records[code] = dataclasses.replace(rec, embedding=emb)
+            yield records
 
     return corrupted
 
@@ -134,7 +137,9 @@ class TestVerifyLevel:
         assert "FAILED" in capsys.readouterr().err
 
     def test_euler_breach_fails_the_report(self, monkeypatch, capsys):
-        monkeypatch.setattr(pmfg.verify, "generate_all", drop_a_face(pmfg.verify.generate_all))
+        monkeypatch.setattr(
+            pmfg.verify, "generate_levels", drop_a_face(pmfg.verify.generate_levels)
+        )
         report = verify_level(6)
         assert not report.ok
         assert [sorted(entry) for entry in report.bound_violations] == [
@@ -152,7 +157,7 @@ class TestVerifyLevel:
             "if not sys.flags.optimize:\n"
             "    sys.exit(3)\n"
             "import pmfg.verify, test_verify\n"
-            "pmfg.verify.generate_all = test_verify.drop_a_face(pmfg.verify.generate_all)\n"
+            "pmfg.verify.generate_levels = test_verify.drop_a_face(pmfg.verify.generate_levels)\n"
             "from pmfg.cli import main\n"
             "sys.exit(main(['verify', '--n-max', '5', '--workers', '1']))\n"
         )
@@ -194,7 +199,9 @@ def inflate_first_census(count_cliques):
 class TestReplayableViolations:
     @pytest.mark.parametrize("n", [6, 8])
     def test_euler_breach_replays_from_k4_to_its_class(self, monkeypatch, n):
-        monkeypatch.setattr(pmfg.verify, "generate_all", drop_a_face(pmfg.verify.generate_all))
+        monkeypatch.setattr(
+            pmfg.verify, "generate_levels", drop_a_face(pmfg.verify.generate_levels)
+        )
         doc = json.loads(json.dumps(verify_level(n).to_json_dict()))
         (entry,) = doc["bound_violations"]
         assert "euler" in entry and len(entry["trace"]) == n - 4
@@ -265,16 +272,59 @@ class TestCampaign:
         parallel = [r.to_json_dict() for r in run_campaign(6, workers=2)]
         assert serial == parallel
 
+    @pytest.mark.slow
+    def test_serial_and_parallel_agree_at_ten(self):
+        serial = [r.to_json_dict() for r in run_campaign(10, ceiling=10)]
+        parallel = [r.to_json_dict() for r in run_campaign(10, ceiling=10, workers=2)]
+        assert serial == parallel
+
+    def test_reports_equal_those_of_verify_level(self):
+        # Each report's delta ranges cover every insertion from K4 up to its
+        # n, as when verify_level builds the levels below n for itself.
+        campaign = [r.to_json_dict() for r in run_campaign(9)]
+        assert campaign == [verify_level(n).to_json_dict() for n in range(4, 10)]
+
+    def test_reports_from_n_min_are_the_tail_of_the_full_campaign(self):
+        tail = [r.to_json_dict() for r in run_campaign(8, n_min=6)]
+        assert tail == [r.to_json_dict() for r in run_campaign(8)][2:]
+
+    @pytest.mark.parametrize("n_min", [4, 7])
+    def test_each_insertion_is_applied_once(self, monkeypatch, n_min):
+        # One pass reaches every class up to n = 9 in 463 insertions, one per
+        # orbit of each parent's ops; rebuilding the levels below each n from
+        # K4 took 585.  standard_form's insertions build no class, so they
+        # are not counted.
+        apply_eberhard = pmfg.generator.apply_eberhard
+        applied = []
+
+        def counted(emb, op):
+            if sys._getframe(1).f_code.co_name != "standard_form":
+                applied.append(op)
+            return apply_eberhard(emb, op)
+
+        monkeypatch.setattr(pmfg.generator, "apply_eberhard", counted)
+        run_campaign(9, n_min=n_min)
+        assert len(applied) == 463
+
+    def test_logs_one_line_per_verified_level(self, caplog):
+        caplog.set_level(logging.INFO, logger="pmfg")
+        run_campaign(7, n_min=5)
+        line = re.compile(r"n=(\d+): (\d+) classes verified in \d+\.\d\d s")
+        pmfg_records = [r for r in caplog.records if r.name.startswith("pmfg")]
+        found = [line.fullmatch(r.getMessage()) for r in pmfg_records]
+        assert [m and m.groups() for m in found] == [("5", "1"), ("6", "2"), ("7", "5")]
+
     @pytest.mark.parametrize(
         "workers, n_max, cpus, expected",
-        [(64, 6, 8, [3]), (64, 13, 8, [8]), (5, 13, 8, [5]), (64, 13, None, []), (2, 4, 8, [])],
+        [(64, 6, 8, [3]), (64, 13, 8, [7]), (5, 13, 8, [4]), (64, 13, None, []), (2, 4, 8, [1])],
     )
     def test_workers_clamped_to_levels_and_cpus(
         self, monkeypatch, workers, n_max, cpus, expected
     ):
-        import pmfg.verify
-
-        pools = []
+        # k workers keep at most k processes busy: the campaign's own and a
+        # pool of k - 1, no larger than the spare CPUs or the number of
+        # levels.  The pool runs only the flip closures.
+        pools, submitted = [], []
 
         class Done:
             def __init__(self, value):
@@ -287,17 +337,21 @@ class TestCampaign:
             def __init__(self, max_workers):
                 pools.append(max_workers)
 
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
             def submit(self, fn, *args, **kwargs):
+                submitted.append(args)
                 return Done(fn(*args, **kwargs))
 
+            def shutdown(self, cancel_futures):
+                pass
+
+        def levels(n_max, **kwargs):
+            return ({} for _ in range(4, n_max + 1))
+
         monkeypatch.setattr(pmfg.verify, "ProcessPoolExecutor", RecordingPool)
-        monkeypatch.setattr(pmfg.verify, "verify_level", lambda n, ceiling: n)
+        monkeypatch.setattr(pmfg.verify, "generate_levels", levels)
+        monkeypatch.setattr(pmfg.verify, "flip_closure", lambda n, ceiling: n)
+        monkeypatch.setattr(pmfg.verify, "_check_level", lambda n, records, flips, deltas: flips)
         monkeypatch.setattr(pmfg.verify.os, "cpu_count", lambda: cpus)
         assert run_campaign(n_max, workers=workers) == list(range(4, n_max + 1))
         assert pools == expected
+        assert submitted == ([(n,) for n in range(4, n_max + 1)] if expected else [])
