@@ -32,8 +32,9 @@ class CliqueCensus:
     def counts(self) -> tuple[int, int]:
         return (self.c3_total, self.c4_total)
 
-    def to_json_dict(self, n: int | None = None) -> dict:
-        doc: dict = {
+    def to_json_dict(self, n: int) -> dict:
+        bounds = standard_form_expected(n)
+        return {
             "c3_total": self.c3_total,
             "c3_surface": self.c3_surface,
             "c3_separating": self.c3_separating,
@@ -41,17 +42,14 @@ class CliqueCensus:
             "surface_triangles": [list(t) for t in self.surface_triangles],
             "separating_triangles": [list(t) for t in self.separating_triangles],
             "four_cliques": [list(q) for q in self.four_cliques],
-        }
-        if n is not None:
-            bounds = standard_form_expected(n)
-            doc["bounds"] = {
+            "bounds": {
                 "c3_min": bounds.surface,
                 "c3_max": bounds.c3,
                 "c4_max": bounds.c4,
                 "c3_max_attained": self.c3_total == bounds.c3,
                 "c4_max_attained": self.c4_total == bounds.c4,
-            }
-        return doc
+            },
+        }
 
 
 class StandardFormCensus(NamedTuple):
@@ -127,10 +125,10 @@ def standard_form_expected(n: int) -> StandardFormCensus:
     )
 
 
-def brute_force_cliques(n: int, edges, *, ceiling: int = BRUTE_FORCE_CEILING) -> tuple[int, int]:
+def brute_force_cliques(n: int, edges) -> tuple[int, int]:
     """Count 3- and 4-cliques of an abstract graph by exhaustive subsets."""
-    if n > ceiling:
-        raise CeilingError(f"refusing brute-force census for n={n} > {ceiling}")
+    if n > BRUTE_FORCE_CEILING:
+        raise CeilingError(f"refusing brute-force census for n={n} > {BRUTE_FORCE_CEILING}")
     adj = [[False] * n for _ in range(n)]
     for u, v in edges:
         if u == v or not (0 <= u < n and 0 <= v < n):

@@ -17,7 +17,6 @@ the re-check.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, NamedTuple, Sequence
 
@@ -25,27 +24,11 @@ from .errors import InputError, StructuralError, VerificationFailure
 
 Edge = tuple[int, int]
 Dart = tuple[int, int]
-
-
-@dataclass(frozen=True)
-class Face:
-    """One face of an embedding, as the closed walk that traces its boundary.
-
-    In a triangulation every boundary is a 3-cycle.  For non-triangulated
-    embeddings a boundary walk may repeat vertices (walking a tree traverses
-    each edge twice), so ``degree`` counts boundary edge traversals, not
-    distinct vertices.
-    """
-
-    boundary: tuple[int, ...]
-
-    @property
-    def degree(self) -> int:
-        return len(self.boundary)
-
-    @property
-    def vertex_set(self) -> frozenset[int]:
-        return frozenset(self.boundary)
+# A face as the closed walk that traces its boundary, started at its least
+# point.  In a triangulation every boundary is a 3-cycle.  For other
+# embeddings a walk may repeat vertices (walking a tree traverses each edge
+# twice), so its length counts boundary edge traversals, not distinct vertices.
+Face = tuple[int, ...]
 
 
 class EulerReport(NamedTuple):
@@ -55,7 +38,7 @@ class EulerReport(NamedTuple):
     is_triangulation: bool
 
 
-def _canonical_walk(walk: list[int]) -> tuple[int, ...]:
+def _canonical_walk(walk: list[int]) -> Face:
     """Rotate a closed walk so it starts at its lexicographically best point."""
     best = None
     m = min(walk)
@@ -211,9 +194,7 @@ class PlanarEmbedding:
     @cached_property
     def faces(self) -> tuple[Face, ...]:
         walks, _ = trace_faces(self.rotation)
-        return tuple(
-            sorted((Face(_canonical_walk(w)) for w in walks), key=lambda f: f.boundary)
-        )
+        return tuple(sorted(_canonical_walk(w) for w in walks))
 
     def is_triangulation(self) -> bool:
         """Whether every face is a triangle, decided by the edge count alone.
@@ -272,8 +253,8 @@ class PlanarEmbedding:
         if self.labels is not None and len(self.labels) != n:
             raise StructuralError("labels must cover every vertex")
         if self.outer_face is not None:
-            outer = frozenset(self.outer_face)
-            if not any(f.vertex_set == outer for f in self.faces):
+            outer = set(self.outer_face)
+            if not any(set(f) == outer for f in self.faces):
                 raise StructuralError("outer_face marker does not match any face")
 
     # ------------------------------------------------------------------
@@ -367,11 +348,12 @@ class PlanarEmbedding:
             raise InputError(f"invalid JSON: {exc}") from exc
         return cls.from_json_dict(doc)
 
-    def to_dot(self, name: str = "G") -> str:
-        lines = [f"graph {name} {{"]
-        for v in range(self.n):
-            if self.labels is not None:
-                lines.append(f'  {v} [label="{self.labels[v]}"];')
+    def to_dot(self) -> str:
+        lines = ["graph G {"]
+        for v, label in enumerate(self.labels or ()):
+            # In a DOT quoted string a backslash escapes the next character.
+            label = label.replace("\\", "\\\\").replace('"', '\\"')
+            lines.append(f'  {v} [label="{label}"];')
         for u, v in self.edges():
             lines.append(f"  {u} -- {v};")
         lines.append("}")
@@ -391,7 +373,7 @@ def euler_check(emb: PlanarEmbedding) -> EulerReport:
     internal corruption, and a violation raises ``VerificationFailure``.
     """
     n, e, f = emb.n, emb.e, len(emb.faces)
-    tri = all(face.degree == 3 for face in emb.faces)
+    tri = all(len(face) == 3 for face in emb.faces)
     if tri and not (e == 3 * n - 6 and f == 2 * n - 4 and 3 * f == 2 * e):
         raise VerificationFailure(
             f"triangulation breaks Euler's identities: n={n} e={e} f={f}"

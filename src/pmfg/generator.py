@@ -77,17 +77,9 @@ class FlipMove:
     replacement: Edge | None = None
 
 
-@dataclass(frozen=True, order=True)
-class CanonicalCode:
-    """Isomorphism-class key of a triangulation (reflection included)."""
-
-    code: bytes
-
-    def hex(self) -> str:
-        return self.code.hex()
-
-    def __repr__(self) -> str:
-        return f"CanonicalCode({self.code.hex()})"
+# Isomorphism-class key of a triangulation (reflection included); see
+# ``canonical_code``.
+CanonicalCode = bytes
 
 
 @dataclass(frozen=True)
@@ -122,8 +114,8 @@ def standard_form(n: int) -> PlanarEmbedding:
     emb = k4()
     while emb.n < n:
         emb = apply_eberhard(emb, EberhardOp((0, 1, emb.n - 1)))
-    outer = next(f for f in emb.faces if f.vertex_set == frozenset((0, 1, 2)))
-    return PlanarEmbedding._trusted(emb.rotation, outer_face=outer.boundary)
+    outer = next(f for f in emb.faces if set(f) == {0, 1, 2})
+    return PlanarEmbedding._trusted(emb.rotation, outer_face=outer)
 
 
 # ----------------------------------------------------------------------
@@ -171,6 +163,8 @@ def eberhard_ops(emb: PlanarEmbedding) -> list[EberhardOp]:
     child of a parent that has no table yet, builds the table from scratch
     with the same two helpers.  Each call returns a fresh list.
     """
+    if emb.n < 4:  # both sides of a lone triangle are faces: no region
+        raise InputError("wheel insertions need n >= 4")
     if not emb.is_triangulation():
         raise StructuralError("pure chord-cycle search requires a triangulation")
     table = _wheel_table(emb)
@@ -259,8 +253,6 @@ def _scratch_table(emb: PlanarEmbedding) -> _WheelTable:
                 faces.append((u, v, w))
             w = u
     faces.sort()
-    if emb.n == 3:  # a lone triangle bounds no region beyond its two faces
-        return _WheelTable(faces, {f: (EberhardOp(f), ()) for f in faces}, [[], [], []])
     return _WheelTable(
         faces,
         {f: _face_ops(f, emb.rotation) for f in faces},
@@ -383,7 +375,7 @@ def apply_eberhard(emb: PlanarEmbedding, op: EberhardOp) -> PlanarEmbedding:
         arrival = walk[i - 1]
         rot[v].insert(rot[v].index(arrival), hub)
     child = PlanarEmbedding._trusted(rot)
-    if emb.n > 3 and "_wheel_table" in emb.__dict__:
+    if "_wheel_table" in emb.__dict__:
         # The child's first eberhard_ops call derives its table from this one.
         child._wheel_source = (emb, walk)
     return child
@@ -539,7 +531,7 @@ def _canonical_search(
         for x, y in zip(order0, order):
             aut[x] = y
         auts.append(tuple(aut))
-    return CanonicalCode(struct.pack(f">{len(code)}H", *code)), tuple(auts)
+    return struct.pack(f">{len(code)}H", *code), tuple(auts)
 
 
 def canonical_code(emb: PlanarEmbedding) -> CanonicalCode:

@@ -412,7 +412,7 @@ def _lr_rotation(
 # ----------------------------------------------------------------------
 
 
-def kuratowski_oracle(n: int, edges, *, ceiling: int = ORACLE_CEILING) -> bool:
+def kuratowski_oracle(n: int, edges) -> bool:
     """True iff the graph contains no subdivision of K5 or of K3,3.
 
     By Kuratowski's theorem this is exactly planarity.  The decision is made
@@ -420,9 +420,9 @@ def kuratowski_oracle(n: int, edges, *, ceiling: int = ORACLE_CEILING) -> bool:
     internally disjoint connecting paths among the remaining vertices.
     """
     edge_list = _check_graph(n, edges)
-    if n > ceiling:
+    if n > ORACLE_CEILING:
         raise CeilingError(
-            f"oracle is exponential; refusing n={n} > ceiling={ceiling}"
+            f"oracle is exponential; refusing n={n} > ceiling={ORACLE_CEILING}"
         )
     masks = [0] * n
     for u, v in edge_list:

@@ -152,10 +152,14 @@ def degree_multisets(n: int) -> list[tuple[int, ...]]:
 
 
 def degree_census(n: int, *, ceiling: int = GENERATION_CEILING) -> DegreeSequenceCensus:
-    """Compare possible degree multisets with those realized by some class."""
+    """Compare possible degree multisets with those realized by some class.
+
+    The closure's ceiling refuses n before the multisets, whose number
+    grows rapidly with n, are enumerated."""
+    records = generate_all(n, ceiling=ceiling)
     candidates = degree_multisets(n)
     realized: dict[tuple[int, ...], int] = {}
-    for rec in generate_all(n, ceiling=ceiling).values():
+    for rec in records.values():
         seq = tuple(degree_sequence(rec.embedding))
         realized[seq] = realized.get(seq, 0) + 1
     unknown = set(realized) - set(candidates)
@@ -180,12 +184,13 @@ def _trace_json(trace: tuple[EberhardOp, ...]) -> list[dict]:
     ]
 
 
-def verify_level(n: int, *, ceiling: int = GENERATION_CEILING) -> BoundsReport:
+def verify_level(n: int) -> BoundsReport:
     """Run every check for one vertex count and collect the evidence.
 
     This is the campaign over n alone, so it still builds every level below n.
+    Above ``GENERATION_CEILING``, call ``run_campaign(n, n_min=n, ceiling=n)``.
     """
-    return run_campaign(n, n_min=n, ceiling=ceiling)[0]
+    return run_campaign(n, n_min=n)[0]
 
 
 def _check_level(

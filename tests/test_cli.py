@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -553,6 +554,22 @@ class TestDegreeCensusCommand:
         doc = json.loads(capsys.readouterr().out)
         assert doc["realizable_sequences"] == [[4, 4, 4, 3, 3]]
 
+    def test_ceiling_exits_2_quickly(self):
+        # The degree multisets of n = 40 are far too many to enumerate; the
+        # ceiling must refuse first.
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+        start = time.perf_counter()
+        proc = subprocess.run(
+            [sys.executable, "-m", "pmfg.cli", "degree-census", "--n", "40"],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert time.perf_counter() - start < 5
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
+
     def test_unenumerated_realized_sequence_exits_1_with_one_line(
         self, monkeypatch, capsys
     ):
@@ -569,7 +586,8 @@ class TestDegreeCensusCommand:
 
 class TestPinnedOutputBytes:
     """sha256 of CLI outputs, recorded at commit c395e97 (the ``cliques``
-    JSON at commit 9e8a2b5).
+    JSON at commit 9e8a2b5; the ``build`` files, the ``degree-census``
+    stdout and the DOT file at commit 0aa9130).
 
     Internal rewrites of generation, flips and canonical codes must keep
     every byte; these digests turn that into a test.
@@ -614,4 +632,37 @@ class TestPinnedOutputBytes:
         assert main(["cliques", str(graph)]) == 0
         assert self.sha256(capsys.readouterr().out.encode()) == (
             "3550f99413ec76b94c19801a514630bc344018d12ac15813861ba1d9f8f7aad6"
+        )
+
+    def test_build_outputs(self, tmp_path, capsys):
+        rng = np.random.default_rng(12)
+        path = tmp_path / "returns.csv"
+        rows = [",".join(f"E{i:02d}" for i in range(12))]
+        rows += [",".join(f"{x:.6f}" for x in row) for row in rng.normal(size=(60, 12))]
+        path.write_text("\n".join(rows) + "\n")
+        out = tmp_path / "out"
+        argv = ["build", str(path), "--format", "returns", "--output-dir", str(out)]
+        assert main(argv) == 0
+        digests = {
+            suffix: self.sha256((out / f"returns.{suffix}").read_bytes())
+            for suffix in ("pmfg.json", "acceptance.csv", "census.json")
+        }
+        assert digests == {
+            "pmfg.json": "ea033131c98eb8d516d403221f2d8e4d864e31e724db8785984d18a05d25d68d",
+            "acceptance.csv": "483695e26ab814d1aef7b5dc40fb7422c194b5e5d56d782d5fa5d5dce1679eaf",
+            "census.json": "fd5241fe2ec095003df1cfb97943913267c898716ec85e7ccbd100e88f362ec2",
+        }
+
+    def test_degree_census_n8_sequences_stdout(self, capsys):
+        assert main(["degree-census", "--n", "8", "--sequences"]) == 0
+        assert self.sha256(capsys.readouterr().out.encode()) == (
+            "9ac672f4b0797f3af1af7008c17f36e514c9e4823b8a038a595fc9b5d1efb8da"
+        )
+
+    def test_generate_n6_dot(self, tmp_path, capsys):
+        dots = tmp_path / "dots"
+        argv = ["generate", "--n", "6", "--output-dir", str(tmp_path), "--dot-dir", str(dots)]
+        assert main(argv) == 0
+        assert self.sha256((dots / "n6_1.dot").read_bytes()) == (
+            "75427bb30999d1d1c26ed701b358b3a228c3a2ca93f511efa2115abb0fb28a3f"
         )

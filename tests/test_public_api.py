@@ -30,3 +30,21 @@ def test_generate_all_audits_only_through_its_callback():
     # there is no separate switch; the apex step lives in pmfg.embedding.
     assert "check_deltas" not in inspect.signature(pmfg.generate_all).parameters
     assert not hasattr(pmfg.generator, "_RotationApex")
+
+
+def test_codes_are_bytes_and_faces_are_tuples():
+    assert pmfg.CanonicalCode is bytes
+    assert pmfg.Face == tuple[int, ...]
+    assert isinstance(pmfg.canonical_code(pmfg.k4()), bytes)
+    assert all(type(face) is tuple for face in pmfg.k4().faces)
+
+
+def test_knobs_no_caller_sets_stay_constants():
+    # The ceilings of the verifiers are module constants (ORACLE_CEILING,
+    # BRUTE_FORCE_CEILING, the campaign's GENERATION_CEILING), a DOT file is
+    # always the graph G, and a clique census is always stated against n.
+    for func in (pmfg.verify_level, pmfg.kuratowski_oracle, pmfg.brute_force_cliques):
+        assert "ceiling" not in inspect.signature(func).parameters, func.__name__
+    assert "name" not in inspect.signature(PlanarEmbedding.to_dot).parameters
+    n = inspect.signature(pmfg.CliqueCensus.to_json_dict).parameters["n"]
+    assert n.default is inspect.Parameter.empty

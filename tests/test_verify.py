@@ -14,6 +14,7 @@ import pmfg.generator
 import pmfg.verify
 from pmfg import (
     CanonicalCode,
+    CeilingError,
     EberhardOp,
     InputError,
     PlanarEmbedding,
@@ -96,6 +97,14 @@ class TestDegreeCensus:
         assert doc["n"] == 5
         assert doc["realizable"] == 1
         assert doc["realizable_sequences"] == [[4, 4, 4, 3, 3]]
+
+    def test_ceiling_refuses_before_enumerating_multisets(self, monkeypatch):
+        def enumerated(n):
+            raise AssertionError("degree multisets enumerated past the ceiling")
+
+        monkeypatch.setattr(pmfg.verify, "degree_multisets", enumerated)
+        with pytest.raises(CeilingError):
+            degree_census(11)
 
 
 class TestVerifyLevel:
