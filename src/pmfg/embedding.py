@@ -111,10 +111,11 @@ class PlanarEmbedding:
     lists are mutually symmetric, contain no self-loops or duplicates, the
     graph is connected, and the face-tracing walk closes up with
     n - e + f = 2.  ``_trusted`` skips the checks and keeps tuple entries of
-    the rotation as given; only code that derives the rotation from a valid
-    embedding uses it (``relabel``, ``mirrored``, the wheel insertions, flips
-    and standard form of ``pmfg.generator``, and ``pmfg.builder.build_pmfg``
-    on the rotation ``is_planar`` has just validated).
+    the rotation, or a whole tuple rotation, as given; only code that
+    derives the rotation from a valid embedding uses it (``relabel``,
+    ``mirrored``, the wheel insertions, flips and standard form of
+    ``pmfg.generator``, and ``pmfg.builder.build_pmfg`` on the rotation
+    ``is_planar`` has just validated).
 
     ``labels`` is an optional side table of external names (one per vertex);
     it is never consulted by any algorithm.  ``outer_face`` optionally marks
@@ -145,11 +146,16 @@ class PlanarEmbedding:
 
     def _store(self, rotation, labels, outer_face) -> None:
         """Canonicalise list entries but keep tuple entries as given, so a
-        tuple is passed only when canonical, like an unchanged parent entry."""
-        self.rotation: tuple[tuple[int, ...], ...] = tuple(
-            nbrs if type(nbrs) is tuple else _canonical_rotation(nbrs)
-            for nbrs in rotation
-        )
+        tuple is passed only when canonical, like an unchanged parent entry.
+        A tuple of canonical tuples is kept whole: a wheel insertion or flip
+        hands over its parent's entries with only the ones it touched
+        rebuilt, so it does no Python work per untouched vertex."""
+        if type(rotation) is not tuple:
+            rotation = tuple(
+                nbrs if type(nbrs) is tuple else _canonical_rotation(nbrs)
+                for nbrs in rotation
+            )
+        self.rotation: tuple[tuple[int, ...], ...] = rotation
         self.labels: tuple[str, ...] | None = tuple(labels) if labels else None
         self.outer_face: tuple[int, ...] | None = (
             tuple(outer_face) if outer_face else None
@@ -165,7 +171,7 @@ class PlanarEmbedding:
 
     @cached_property
     def e(self) -> int:
-        return sum(len(nbrs) for nbrs in self.rotation) // 2
+        return sum(map(len, self.rotation)) // 2
 
     def degree(self, v: int) -> int:
         return len(self.rotation[v])

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import bisect
 import functools
+import heapq
 import itertools
 import random
 import struct
@@ -28,7 +29,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .cliques import count_cliques
-from .embedding import Edge, PlanarEmbedding, apex
+from .embedding import Edge, PlanarEmbedding, _canonical_rotation, apex
 from .errors import (
     CeilingError,
     FlipForbiddenError,
@@ -340,7 +341,9 @@ def apply_eberhard(emb: PlanarEmbedding, op: EberhardOp) -> PlanarEmbedding:
             raise OperationError(f"cycle vertices {u}, {v} are not adjacent")
     cycle_set = frozenset(verts)
     # Only the cycle vertices change; the rest keep the parent's tuples.
-    rot = [list(r) if v in cycle_set else r for v, r in enumerate(emb.rotation)]
+    rot = list(emb.rotation)
+    for v in verts:
+        rot[v] = list(rot[v])
     for u, v in chords:
         if not {u, v} <= cycle_set or not emb.has_edge(u, v):
             raise OperationError(f"chord ({u}, {v}) is not an interior edge")
@@ -374,7 +377,9 @@ def apply_eberhard(emb: PlanarEmbedding, op: EberhardOp) -> PlanarEmbedding:
     for i, v in enumerate(walk):
         arrival = walk[i - 1]
         rot[v].insert(rot[v].index(arrival), hub)
-    child = PlanarEmbedding._trusted(rot)
+    for v in (*walk, hub):
+        rot[v] = _canonical_rotation(rot[v])
+    child = PlanarEmbedding._trusted(tuple(rot))
     if "_wheel_table" in emb.__dict__:
         # The child's first eberhard_ops call derives its table from this one.
         child._wheel_source = (emb, walk)
@@ -409,18 +414,22 @@ def diagonal_flip(emb: PlanarEmbedding, move: FlipMove) -> PlanarEmbedding:
         raise OperationError(
             f"replacement {move.replacement} does not match faces at ({a}, {c})"
         )
-    rot = [list(r) if v in (a, c, p, q) else r for v, r in enumerate(emb.rotation)]
+    rot = list(emb.rotation)
+    for v in (a, c, p, q):
+        rot[v] = list(rot[v])
     rot[a].remove(c)
     rot[c].remove(a)
     rot[p].insert(rot[p].index(c), q)
     rot[q].insert(rot[q].index(a), p)
+    for v in (a, c, p, q):
+        rot[v] = _canonical_rotation(rot[v])
     outer = emb.outer_face
     if outer is not None and frozenset(outer) in (
         frozenset((a, c, p)),
         frozenset((a, c, q)),
     ):
         outer = None
-    return PlanarEmbedding._trusted(rot, labels=emb.labels, outer_face=outer)
+    return PlanarEmbedding._trusted(tuple(rot), labels=emb.labels, outer_face=outer)
 
 
 def legal_flips(emb: PlanarEmbedding) -> list[FlipMove]:
@@ -704,15 +713,16 @@ def flip_closure(n: int, *, ceiling: int = GENERATION_CEILING) -> set[CanonicalC
 # ----------------------------------------------------------------------
 
 
-def _degree_raising_flip(emb: PlanarEmbedding, p: int) -> FlipMove:
+def _degree_raising_flip(emb: PlanarEmbedding, p: int, start: int = 0) -> FlipMove:
     """A flip that raises deg(p), or failing that strictly reduces the
     number of edges among p's neighbors (after which a raising flip must
-    eventually appear).  Every returned move is legal."""
+    eventually appear).  Every returned move is legal.  The link scan
+    begins at link edge ``start``; the caller vouches for the ones before."""
     link = emb.rotation[p]
     nbrs = set(link)
     d = len(link)
     # Link edges whose far apex is not yet a neighbor: flipping joins p to it.
-    for i in range(d):
+    for i in range(start, d):
         x, y = link[i], link[(i + 1) % d]
         w1, w2 = _face_apexes(emb, x, y)
         w = w2 if w1 == p else w1
@@ -731,25 +741,6 @@ def _degree_raising_flip(emb: PlanarEmbedding, p: int) -> FlipMove:
     raise StructuralError(f"no degree-raising flip available for vertex {p}")
 
 
-def _fan_flip(emb: PlanarEmbedding, p: int, q: int) -> FlipMove:
-    """With p dominant, flip a polygon chord whose face is opposite q.
-
-    The chords facing q join consecutive neighbors of q; the smallest one
-    off p whose far face avoids p is flipped.  The replacement joins q
-    across the chord; it can never pre-exist, since it would have to cross
-    the chord inside the polygon.
-    """
-    ring = emb.rotation[q]
-    chords = [
-        (x, y) if x < y else (y, x)
-        for x, y in zip(ring, ring[1:] + ring[:1])
-        if p not in (x, y) and p not in _face_apexes(emb, x, y)
-    ]
-    if not chords:
-        raise StructuralError(f"no fan flip available toward vertex {q}")
-    return FlipMove(min(chords))
-
-
 def _recorded(emb: PlanarEmbedding, move: FlipMove) -> FlipMove:
     """The move with its replacement: the edge joining the apexes of the two
     faces at its shared edge."""
@@ -761,12 +752,23 @@ def normalize_to_standard(
 ) -> tuple[PlanarEmbedding, list[FlipMove]]:
     """Flip a triangulation into the standard spherical form.
 
-    First a chosen pole is flipped up to degree n - 1; every such flip either
-    raises the pole degree or strictly shrinks the chord structure inside its
-    neighborhood, so the phase terminates.  The rest of the graph is then a
-    triangulated polygon, which is fanned from a second pole; those flips are
-    always legal.  Each intermediate graph is a simple triangulation, and
-    each move of the returned trace names its replacement edge.
+    First a chosen pole p is flipped up to degree n - 1; every such flip
+    either raises the pole degree or strictly shrinks the chord structure
+    inside its neighborhood, so the phase terminates.  The rest of the graph
+    is then a triangulated polygon, which is fanned from a second pole q by
+    flipping the smallest chord facing q: an edge between consecutive
+    neighbors of q, off p, whose far face avoids p.  Those flips are always
+    legal.  Each intermediate graph is a simple triangulation, and each
+    move of the returned trace names its replacement edge.
+
+    A flip of the edge x, y whose faces have apexes u and w changes no other
+    face, and its edges x, w and w, y take the place of x, y in u's
+    rotation.  So the raising phase's link scan resumes at the link edge
+    just flipped, as every link edge before it still has a far apex that
+    already neighbors p; it starts over after a chord flip, and when the new
+    neighbor leads p's rotation.  The fan phase keeps q's flippable chords
+    in a heap and adds only each flip's two new ones.  Both phases thus pick
+    the moves of a scan over every edge.
     """
     if not emb.is_triangulation():
         raise StructuralError("normalization requires a triangulation")
@@ -777,18 +779,37 @@ def normalize_to_standard(
     trace: list[FlipMove] = []
     p = max(range(n), key=lambda v: (cur.degree(v), -v))
     guard = 10 * n * n + 64
+    start = 0
     while cur.degree(p) < n - 1:
-        move = _recorded(cur, _degree_raising_flip(cur, p))
+        move = _recorded(cur, _degree_raising_flip(cur, p, start))
         cur = diagonal_flip(cur, move)
         trace.append(move)
+        # Resume at the link edge before a new neighbor; a chord flip restarts.
+        x, y = move.replacement
+        start = max(cur.rotation[p].index(x + y - p) - 1, 0) if p in (x, y) else 0
         guard -= 1
         if guard <= 0:
             raise StructuralError("normalization did not converge")
     q = max(cur.rotation[p], key=lambda v: (cur.degree(v), -v))
+    chords: list[Edge] = []
+
+    def push_chord(x: int, y: int) -> None:
+        if p not in (x, y) and p not in _face_apexes(cur, x, y):
+            heapq.heappush(chords, (x, y) if x < y else (y, x))
+
+    ring = cur.rotation[q]
+    for x, y in zip(ring, ring[1:] + ring[:1]):
+        push_chord(x, y)
     while cur.degree(q) < n - 1:
-        move = _recorded(cur, _fan_flip(cur, p, q))
+        if not chords:
+            raise StructuralError(f"no fan flip available toward vertex {q}")
+        move = _recorded(cur, FlipMove(heapq.heappop(chords)))
         cur = diagonal_flip(cur, move)
         trace.append(move)
+        x, y = move.shared_edge
+        w = sum(move.replacement) - q  # the new neighbor of q
+        push_chord(x, w)
+        push_chord(w, y)
         guard -= 1
         if guard <= 0:
             raise StructuralError("normalization did not converge")

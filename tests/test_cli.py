@@ -587,7 +587,8 @@ class TestDegreeCensusCommand:
 class TestPinnedOutputBytes:
     """sha256 of CLI outputs, recorded at commit c395e97 (the ``cliques``
     JSON at commit 9e8a2b5; the ``build`` files, the ``degree-census``
-    stdout and the DOT file at commit 0aa9130).
+    stdout and the DOT file at commit 0aa9130; the n = 150 ``normalize``
+    files at commit 4af0c11).
 
     Internal rewrites of generation, flips and canonical codes must keep
     every byte; these digests turn that into a test.
@@ -624,6 +625,19 @@ class TestPinnedOutputBytes:
         # Re-pinned when each flip began to record its replacement edge.
         assert self.sha256((out / "rt60.flips.json").read_bytes()) == (
             "850848e5d519692a604781d3fabb6b47bfd4051470a99f269719c1b8987d39f3"
+        )
+
+    def test_normalize_outputs_n150(self, tmp_path, capsys):
+        # Above n = 64 normalization skips its canonical-code check.
+        graph = tmp_path / "rt150.json"
+        graph.write_text(random_triangulation(150, seed=11).to_json())
+        out = tmp_path / "out"
+        assert main(["normalize", str(graph), "--output-dir", str(out)]) == 0
+        assert self.sha256((out / "rt150.normalized.json").read_bytes()) == (
+            "55a5e8f07011965928dfabea9ceb0c65085b46de8bd2fab949c746dd5b1b9c27"
+        )
+        assert self.sha256((out / "rt150.flips.json").read_bytes()) == (
+            "545d6c3e370b420d96b321184762418870936d24eec5e147c2de69c9bb188056"
         )
 
     def test_cliques_json(self, tmp_path, capsys):

@@ -44,7 +44,8 @@ from pmfg.generator import (
     _canonical_search,
     _degree_raising_flip,
     _face_apexes,
-    _fan_flip,
+    _recorded,
+    generate_levels,
     standard_form_code,
 )
 from conftest import brute_isomorphic
@@ -254,7 +255,8 @@ def scanning_degree_raising_flip(emb: PlanarEmbedding, p: int) -> FlipMove:
 
 
 def scanning_fan_flip(emb: PlanarEmbedding, p: int, q: int) -> FlipMove:
-    """``_fan_flip`` as it was when it scanned every edge in sorted order."""
+    """The fan phase's move, from a scan of every edge in sorted order: the
+    smallest chord facing q whose ends and far face avoid p."""
     for x, y in sorted(emb.edges()):
         if p in (x, y) or q in (x, y):
             continue
@@ -262,6 +264,30 @@ def scanning_fan_flip(emb: PlanarEmbedding, p: int, q: int) -> FlipMove:
         if p not in (w1, w2) and q in (w1, w2):
             return FlipMove((x, y))
     raise StructuralError(f"no fan flip available toward vertex {q}")
+
+
+def scanning_normalization(
+    emb: PlanarEmbedding,
+) -> tuple[PlanarEmbedding, list[FlipMove], Counter]:
+    """``normalize_to_standard`` with every move picked by the full scans
+    above: its result, its trace, and how many moves each phase picked
+    ("link" and "chord" raise the pole, "fan" fans from the second pole)."""
+    n = emb.n
+    trace: list[FlipMove] = []
+    phases: Counter = Counter()
+    p = max(range(n), key=lambda v: (emb.degree(v), -v))
+    while emb.degree(p) < n - 1:
+        move = _recorded(emb, scanning_degree_raising_flip(emb, p))
+        phases["link" if p in move.replacement else "chord"] += 1
+        emb = diagonal_flip(emb, move)
+        trace.append(move)
+    q = max(emb.rotation[p], key=lambda v: (emb.degree(v), -v))
+    while emb.degree(q) < n - 1:
+        move = _recorded(emb, scanning_fan_flip(emb, p, q))
+        phases["fan"] += 1
+        emb = diagonal_flip(emb, move)
+        trace.append(move)
+    return emb, trace, phases
 
 
 def cycles_of_length(emb: PlanarEmbedding, k: int) -> list[EberhardOp]:
@@ -725,24 +751,31 @@ class TestFlipScans:
         assert chord_moves > 100, chord_moves
 
     def test_fan_flip_matches_the_full_scan(self):
-        # Every neighbor q of a dominant pole p, on the way to the standard form.
-        checked = 0
+        # The fan phase of normalization, after the raising phase, on the way
+        # to the standard form.
+        fan_moves = 0
         for n in range(6, 61, 3):
             emb = random_triangulation(n, seed=n)
-            p = max(range(n), key=lambda v: (emb.degree(v), -v))
-            while emb.degree(p) < n - 1:
-                emb = diagonal_flip(emb, _degree_raising_flip(emb, p))
-            for _ in range(n):
-                for q in emb.rotation[p]:
-                    if emb.degree(q) < n - 1:
-                        want = self.outcome(scanning_fan_flip, emb, p, q)
-                        assert self.outcome(_fan_flip, emb, p, q) == want, (emb.rotation, p, q)
-                        checked += 1
-                q = max(emb.rotation[p], key=lambda v: (emb.degree(v), -v))
-                if emb.degree(q) == n - 1:
-                    break
-                emb = diagonal_flip(emb, _fan_flip(emb, p, q))
-        assert checked > 1000, checked
+            want, trace, phases = scanning_normalization(emb)
+            assert normalize_to_standard(emb) == (want, trace), n
+            fan_moves += phases["fan"]
+        assert fan_moves > 300, fan_moves
+
+    def test_normalization_matches_the_full_scans(self):
+        # The whole flip path: every class up to n = 9, then random
+        # triangulations whose raising phases reach the chord phase.
+        for records in generate_levels(9):
+            for rec in records.values():
+                want, trace, _ = scanning_normalization(rec.embedding)
+                assert normalize_to_standard(rec.embedding) == (want, trace), rec.trace
+        phases: Counter = Counter()
+        for n in range(10, 151, 10):
+            for seed in range(3):
+                emb = random_triangulation(n, seed=seed)
+                want, trace, used = scanning_normalization(emb)
+                assert normalize_to_standard(emb) == (want, trace), (n, seed)
+                phases += used
+        assert min(phases["link"], phases["fan"]) > 1000 and phases["chord"] > 30, phases
 
 
 class TestDiagonalFlip:
@@ -799,6 +832,34 @@ class TestDiagonalFlip:
             return
         move = moves[seed % len(moves)]
         assert diagonal_flip(diagonal_flip(emb, move), FlipMove(move.replacement)) == emb
+
+
+class TestStructureSharing:
+    """A child keeps every rotation entry it does not touch as its parent's
+    own tuple."""
+
+    @staticmethod
+    def rebuilt(parent: PlanarEmbedding, child: PlanarEmbedding) -> list[int]:
+        return [
+            v for v, nbrs in enumerate(child.rotation)
+            if v >= parent.n or nbrs is not parent.rotation[v]
+        ]
+
+    def test_insertion_rebuilds_only_the_wheel(self):
+        for n in (4, 5, 12, 40):
+            emb = random_triangulation(n, seed=n)
+            for op in eberhard_ops(emb):
+                child = apply_eberhard(emb, op)
+                assert self.rebuilt(emb, child) == sorted(op.cycle) + [emb.n], op
+                assert child.e == emb.e + 3
+
+    def test_flip_rebuilds_only_its_four_vertices(self):
+        for n in (5, 12, 40):
+            emb = random_triangulation(n, seed=n)
+            for move in legal_flips(emb):
+                child = diagonal_flip(emb, move)
+                assert self.rebuilt(emb, child) == sorted(move.shared_edge + move.replacement)
+                assert child.e == emb.e
 
 
 @pytest.fixture
@@ -1066,6 +1127,20 @@ class TestNormalization:
                     replay = diagonal_flip(replay, move)
                     assert euler_check(replay).is_triangulation
                 assert replay == normalized
+
+    def test_every_flip_goes_through_diagonal_flip(self, monkeypatch):
+        # The grow-normalize benchmark counts normalization's flips as calls
+        # of the module-level diagonal_flip.
+        calls = []
+        flip = pmfg.generator.diagonal_flip
+
+        def counted(emb, move):
+            calls.append(move)
+            return flip(emb, move)
+
+        monkeypatch.setattr(pmfg.generator, "diagonal_flip", counted)
+        _, trace = normalize_to_standard(random_triangulation(80, seed=5))
+        assert calls == trace and len(trace) > 0
 
     def test_labels_survive_normalization(self):
         emb = PlanarEmbedding(
