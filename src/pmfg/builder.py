@@ -351,7 +351,7 @@ def build_pmfg(
     verdict = is_planar(n, [(u, v) for u, v, _ in accepted])
     if not verdict.planar or verdict.embedding is None:
         raise VerificationFailure("the accepted edges fail the final planarity test")
-    emb = PlanarEmbedding._trusted(verdict.embedding.rotation, labels=sim.labels)
+    emb = PlanarEmbedding._trusted(verdict.embedding.rotation, labels=tuple(sim.labels))
     return PmfgResult(
         embedding=emb,
         accepted=tuple(accepted),

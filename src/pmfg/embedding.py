@@ -11,7 +11,7 @@ Validation happens only at the trust boundaries: the public
 JSON documents and the left-right planarity test's output.  Operations that
 derive a rotation from a valid embedding check their own preconditions
 instead, and build the result through ``PlanarEmbedding._trusted`` without
-the re-check.
+the re-check; they hand it the stored shape, canonical tuples only.
 """
 
 from __future__ import annotations
@@ -110,12 +110,14 @@ class PlanarEmbedding:
     The public constructor validates the full set of invariants: neighbor
     lists are mutually symmetric, contain no self-loops or duplicates, the
     graph is connected, and the face-tracing walk closes up with
-    n - e + f = 2.  ``_trusted`` skips the checks and keeps tuple entries of
-    the rotation, or a whole tuple rotation, as given; only code that
-    derives the rotation from a valid embedding uses it (``relabel``,
-    ``mirrored``, the wheel insertions, flips and standard form of
-    ``pmfg.generator``, and ``pmfg.builder.build_pmfg`` on the rotation
-    ``is_planar`` has just validated).
+    n - e + f = 2.  ``_trusted`` skips the checks and stores its arguments
+    as given, so it takes exactly the stored shape: a tuple of rotation
+    tuples, each started at its least neighbor, and labels and outer face
+    each a tuple or None.  Only code that derives the rotation from a valid
+    embedding uses it (``relabel``, ``mirrored``, the wheel insertions,
+    flips and standard form of ``pmfg.generator``, and
+    ``pmfg.builder.build_pmfg`` on the rotation ``is_planar`` has just
+    validated).
 
     ``labels`` is an optional side table of external names (one per vertex);
     it is never consulted by any algorithm.  ``outer_face`` optionally marks
@@ -129,37 +131,29 @@ class PlanarEmbedding:
         labels: Sequence[str] | None = None,
         outer_face: Sequence[int] | None = None,
     ) -> None:
-        self._store([list(nbrs) for nbrs in rotation], labels, outer_face)
+        self.rotation: tuple[tuple[int, ...], ...] = tuple(
+            map(_canonical_rotation, rotation)
+        )
+        self.labels: tuple[str, ...] | None = tuple(labels) if labels else None
+        self.outer_face: tuple[int, ...] | None = (
+            tuple(outer_face) if outer_face else None
+        )
         self._validate()
 
     @classmethod
     def _trusted(
         cls,
-        rotation: Sequence[Sequence[int]],
-        labels: Sequence[str] | None = None,
-        outer_face: Sequence[int] | None = None,
+        rotation: tuple[tuple[int, ...], ...],
+        labels: tuple[str, ...] | None = None,
+        outer_face: tuple[int, ...] | None = None,
     ) -> "PlanarEmbedding":
-        """An embedding whose validity the caller has established."""
+        """An embedding whose validity and stored shape the caller has
+        established.  A wheel insertion or flip hands over its parent's
+        entries with only the ones it touched rebuilt, so it does no Python
+        work per untouched vertex."""
         emb = cls.__new__(cls)
-        emb._store(rotation, labels, outer_face)
+        emb.rotation, emb.labels, emb.outer_face = rotation, labels, outer_face
         return emb
-
-    def _store(self, rotation, labels, outer_face) -> None:
-        """Canonicalise list entries but keep tuple entries as given, so a
-        tuple is passed only when canonical, like an unchanged parent entry.
-        A tuple of canonical tuples is kept whole: a wheel insertion or flip
-        hands over its parent's entries with only the ones it touched
-        rebuilt, so it does no Python work per untouched vertex."""
-        if type(rotation) is not tuple:
-            rotation = tuple(
-                nbrs if type(nbrs) is tuple else _canonical_rotation(nbrs)
-                for nbrs in rotation
-            )
-        self.rotation: tuple[tuple[int, ...], ...] = rotation
-        self.labels: tuple[str, ...] | None = tuple(labels) if labels else None
-        self.outer_face: tuple[int, ...] | None = (
-            tuple(outer_face) if outer_face else None
-        )
 
     # ------------------------------------------------------------------
     # Basic accessors
@@ -276,28 +270,25 @@ class PlanarEmbedding:
         return hash(self.rotation)
 
     def __repr__(self) -> str:
-        return f"PlanarEmbedding(n={self.n}, e={self.e}, f={len(self.faces)})"
+        # Every instance is a connected sphere embedding: f = 2 - n + e.
+        return f"PlanarEmbedding(n={self.n}, e={self.e}, f={2 - self.n + self.e})"
 
     def relabel(self, perm: Sequence[int]) -> "PlanarEmbedding":
         """Rename vertex v to perm[v], preserving the cyclic orders."""
         if sorted(perm) != list(range(self.n)):
             raise InputError("perm must be a permutation of the vertex ids")
-        new_rot: list[list[int]] = [[] for _ in range(self.n)]
-        for v, nbrs in enumerate(self.rotation):
-            new_rot[perm[v]] = [perm[w] for w in nbrs]
-        labels = None
-        if self.labels is not None:
-            relabeled = [""] * self.n
-            for v, name in enumerate(self.labels):
-                relabeled[perm[v]] = name
-            labels = relabeled
+        old = sorted(range(self.n), key=perm.__getitem__)  # perm[old[x]] == x
+        rotation = tuple(
+            _canonical_rotation([perm[w] for w in self.rotation[v]]) for v in old
+        )
+        labels = tuple(self.labels[v] for v in old) if self.labels else None
         outer = tuple(perm[v] for v in self.outer_face) if self.outer_face else None
-        return PlanarEmbedding._trusted(new_rot, labels=labels, outer_face=outer)
+        return PlanarEmbedding._trusted(rotation, labels=labels, outer_face=outer)
 
     def mirrored(self) -> "PlanarEmbedding":
         """The reflected embedding (every rotation reversed)."""
         return PlanarEmbedding._trusted(
-            [list(reversed(nbrs)) for nbrs in self.rotation],
+            tuple(_canonical_rotation(nbrs[::-1]) for nbrs in self.rotation),
             labels=self.labels,
             outer_face=self.outer_face,
         )

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .cliques import count_cliques
-from .embedding import Edge, PlanarEmbedding, _canonical_rotation, apex
+from .embedding import Edge, PlanarEmbedding, _canonical_rotation, apex, degree_sequence
 from .errors import (
     CeilingError,
     FlipForbiddenError,
@@ -138,7 +138,8 @@ def eberhard_ops(emb: PlanarEmbedding) -> list[EberhardOp]:
     ops of each face in sorted face order.
 
     The faces are the triples (u, v, apex(rotation, u, v)) with u their
-    minimum, sorted: exactly ``emb.faces``.
+    minimum, sorted: exactly ``emb.faces``, which a table built from scratch
+    reads.
 
     On a triangulation with n >= 4 no two faces share their vertex set.  So
     the two faces at an edge bound a 4-cycle, the faces across two sides of
@@ -246,14 +247,7 @@ def _wheel_table(emb: PlanarEmbedding) -> _WheelTable:
 
 def _scratch_table(emb: PlanarEmbedding) -> _WheelTable:
     """The table read off every face and vertex of ``emb``."""
-    faces: list[tuple[int, int, int]] = []
-    for v, nbrs in enumerate(emb.rotation):
-        w = nbrs[-1]
-        for u in nbrs:
-            if u < v and u < w:
-                faces.append((u, v, w))
-            w = u
-    faces.sort()
+    faces = list(emb.faces)
     return _WheelTable(
         faces,
         {f: _face_ops(f, emb.rotation) for f in faces},
@@ -813,8 +807,8 @@ def normalize_to_standard(
         guard -= 1
         if guard <= 0:
             raise StructuralError("normalization did not converge")
-    expected = sorted([n - 1, n - 1] + [4] * (n - 4) + [3, 3], reverse=True)
-    got = sorted((cur.degree(v) for v in range(n)), reverse=True)
+    expected = [n - 1, n - 1] + [4] * (n - 4) + [3, 3]
+    got = degree_sequence(cur)
     if got != expected:
         raise VerificationFailure(f"normalized degrees {got} are not {expected}")
     if n <= 64 and canonical_code(cur) != standard_form_code(n):

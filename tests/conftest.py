@@ -56,6 +56,12 @@ def high_degree_eight(classes) -> PlanarEmbedding:
 
 
 @pytest.fixture(scope="session")
+def chorded_square() -> PlanarEmbedding:
+    """The 4-cycle 0-1-2-3 with the chord 0-2: two triangles and a quad."""
+    return PlanarEmbedding(((1, 2, 3), (0, 2), (0, 1, 3), (0, 2)))
+
+
+@pytest.fixture(scope="session")
 def p5() -> PlanarEmbedding:
     return standard_form(5)
 

@@ -195,7 +195,25 @@ class TestCorrelation:
             correlation_from_returns(table, ["a", "b"])
 
 
+    def test_one_dimensional_table_rejected(self):
+        with pytest.raises(InputError, match="two-dimensional"):
+            correlation_from_returns(np.array([1.0, 2.0, 3.0]), ["a"])
+
+    def test_label_count_must_match_columns(self):
+        table = np.array([[1.0, 2.0, 0.5], [2.0, 1.0, 0.1], [0.3, 0.7, 0.2]])
+        with pytest.raises(InputError, match="one label per column"):
+            correlation_from_returns(table, ["a", "b"])
+
+
 class TestSimilarityMatrix:
+    def test_non_square_rejected(self):
+        with pytest.raises(InputError, match="square"):
+            SimilarityMatrix(("a", "b"), np.zeros((2, 3)))
+
+    def test_label_count_must_match_rows(self):
+        with pytest.raises(InputError, match="one label per matrix row"):
+            SimilarityMatrix(("a", "b", "c"), np.eye(2))
+
     def test_nan_rejected_with_labels(self):
         values = np.array([[1.0, np.nan], [np.nan, 1.0]])
         with pytest.raises(InputError, match="a.*b|NaN"):

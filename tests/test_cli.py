@@ -459,6 +459,22 @@ class TestFlipCommand:
         flipped = PlanarEmbedding.from_json(out.read_text())
         assert not flipped.has_edge(u, v)
 
+    def test_flip_without_output_prints_the_result(self, alt6_path, capsys):
+        emb = PlanarEmbedding.from_json(alt6_path.read_text())
+        u, v = next(iter(emb.edges()))
+        assert main(["flip", str(alt6_path), str(u), str(v)]) == 0
+        expected = diagonal_flip(emb, FlipMove((u, v))).to_json(indent=2) + "\n"
+        assert capsys.readouterr().out == expected
+
+    def test_flip_beside_a_non_triangle_exits_2(self, chorded_square, tmp_path, capsys):
+        path = tmp_path / "square.json"
+        path.write_text(chorded_square.to_json())
+        assert main(["flip", str(path), "0", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert "not both triangles" in captured.err
+
     def test_forbidden_flip_exits_2(self, tmp_path, capsys):
         path = tmp_path / "k4.json"
         from pmfg import k4

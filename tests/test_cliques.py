@@ -115,6 +115,10 @@ class TestBruteForce:
         with pytest.raises(CeilingError):
             brute_force_cliques(17, [])
 
+    def test_self_loop_rejected(self):
+        with pytest.raises(InputError, match="bad edge"):
+            brute_force_cliques(4, [(0, 0)])
+
 
 class TestReport:
     def test_json_report_structure(self):

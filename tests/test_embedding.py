@@ -248,3 +248,25 @@ class TestTransforms:
     def test_embedding_equality_is_rotation_equality(self):
         assert PlanarEmbedding(k4().rotation) == k4()
         assert standard_form(5) != k4()
+
+    def test_equality_with_another_type_is_false(self):
+        assert (k4() == 5) is False
+        assert k4() != "k4"
+
+    def test_equal_rotations_hash_alike(self):
+        assert len({k4(), PlanarEmbedding(k4().rotation)}) == 1
+
+
+class TestRepr:
+    def test_k4(self):
+        assert repr(k4()) == "PlanarEmbedding(n=4, e=6, f=4)"
+
+    def test_face_count_comes_from_euler_without_tracing(self):
+        emb = PlanarEmbedding._trusted(standard_form(9).rotation)
+        assert repr(emb) == "PlanarEmbedding(n=9, e=21, f=14)"
+        assert "faces" not in emb.__dict__
+        assert len(emb.faces) == 14
+
+    def test_non_triangulation(self):
+        path = PlanarEmbedding(((1,), (0, 2), (1,)))
+        assert repr(path) == "PlanarEmbedding(n=3, e=2, f=1)"

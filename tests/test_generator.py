@@ -873,6 +873,11 @@ def audited(monkeypatch):
     trusted = PlanarEmbedding._trusted.__func__
 
     def checked(cls, rotation, labels=None, outer_face=None):
+        # _trusted stores its arguments as given: they must be the stored shape.
+        assert type(rotation) is tuple
+        assert all(type(nbrs) is tuple and nbrs[0] == min(nbrs) for nbrs in rotation)
+        assert labels is None or type(labels) is tuple
+        assert outer_face is None or type(outer_face) is tuple
         emb = trusted(cls, rotation, labels, outer_face)
         rebuilt = PlanarEmbedding(emb.rotation, labels=emb.labels, outer_face=emb.outer_face)
         assert rebuilt.rotation == emb.rotation
@@ -882,6 +887,48 @@ def audited(monkeypatch):
 
     monkeypatch.setattr(PlanarEmbedding, "_trusted", classmethod(checked))
     return made
+
+
+class TestApplyTrace:
+    @pytest.mark.parametrize("n", [8, 40, 150])
+    def test_replays_a_normalization_trace(self, n):
+        emb = random_triangulation(n, seed=n)
+        normalized, trace = normalize_to_standard(emb)
+        assert apply_trace(emb, trace) == normalized
+
+    def test_replays_a_mixed_trace(self):
+        seed = standard_form(6)
+        op = eberhard_ops(seed)[0]
+        cur = apply_eberhard(seed, op)
+        trace = [op]
+        for _ in range(3):
+            move = legal_flips(cur)[-1]
+            cur = diagonal_flip(cur, move)
+            trace.append(move)
+        assert apply_trace(seed, trace) == cur
+
+    def test_foreign_step_rejected(self):
+        with pytest.raises(InputError, match="foreign"):
+            apply_trace(k4(), [(0, 1)])
+
+
+class TestNonTriangulationRefusals:
+    def test_wheel_insertions_and_flips_need_a_triangulation(self, chorded_square):
+        with pytest.raises(StructuralError):
+            eberhard_ops(chorded_square)
+        with pytest.raises(StructuralError):
+            legal_flips(chorded_square)
+
+    @pytest.mark.parametrize("edge", [(0, 1), (1, 2), (2, 3), (0, 3)])
+    def test_flip_beside_the_quad_rejected(self, chorded_square, edge):
+        with pytest.raises(StructuralError, match="not both triangles"):
+            diagonal_flip(chorded_square, FlipMove(edge))
+
+    def test_standard_form_and_normalization_need_four_vertices(self):
+        with pytest.raises(InputError):
+            standard_form(3)
+        with pytest.raises(InputError):
+            normalize_to_standard(PlanarEmbedding(((1, 2), (0, 2), (0, 1))))
 
 
 class TestTrustedConstruction:

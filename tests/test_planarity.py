@@ -63,6 +63,10 @@ class TestIsPlanar:
         with pytest.raises(InputError, match="outside"):
             is_planar(3, [(0, 5)])
 
+    def test_negative_vertex_count_rejected(self):
+        with pytest.raises(InputError, match="non-negative"):
+            is_planar(-1, [])
+
     def test_disconnected_planar_has_no_single_sphere_embedding(self):
         verdict = is_planar(4, [(0, 1), (2, 3)])
         assert verdict.planar
