@@ -118,10 +118,18 @@ def correlation_from_returns(
                     raise InputError(
                         f"column {labels[j]} is constant; correlation undefined"
                     )
-            corr = np.corrcoef(table, rowvar=False)
+            # One column gives a 0-d array; the refusal belongs to build_pmfg.
+            corr = np.corrcoef(table, rowvar=False).reshape(len(labels), len(labels))
         except FloatingPointError as exc:
             raise InputError(f"returns table overflows double precision: {exc}") from exc
     return SimilarityMatrix(tuple(labels), corr, correlation=True)
+
+
+def _rank_key(labels: tuple[str, ...], entry: tuple[int, int, float]) -> tuple:
+    """Scan position of a weighted pair: descending weight, then the
+    (min label, max label) pair.  Labels are unique, so no two pairs tie."""
+    u, v, w = entry
+    return (-w, *sorted((labels[u], labels[v])))
 
 
 def weighted_edge_list(
@@ -135,24 +143,21 @@ def weighted_edge_list(
     """
     if tie_policy not in ("lexicographic", "strict"):
         raise InputError(f"unknown tie policy {tie_policy!r}")
-    n = sim.n
-    pairs = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            w = float(sim.values[i, j])
-            a, b = sorted((sim.labels[i], sim.labels[j]))
-            pairs.append((-w, a, b, i, j))
-    pairs.sort()
+    n, labels = sim.n, sim.labels
+    pairs = [
+        (i, j, float(sim.values[i, j])) for i in range(n) for j in range(i + 1, n)
+    ]
+    pairs.sort(key=lambda entry: _rank_key(labels, entry))
     if tie_policy == "strict":
         tied = [
-            ((pairs[k][3], pairs[k][4]), (pairs[k + 1][3], pairs[k + 1][4]))
+            (pairs[k][:2], pairs[k + 1][:2])
             for k in range(len(pairs) - 1)
-            if pairs[k][0] == pairs[k + 1][0]
+            if pairs[k][2] == pairs[k + 1][2]
         ]
         if tied:
             listing = "; ".join(f"{x} ~ {y}" for x, y in tied)
             raise InputError(f"tied weights under strict policy: {listing}")
-    return tuple((i, j, -negw) for negw, _, _, i, j in pairs)
+    return tuple(pairs)
 
 
 def _face_masks(n: int, walks: list[list[int]]) -> list[int]:
@@ -427,21 +432,13 @@ def acceptance_log_csv(result: PmfgResult) -> str:
     Ranks are positions in the descending-weight scan; pairs past the early
     stop were never examined and do not appear.
     """
-    labels = result.labels or tuple(
-        str(v) for v in range(result.embedding.n)
-    )
-
-    def rank_key(entry: tuple[int, int, float]) -> tuple:
-        u, v, w = entry
-        a, b = sorted((labels[u], labels[v]))
-        return (-w, a, b)
-
-    merged = [(rank_key(t), "accepted", t) for t in result.accepted]
-    merged += [(rank_key(t), "rejected", t) for t in result.rejected]
-    merged.sort(key=lambda item: item[0])
+    labels = result.labels
+    merged = [(t, "accepted") for t in result.accepted]
+    merged += [(t, "rejected") for t in result.rejected]
+    merged.sort(key=lambda item: _rank_key(labels, item[0]))
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(["rank", "u", "v", "weight", "status"])
-    for rank, (_, status, (u, v, w)) in enumerate(merged, start=1):
+    for rank, ((u, v, w), status) in enumerate(merged, start=1):
         writer.writerow([rank, labels[u], labels[v], repr(w), status])
     return buf.getvalue()

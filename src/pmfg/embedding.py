@@ -24,10 +24,10 @@ from .errors import InputError, StructuralError, VerificationFailure
 
 Edge = tuple[int, int]
 Dart = tuple[int, int]
-# A face as the closed walk that traces its boundary, started at its least
-# point.  In a triangulation every boundary is a 3-cycle.  For other
-# embeddings a walk may repeat vertices (walking a tree traverses each edge
-# twice), so its length counts boundary edge traversals, not distinct vertices.
+# A face as the closed walk that traces its boundary, started where
+# ``trace_faces`` starts it.  In a triangulation every boundary is a 3-cycle.
+# For other embeddings a walk may repeat vertices (walking a tree traverses each
+# edge twice), so its length counts boundary edge traversals, not distinct vertices.
 Face = tuple[int, ...]
 
 
@@ -36,20 +36,6 @@ class EulerReport(NamedTuple):
     e: int
     f: int
     is_triangulation: bool
-
-
-def _canonical_walk(walk: list[int]) -> Face:
-    """Rotate a closed walk so it starts at its lexicographically best point."""
-    best = None
-    m = min(walk)
-    for i, v in enumerate(walk):
-        if v != m:
-            continue
-        cand = tuple(walk[i:] + walk[:i])
-        if best is None or cand < best:
-            best = cand
-    assert best is not None
-    return best
 
 
 def _is_vertex(x: object) -> bool:
@@ -70,9 +56,11 @@ def trace_faces(
 ) -> tuple[list[list[int]], dict[Dart, int]]:
     """Boundary walks of a rotation system, and the walk index of every dart.
 
-    Each walk follows ``apex`` from dart to dart.  The rotation need not be
-    a valid embedding: isolated vertices lie on no walk, and a disconnected
-    rotation gives the walks of each component.
+    Each walk follows ``apex`` from dart to dart.  It starts at its least
+    vertex, by that vertex's first dart on it in rotation order, since
+    vertices are scanned in ascending order.  The rotation need not be a valid
+    embedding: isolated vertices lie on no walk, and a disconnected rotation
+    gives the walks of each component.
     """
     walks: list[list[int]] = []
     face_of: dict[Dart, int] = {}
@@ -134,9 +122,9 @@ class PlanarEmbedding:
         self.rotation: tuple[tuple[int, ...], ...] = tuple(
             map(_canonical_rotation, rotation)
         )
-        self.labels: tuple[str, ...] | None = tuple(labels) if labels else None
+        self.labels: tuple[str, ...] | None = None if labels is None else tuple(labels)
         self.outer_face: tuple[int, ...] | None = (
-            tuple(outer_face) if outer_face else None
+            None if outer_face is None else tuple(outer_face)
         )
         self._validate()
 
@@ -170,9 +158,6 @@ class PlanarEmbedding:
     def degree(self, v: int) -> int:
         return len(self.rotation[v])
 
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        return self.rotation[v]
-
     def has_edge(self, u: int, v: int) -> bool:
         return v in self.rotation[u]
 
@@ -182,19 +167,15 @@ class PlanarEmbedding:
                 if u < v:
                     yield (u, v)
 
-    def darts(self) -> Iterator[Dart]:
-        for u, nbrs in enumerate(self.rotation):
-            for v in nbrs:
-                yield (u, v)
-
     # ------------------------------------------------------------------
     # Faces
     # ------------------------------------------------------------------
 
     @cached_property
     def faces(self) -> tuple[Face, ...]:
+        """The walks of ``trace_faces``, in sorted order."""
         walks, _ = trace_faces(self.rotation)
-        return tuple(sorted(_canonical_walk(w) for w in walks))
+        return tuple(sorted(map(tuple, walks)))
 
     def is_triangulation(self) -> bool:
         """Whether every face is a triangle, decided by the edge count alone.

@@ -108,15 +108,15 @@ def standard_form(n: int) -> PlanarEmbedding:
     Two poles (vertices 0 and 1) are adjacent to everything; the remaining
     vertices form a path, giving degrees [n-1, n-1, 4, ..., 4, 3, 3].  Built
     by repeatedly inserting a hub into a face containing both poles.  The
-    face {0, 1, 2} is marked as the unbounded one for plane-relative counts.
+    face (0, 2, 1) is marked as the unbounded one for plane-relative counts:
+    it is a face of K4, and every hub fills a face (0, 1, n - 1) instead.
     """
     if n < 4:
         raise InputError("standard form is defined for n >= 4")
     emb = k4()
     while emb.n < n:
         emb = apply_eberhard(emb, EberhardOp((0, 1, emb.n - 1)))
-    outer = next(f for f in emb.faces if set(f) == {0, 1, 2})
-    return PlanarEmbedding._trusted(emb.rotation, outer_face=outer)
+    return PlanarEmbedding._trusted(emb.rotation, outer_face=(0, 2, 1))
 
 
 # ----------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import csv
+import io
 import math
 from collections import Counter
 from dataclasses import astuple
@@ -266,6 +268,16 @@ class TestWeightedEdgeList:
         with pytest.raises(InputError, match="tied weights"):
             weighted_edge_list(sim, tie_policy="strict")
 
+    def test_strict_policy_lists_each_tie_of_neighbouring_ranks(self):
+        values = np.full((3, 3), 0.5)
+        np.fill_diagonal(values, 1.0)
+        sim = SimilarityMatrix(("a", "b", "c"), values)
+        with pytest.raises(InputError) as excinfo:
+            weighted_edge_list(sim, tie_policy="strict")
+        assert str(excinfo.value) == (
+            "tied weights under strict policy: (0, 1) ~ (0, 2); (0, 2) ~ (1, 2)"
+        )
+
     def test_unknown_policy_rejected(self):
         with pytest.raises(InputError):
             weighted_edge_list(random_similarity(4, seed=1), tie_policy="fastest")
@@ -388,6 +400,24 @@ class TestCsvInterfaces:
         statuses = {r[4] for r in rows}
         assert statuses <= {"accepted", "rejected"}
         assert sum(r[4] == "accepted" for r in rows) == 12
+
+    def test_acceptance_log_follows_the_scan_order(self):
+        # Ties broken by labels that do not follow the index order: the log
+        # must list the examined prefix of the scan, pair for pair.
+        base = sector_similarity(16, seed=9)
+        labels = [f"L{k:02d}" for k in np.random.default_rng(9).permutation(16)]
+        sim = SimilarityMatrix(tuple(labels), np.round(base.values, 1))
+        result = build_pmfg(sim)
+        accepted = set(result.accepted)
+        ranked = weighted_edge_list(sim)[: len(accepted) + len(result.rejected)]
+        assert len({w for _, _, w in ranked}) < len(ranked) // 4
+        want = [
+            [str(rank), labels[u], labels[v], repr(w),
+             "accepted" if (u, v, w) in accepted else "rejected"]
+            for rank, (u, v, w) in enumerate(ranked, start=1)
+        ]
+        rows = list(csv.reader(io.StringIO(acceptance_log_csv(result))))
+        assert rows[1:] == want
 
 
 class TestIncrementalGate:

@@ -143,6 +143,13 @@ class TestBuildCommand:
         census = json.loads((out / "returns.census.json").read_text())
         assert census["accepted_edges"] == 9
 
+    def test_one_column_returns_refused_for_too_few_entities(self, tmp_path, capsys):
+        path = tmp_path / "returns.csv"
+        path.write_text("A\n0.1\n0.2\n0.3\n")
+        argv = ["build", str(path), "--format", "returns", "--output-dir", str(tmp_path)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "error: PMFG needs at least 3 entities\n"
+
     def test_overflowing_returns_exit_2_without_warnings(self, tmp_path):
         # Finite entries whose squares overflow make every correlation undefined.
         path = tmp_path / "returns.csv"
@@ -250,6 +257,29 @@ class TestCliquesCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: graph document:")
         assert len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            (
+                {"n": 4, "rotation": [[1, 3, 2], [2, 3, 0], [0, 3, 1], [0, 1, 2]], "labels": []},
+                "labels must cover every vertex",
+            ),
+            (
+                {"n": 4, "rotation": [[1, 3, 2], [2, 3, 0], [0, 3, 1], [0, 1, 2]], "outer_face": []},
+                "outer_face marker does not match any face",
+            ),
+            ({"n": 1, "rotation": [[]]}, "an embedding needs at least two vertices"),
+        ],
+        ids=["empty-labels", "empty-outer-face", "one-vertex"],
+    )
+    def test_invalid_graph_document_exits_2(self, tmp_path, capsys, doc, message):
+        # Well-formed JSON whose embedding breaks an invariant: an empty
+        # field is checked like any other, not dropped.
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        assert main(["cliques", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 RETURNS4_CSV = (
@@ -555,6 +585,22 @@ def test_unsafe_ceiling_zero_is_a_ceiling_not_unset(monkeypatch, capsys, tmp_pat
     monkeypatch.chdir(tmp_path)
     assert main([*argv, "--unsafe-ceiling", "0"]) == 2
     assert "exceeds the closure ceiling 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "name, value, argv",
+    [("PMFG_WORKERS", "two", ["verify"]), ("PMFG_CEILING", "x", ["generate", "--n", "5"])],
+)
+def test_non_integer_environment_variable_exits_2(
+    monkeypatch, capsys, tmp_path, name, value, argv
+):
+    monkeypatch.setenv(name, value)
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        f"error: environment variable {name}={value!r} is not an integer\n"
+    )
+    assert list(tmp_path.iterdir()) == []
 
 
 class TestDegreeCensusCommand:

@@ -10,8 +10,11 @@ from pmfg import (
     PlanarEmbedding,
     StructuralError,
     VerificationFailure,
+    apply_eberhard,
     degree_sequence,
+    eberhard_ops,
     euler_check,
+    generate_levels,
     k4,
     random_triangulation,
     standard_form,
@@ -42,12 +45,41 @@ class TestFaceTracing:
         walked = []
         for b in emb.faces:
             walked.extend((b[i], b[(i + 1) % len(b)]) for i in range(len(b)))
-        assert sorted(walked) == sorted(emb.darts())
+        darts = [(u, v) for u, nbrs in enumerate(emb.rotation) for v in nbrs]
+        assert sorted(walked) == sorted(darts)
 
     def test_face_degree_sum_is_twice_edge_count(self):
         for n in (4, 6, 9, 12):
             emb = standard_form(n)
             assert sum(len(f) for f in emb.faces) == 2 * emb.e
+
+    def test_a_walk_through_its_least_vertex_twice_starts_at_its_first_dart(self):
+        # Vertex 0 is a cut vertex: the outer walk passes it twice and starts
+        # with the dart 0 -> 3, which comes first in 0's rotation.
+        emb = PlanarEmbedding(((1, 3, 2), (0, 3), (0,), (0, 1)))
+        assert emb.faces == ((0, 1, 3), (0, 3, 1, 0, 2))
+
+    def test_faces_of_triangulations_start_at_their_least_point(self):
+        # A face cycle meets its least vertex once, so ``trace_faces``'s
+        # start is the lexicographically least rotation of the walk.
+        def lexicographic_faces(emb):
+            walks, _ = trace_faces(emb.rotation)
+            starts = (
+                min(tuple(w[i:] + w[:i]) for i, x in enumerate(w) if x == min(w))
+                for w in walks
+            )
+            return tuple(sorted(starts))
+
+        embeddings = [
+            rec.embedding for level in generate_levels(9) for rec in level.values()
+        ]
+        for seed in range(20):
+            rng, emb = random.Random(seed), k4()
+            while emb.n < 40:
+                emb = apply_eberhard(emb, rng.choice(eberhard_ops(emb)))
+                embeddings.append(emb)
+        for emb in embeddings:
+            assert emb.faces == lexicographic_faces(emb), emb.rotation
 
     def test_two_faces_meet_along_at_most_one_edge(self):
         for seed in range(5):
@@ -99,7 +131,11 @@ class TestApex:
                     k = len(walk)
                     for i in range(k):
                         after[walk[i], walk[(i + 1) % k]] = walk[(i + 2) % k]
-                want = {(u, v): apex(emb.rotation, u, v) for u, v in emb.darts()}
+                want = {
+                    (u, v): apex(emb.rotation, u, v)
+                    for u, nbrs in enumerate(emb.rotation)
+                    for v in nbrs
+                }
                 assert after == want, (n, emb.rotation)
 
 

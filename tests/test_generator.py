@@ -490,6 +490,12 @@ class TestWheelTable:
         del emb
         assert ref() is None and child.n == 31
 
+    def test_standard_form_marks_the_face_of_its_first_three_vertices(self):
+        # Every hub fills a face (0, 1, n - 1), so K4's face (0, 2, 1) stays.
+        for n in range(4, 61):
+            emb = standard_form(n)
+            assert [f for f in emb.faces if set(f) == {0, 1, 2}] == [emb.outer_face]
+
     def test_large_standard_form_needs_no_recursion(self):
         n = 2000
         kinds = Counter(op.kind for op in eberhard_ops(standard_form(n)))
@@ -569,7 +575,7 @@ class TestApplyEberhard:
         op = cycles_of_length(p5, 5)[0]
         child = apply_eberhard(p5, op)
         hub = p5.n
-        assert set(child.neighbors(hub)) == set(op.cycle)
+        assert set(child.rotation[hub]) == set(op.cycle)
 
     def test_impure_cycle_rejected(self, octahedron):
         # A 3-cycle of the octahedron that is no face (there is none), and a
@@ -636,7 +642,7 @@ class TestApplyEberhard:
         emb = PlanarEmbedding(rotation)
         got = apply_eberhard(emb, op)
         assert got == validating_apply_eberhard(emb, op)
-        assert set(got.neighbors(emb.n)) == set(op.cycle)
+        assert set(got.rotation[emb.n]) == set(op.cycle)
 
     @pytest.mark.parametrize("reverse", [False, True])
     def test_repeated_chord_rejected(self, reverse):

@@ -1,6 +1,7 @@
 import inspect
 
 import pmfg
+import pmfg.embedding
 import pmfg.generator
 import pmfg.verify
 from pmfg import PlanarEmbedding
@@ -17,12 +18,16 @@ def test_export_list_is_sorted_and_unique():
 def test_removed_names_stay_removed():
     # Filters and caches that duplicated a fact owned elsewhere: the ops of
     # ``eberhard_ops``, the masks ``count_cliques`` builds, and the
-    # brute-force ceiling of ``pmfg.cliques``.
+    # brute-force ceiling of ``pmfg.cliques``, the walk start ``trace_faces``
+    # already fixes, and two accessors that only restated ``rotation``.
     assert "find_pure_chord_cycles" not in pmfg.__all__
     assert not hasattr(pmfg, "find_pure_chord_cycles")
     assert not hasattr(pmfg.generator, "find_pure_chord_cycles")
     assert not hasattr(PlanarEmbedding, "neighbor_masks")
     assert not hasattr(pmfg.verify, "BRUTE_CENSUS_LIMIT")
+    assert not hasattr(pmfg.embedding, "_canonical_walk")
+    assert not hasattr(PlanarEmbedding, "neighbors")
+    assert not hasattr(PlanarEmbedding, "darts")
 
 
 def test_generate_all_audits_only_through_its_callback():
