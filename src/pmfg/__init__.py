@@ -12,13 +12,6 @@ logging; a campaign logs one INFO line per vertex count it verifies.
 
 import logging
 
-from .builder import (
-    PmfgResult,
-    SimilarityMatrix,
-    build_pmfg,
-    correlation_from_returns,
-    weighted_edge_list,
-)
 from .cliques import (
     CliqueCensus,
     brute_force_cliques,
@@ -123,3 +116,12 @@ __all__ = [
     "verify_level",
     "weighted_edge_list",
 ]
+
+
+def __getattr__(name: str):
+    # The builder's exports, imported on first use: only it loads numpy.
+    if name in __all__:
+        from . import builder
+
+        return getattr(builder, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -15,13 +15,6 @@ import os
 import sys
 from pathlib import Path
 
-from .builder import (
-    acceptance_log_csv,
-    build_pmfg,
-    correlation_from_returns,
-    read_matrix_csv,
-    read_returns_csv,
-)
 from .cliques import count_cliques, standard_form_expected
 from .embedding import PlanarEmbedding, degree_sequence
 from .errors import PmfgError, InputError, VerificationFailure
@@ -75,17 +68,28 @@ def _write(path: Path, text: str) -> None:
 # ----------------------------------------------------------------------
 
 
+def __getattr__(name: str):
+    # ``_cmd_build`` reads these here: the builder loads numpy, so on first use.
+    if name in ("acceptance_log_csv", "build_pmfg", "correlation_from_returns",
+                "read_matrix_csv", "read_returns_csv"):
+        from . import builder
+
+        return getattr(builder, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
 def _cmd_build(args: argparse.Namespace) -> int:
+    cli = sys.modules[__name__]
     if args.format == "returns":
-        labels, table = read_returns_csv(args.input)
-        sim = correlation_from_returns(table, labels)
+        labels, table = cli.read_returns_csv(args.input)
+        sim = cli.correlation_from_returns(table, labels)
     else:
-        sim = read_matrix_csv(args.input)
-    result = build_pmfg(sim, tie_policy=args.tie_policy)
+        sim = cli.read_matrix_csv(args.input)
+    result = cli.build_pmfg(sim, tie_policy=args.tie_policy)
     out = Path(args.output_dir)
     stem = Path(args.input).stem
     _write(out / f"{stem}.pmfg.json", result.embedding.to_json(indent=2) + "\n")
-    _write(out / f"{stem}.acceptance.csv", acceptance_log_csv(result))
+    _write(out / f"{stem}.acceptance.csv", cli.acceptance_log_csv(result))
     doc: dict = {
         "n": result.embedding.n,
         "accepted_edges": len(result.accepted),

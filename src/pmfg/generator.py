@@ -124,7 +124,7 @@ def standard_form(n: int) -> PlanarEmbedding:
 # ----------------------------------------------------------------------
 
 
-def eberhard_ops(emb: PlanarEmbedding) -> list[EberhardOp]:
+def eberhard_ops(emb: PlanarEmbedding) -> Sequence[EberhardOp]:
     """Every wheel insertion applicable to the triangulation: one per pure
     chord-cycle of length 3, 4 or 5 and choice of interior region.
 
@@ -132,10 +132,10 @@ def eberhard_ops(emb: PlanarEmbedding) -> list[EberhardOp]:
     of k - 2 faces: a single face (k = 3), the two faces at an edge (k = 4),
     or a chain of three faces glued along two sides of the middle one
     (k = 5).  A cycle that can be filled from both sides appears once per
-    side, with the chords of that side.  The list holds the triangles, then
-    the quads, then the pentagons: the phi1 op of each face in sorted face
-    order, the phi2 op of each edge in ``emb.edges()`` order, and the phi3
-    ops of each face in sorted face order.
+    side, with the chords of that side.  The sequence holds the triangles,
+    then the quads, then the pentagons: the phi1 op of each face in sorted
+    face order, the phi2 op of each edge in ``emb.edges()`` order, and the
+    phi3 ops of each face in sorted face order.
 
     The faces are the triples (u, v, apex(rotation, u, v)) with u their
     minimum, sorted: exactly ``emb.faces``, which a table built from scratch
@@ -152,29 +152,22 @@ def eberhard_ops(emb: PlanarEmbedding) -> list[EberhardOp]:
     outer apexes keeps the same regions, in the same order, as deduplicating
     face sets and then dropping walks that repeat a vertex.
 
-    The list is assembled from a table kept with the embedding: the sorted
-    faces, each face's phi1 op and phi3 ops (``_face_ops``), and each
-    vertex's phi2 ops (``_vertex_ops``).  A face's phi3 ops read only the
-    apexes across its sides, and vertex u's phi2 ops only u's rotation.  So
-    the child of a wheel insertion on walk W with hub h derives its table
-    from its parent's: it drops the k - 2 region faces, the parent's faces
-    left of W's darts, inserts the k hub faces in order, and recomputes the
-    ops of the hub faces, of the k faces across the cycle sides and of the
-    k cycle vertices, whose rotations are the only ones that changed; h,
-    the largest vertex, owns no phi2 op.  Every other embedding, and the
-    child of a parent that has no table yet, builds the table from scratch
-    with the same two helpers.  Each call returns a fresh list.
+    The result is a read-only view over counts kept with the embedding:
+    the sorted faces, each face's phi3 count and each vertex's phi2 count
+    (its larger neighbors).  Op i is built when read, from the one face or
+    vertex that bisecting the running sums of a count list names.  Phi3
+    counts read only the apexes across a face's sides, and phi2 counts only
+    a rotation.  So the child of a wheel insertion on walk W derives its
+    counts from its parent's: it drops the k - 2 region faces left of W's
+    darts, inserts the k hub faces, and recounts them, the k faces across
+    W and the k cycle vertices.  Other embeddings count from scratch, and
+    ``list`` of the view is a fresh list.
     """
     if emb.n < 4:  # both sides of a lone triangle are faces: no region
         raise InputError("wheel insertions need n >= 4")
     if not emb.is_triangulation():
         raise StructuralError("pure chord-cycle search requires a triangulation")
-    table = _wheel_table(emb)
-    entries = list(map(table.face_ops.__getitem__, table.faces))
-    ops = [entry[0] for entry in entries]
-    ops += itertools.chain.from_iterable(table.vertex_ops)
-    ops += itertools.chain.from_iterable(entry[1] for entry in entries)
-    return ops
+    return _wheel_table(emb)
 
 
 def _face_triple(u: int, v: int, w: int) -> tuple[int, int, int]:
@@ -184,11 +177,18 @@ def _face_triple(u: int, v: int, w: int) -> tuple[int, int, int]:
     return (v, w, u) if v < w else (w, u, v)
 
 
-def _face_ops(
+def _chain_count(face: tuple[int, int, int], rot: Sequence[Sequence[int]]) -> int:
+    """The number of the face's phi3 ops (see ``_face_chains``)."""
+    b0, b1, b2 = face
+    a0, a1, a2 = apex(rot, b1, b0), apex(rot, b2, b1), apex(rot, b0, b2)
+    return (a0 != a1) + (a0 != a2) + (a1 != a2)
+
+
+def _face_chains(
     face: tuple[int, int, int], rot: Sequence[Sequence[int]]
-) -> tuple[EberhardOp, tuple[EberhardOp, ...]]:
-    """The phi1 op of a face and the phi3 ops of the chains it is the middle
-    of, one per pair of its sides whose outer apexes differ."""
+) -> list[EberhardOp]:
+    """The phi3 ops of the chains a face is the middle of, one per pair of
+    its sides whose outer apexes differ."""
     b0, b1, b2 = face
     # b0 is the face's minimum: (b0, b1) and (b0, b2) are sorted chords,
     # and both sort before the chord on b1, b2.
@@ -203,7 +203,7 @@ def _face_ops(
         chains.append(EberhardOp((b0, a0, b1, b2, a2), chords))
     if a1 != a2:
         chains.append(EberhardOp((b0, b1, a1, b2, a2), (c02, c12)))
-    return EberhardOp(face), tuple(chains)
+    return chains
 
 
 def _vertex_ops(u: int, nbrs: Sequence[int]) -> list[EberhardOp]:
@@ -222,14 +222,53 @@ def _vertex_ops(u: int, nbrs: Sequence[int]) -> list[EberhardOp]:
     ]
 
 
-@dataclass
-class _WheelTable:
-    """The candidate wheel insertions of one triangulation, by face and
-    vertex; ``eberhard_ops`` assembles its list from them."""
+class _WheelTable(Sequence):
+    """The counts behind one triangulation's wheel insertions, read as the
+    sequence of those insertions (see ``eberhard_ops``)."""
 
-    faces: list[tuple[int, int, int]]
-    face_ops: dict[tuple[int, int, int], tuple[EberhardOp, tuple[EberhardOp, ...]]]
-    vertex_ops: list[list[EberhardOp]]
+    __slots__ = ("rot", "faces", "chains", "edges", "_len")
+
+    def __init__(self, emb: PlanarEmbedding, faces: list, chains: list, edges: list):
+        self.rot, self.faces, self.chains, self.edges = emb.rotation, faces, chains, edges
+        self._len = len(faces) + 3 * emb.n - 6 + sum(chains)
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return list(self)[i]
+        if not -self._len <= i < self._len:
+            raise IndexError("wheel insertion index out of range")
+        faces, rot = self.faces, self.rot
+        i %= self._len
+        if i < len(faces):
+            return EberhardOp(faces[i])
+        i -= len(faces)
+        if i < (e := 3 * len(rot) - 6):
+            u, j = _group(self.edges, i)
+            return _vertex_ops(u, rot[u])[j]
+        f, j = _group(self.chains, i - e)
+        return _face_chains(faces[f], rot)[j]
+
+    def __iter__(self) -> Iterator[EberhardOp]:
+        yield from map(EberhardOp, self.faces)
+        for u, nbrs in enumerate(self.rot):
+            yield from _vertex_ops(u, nbrs)
+        for face in self.faces:
+            yield from _face_chains(face, self.rot)
+
+    def __eq__(self, other: object) -> bool:
+        comparable = isinstance(other, (list, _WheelTable))
+        return list(self) == list(other) if comparable else NotImplemented
+
+
+def _group(sizes: list[int], i: int) -> tuple[int, int]:
+    """The group holding entry i of groups of the given sizes laid end to
+    end, and i's offset in it."""
+    ends = list(itertools.accumulate(sizes))
+    g = bisect.bisect_right(ends, i)
+    return g, i - ends[g] + sizes[g]
 
 
 def _wheel_table(emb: PlanarEmbedding) -> _WheelTable:
@@ -247,12 +286,9 @@ def _wheel_table(emb: PlanarEmbedding) -> _WheelTable:
 
 def _scratch_table(emb: PlanarEmbedding) -> _WheelTable:
     """The table read off every face and vertex of ``emb``."""
-    faces = list(emb.faces)
-    return _WheelTable(
-        faces,
-        {f: _face_ops(f, emb.rotation) for f in faces},
-        [_vertex_ops(u, nbrs) for u, nbrs in enumerate(emb.rotation)],
-    )
+    faces, rot = list(emb.faces), emb.rotation
+    edges = [sum(t > u for t in nbrs) for u, nbrs in enumerate(rot)]
+    return _WheelTable(emb, faces, [_chain_count(f, rot) for f in faces], edges)
 
 
 def _derived_table(
@@ -261,25 +297,23 @@ def _derived_table(
     """The table of ``emb``, the wheel insertion on ``walk`` into ``parent``,
     from the parent's table (see ``eberhard_ops``)."""
     old = parent._wheel_table
-    faces = old.faces.copy()
-    face_ops = old.face_ops.copy()
-    vertex_ops = old.vertex_ops.copy()
-    hub = parent.n
+    faces, chains, edges = old.faces.copy(), old.chains.copy(), old.edges.copy()
     sides = list(zip(walk, walk[1:] + walk[:1]))
     before, after = parent.rotation, emb.rotation
     for region_face in {_face_triple(u, v, apex(before, u, v)) for u, v in sides}:
-        del faces[bisect.bisect_left(faces, region_face)]
-        del face_ops[region_face]
-    changed = [_face_triple(u, v, hub) for u, v in sides]
-    for hub_face in changed:
-        bisect.insort(faces, hub_face)
-    changed += {_face_triple(v, u, apex(after, v, u)) for u, v in sides}
-    for face in changed:
-        face_ops[face] = _face_ops(face, after)
-    vertex_ops.append([])
+        i = bisect.bisect_left(faces, region_face)
+        del faces[i], chains[i]
+    for u, v in sides:
+        hub_face = _face_triple(u, v, parent.n)
+        i = bisect.bisect_left(faces, hub_face)
+        faces.insert(i, hub_face)
+        chains.insert(i, _chain_count(hub_face, after))
+    for face in {_face_triple(v, u, apex(after, v, u)) for u, v in sides}:
+        chains[bisect.bisect_left(faces, face)] = _chain_count(face, after)
+    edges.append(0)
     for u in walk:
-        vertex_ops[u] = _vertex_ops(u, after[u])
-    return _WheelTable(faces, face_ops, vertex_ops)
+        edges[u] = sum(t > u for t in after[u])
+    return _WheelTable(emb, faces, chains, edges)
 
 
 def pure_chord_cycle_sets(emb: PlanarEmbedding, k: int) -> list[EberhardOp]:

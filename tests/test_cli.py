@@ -198,6 +198,71 @@ class TestBuildCommand:
             assert proc.returncode == 0, (argv, proc.returncode, proc.stderr)
 
 
+    def test_only_build_loads_numpy(self, tmp_path):
+        # The builder alone needs numpy: the other subcommands never import
+        # it, and the package still serves the builder's names on first use.
+        script = (
+            "import sys\n"
+            "import pmfg\n"
+            "from pmfg.cli import main\n"
+            "rc = main(sys.argv[1:])\n"
+            "if 'numpy' in sys.modules:\n"
+            "    sys.exit('numpy was imported')\n"
+            "assert pmfg.build_pmfg is pmfg.builder.build_pmfg\n"
+            "sys.exit(rc if 'numpy' in sys.modules else 'numpy was not imported')\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+        for argv in (
+            ["verify", "--n-max", "6", "--workers", "1", "--output-dir", str(tmp_path)],
+            ["generate", "--n", "6", "--output-dir", str(tmp_path)],
+            ["degree-census", "--n", "6"],
+        ):
+            proc = subprocess.run(
+                [sys.executable, "-c", script, *argv],
+                env=env,
+                capture_output=True,
+                text=True,
+                timeout=120,
+            )
+            assert proc.returncode == 0, (argv, proc.returncode, proc.stderr)
+
+    def test_build_calls_the_builder_through_the_cli_module(
+        self, matrix6_path, tmp_path, monkeypatch
+    ):
+        # The benchmark's traced run wraps these names on pmfg.cli, so a
+        # build must look each of them up there.
+        calls = []
+        for name in (
+            "read_matrix_csv",
+            "read_returns_csv",
+            "correlation_from_returns",
+            "build_pmfg",
+            "acceptance_log_csv",
+        ):
+            real = getattr(pmfg.cli, name)
+            monkeypatch.setattr(
+                pmfg.cli, name, lambda *a, _f=real, _n=name, **k: calls.append(_n) or _f(*a, **k)
+            )
+        returns = tmp_path / "returns.csv"
+        rows = np.random.default_rng(0).normal(size=(30, 5))
+        returns.write_text(
+            "\n".join(["A,B,C,D,E"] + [",".join(map(repr, map(float, r))) for r in rows]) + "\n"
+        )
+        assert main(["build", str(matrix6_path), "--output-dir", str(tmp_path)]) == 0
+        assert main(["build", str(returns), "--format", "returns", "--output-dir", str(tmp_path)]) == 0
+        assert calls == [
+            "read_matrix_csv",
+            "build_pmfg",
+            "acceptance_log_csv",
+            "read_returns_csv",
+            "correlation_from_returns",
+            "build_pmfg",
+            "acceptance_log_csv",
+        ]
+        with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+            pmfg.cli.no_such_name
+
+
 class TestCliquesCommand:
     def test_json_output(self, alt6_path, capsys):
         assert main(["cliques", str(alt6_path)]) == 0

@@ -424,6 +424,24 @@ def from_scratch(emb: PlanarEmbedding) -> list[EberhardOp]:
     return eberhard_ops(PlanarEmbedding(emb.rotation))
 
 
+def table_fields(table) -> tuple:
+    """Every count a wheel table keeps, with the faces they belong to."""
+    return table.faces, table.chains, table.edges, len(table)
+
+
+def assert_indexes_agree(emb: PlanarEmbedding) -> None:
+    """Op i of ``eberhard_ops`` is entry i of the list it iterates into."""
+    ops = eberhard_ops(emb)
+    listed = list(ops)
+    assert len(ops) == len(listed)
+    assert [ops[i] for i in range(len(ops))] == listed, emb.rotation
+    assert ops[-1] == listed[-1] and ops[-len(ops)] == listed[0]
+    assert ops[::17] == listed[::17] and ops[3:9] == listed[3:9]
+    for i in (len(ops), -len(ops) - 1):
+        with pytest.raises(IndexError):
+            ops[i]
+
+
 class TestWheelTable:
     @pytest.mark.parametrize("seed", [3, 17, 1009])
     def test_derived_tables_match_scratch_along_growth_chains(self, seed):
@@ -433,7 +451,9 @@ class TestWheelTable:
             # Every step after K4 derives its table from its parent's.
             assert emb.n == 4 or "_wheel_source" in emb.__dict__
             ops = eberhard_ops(emb)
-            assert ops == from_scratch(emb), (seed, emb.n)
+            scratch = from_scratch(emb)
+            assert table_fields(ops) == table_fields(scratch), (seed, emb.n)
+            assert ops == scratch, (seed, emb.n)
             emb = apply_eberhard(emb, rng.choice(ops))
 
     def test_derived_tables_match_scratch_on_every_generated_class(self):
@@ -460,16 +480,57 @@ class TestWheelTable:
         for copy in (emb.mirrored(), emb.relabel(perm), emb.relabel(perm).mirrored()):
             assert eberhard_ops(copy) == from_scratch(copy)
 
-    def test_returned_lists_are_fresh(self):
+    def test_returned_views_are_read_only(self):
         emb = random_triangulation(30, seed=2)
         ops = eberhard_ops(emb)
         want = list(ops)
-        ops.reverse()
-        ops.append(ops[0])
-        ops[1] = EberhardOp((0, 1, 2))
-        assert eberhard_ops(emb) == want
+        with pytest.raises(TypeError):
+            ops[1] = EberhardOp((0, 1, 2))
+        with pytest.raises(TypeError):
+            del ops[0]
+        for mutator in ("append", "reverse", "sort", "clear"):
+            assert not hasattr(ops, mutator)
+        # ``list`` of the view is a fresh list each time.
+        listed = list(ops)
+        assert listed is not list(ops)
+        listed.reverse()
+        listed.append(listed[0])
+        assert list(ops) == want and eberhard_ops(emb) == want
+        # Deriving a child's table leaves the parent's view as it was.
+        fields = [list(field) for field in table_fields(ops)[:3]]
         child = apply_eberhard(emb, want[len(want) // 2])
         assert eberhard_ops(child) == from_scratch(child)
+        assert [list(field) for field in table_fields(ops)[:3]] == fields
+        assert list(ops) == want and len(ops) == len(want)
+
+    def test_indexes_match_iteration_on_every_generated_class(self):
+        for records in generate_levels(9):
+            for rec in records.values():
+                assert_indexes_agree(rec.embedding)
+
+    def test_indexes_match_iteration_on_mirrored_and_relabeled_copies(self):
+        rng = random.Random(8)
+        emb = k4()
+        while emb.n < 40:
+            emb = apply_eberhard(emb, rng.choice(eberhard_ops(emb)))
+        perm = list(range(emb.n))
+        rng.shuffle(perm)
+        for copy in (emb, emb.mirrored(), emb.relabel(perm), emb.relabel(perm).mirrored()):
+            assert_indexes_agree(copy)
+
+    @pytest.mark.parametrize("seed", [5, 23, 1009])
+    def test_random_choice_picks_the_listed_op_along_growth_chains(self, seed):
+        # rng.choice reads one index of the view; a twin generator reading
+        # the same index of the list must pick the same op at every step.
+        rng, twin = random.Random(seed), random.Random(seed)
+        emb = k4()
+        while emb.n < 150:
+            if emb.n % 10 == 0:
+                assert_indexes_agree(emb)
+            ops = eberhard_ops(emb)
+            op = rng.choice(ops)
+            assert op == twin.choice(list(ops)), (seed, emb.n)
+            emb = apply_eberhard(emb, op)
 
     def test_no_ancestor_is_retained(self):
         rng = random.Random(4)
