@@ -72,8 +72,9 @@ class SimilarityMatrix:
 class GateCounts:
     """How many examined pairs each rule of the planarity gate decided.
 
-    The first three are certified decisions; ``lr_calls`` counts the pairs
-    that fell through to a full LR planarity test, accepted or rejected.
+    The first three are certified decisions (``whitney_rejects``: both
+    endpoints' admissible faces of H are disjoint); ``lr_calls`` counts the
+    pairs that fell through to a full LR planarity test, accepted or rejected.
     """
 
     component_joins: int = 0
@@ -213,10 +214,12 @@ class _PlanarityGate:
 
     1. endpoints in different components: accept, joining them at any corner;
     2. endpoints on a common face: accept, splicing the edge into that face;
-    3. both endpoints in H and on no common face of H: reject.  H is
-       3-connected, so its embedding is unique (Whitney) and every embedding
-       of the kept graph restricts to it; H + uv, hence kept + uv, is
-       non-planar;
+    3. both endpoints' admissible faces of H are disjoint: reject.  A vertex
+       of H admits its faces of H, any other vertex the faces holding all
+       attachments of its bridge of H (Demoucron, Malgrange & Pertuiset,
+       1964).  H is 3-connected, so every embedding of kept + uv restricts
+       to H's unique one (Whitney) and puts the bridge through uv in one
+       face, admissible for both;
     4. otherwise run the left-right planarity test (``_lr_rotation``, our
        own port of networkx's algorithm) on the adjacency lists plus uv and,
        on accept, adopt its rotation.
@@ -232,6 +235,7 @@ class _PlanarityGate:
         self._faces: list[list[int]] = []
         self._face_mask = [0] * n
         self._h_mask = [0] * n  # face bitmasks of H's embedding; 0 off H
+        self._reach: list[int] = []  # admissible faces of H; [] when stale
         self._grown = False  # an edge was accepted since H's last refresh
         self._parent = list(range(n))
         self._adjacency: list[list[int]] = [[] for _ in range(n)]  # in accept order
@@ -261,9 +265,9 @@ class _PlanarityGate:
             self._splice(u, v, self._faces[(shared & -shared).bit_length() - 1])
             self.face_accepts += 1
         else:
-            hu, hv = self._h_mask[u], self._h_mask[v]
+            reach = self._reach = self._reach or self._admissible_faces()
             found = None
-            if hu and hv and not hu & hv:
+            if not reach[u] & reach[v]:
                 self.whitney_rejects += 1
             else:
                 self.lr_calls += 1
@@ -275,7 +279,7 @@ class _PlanarityGate:
                 adjacency[v].pop()
                 return False
             self.rotation = found[0]
-        self._grown = True
+        self._grown, self._reach = True, []
         self._faces, _ = trace_faces(self.rotation)
         self._face_mask = _face_masks(self.n, self._faces)
         return True
@@ -291,6 +295,28 @@ class _PlanarityGate:
         a, b = walk[i - 1], walk[j - 1]
         ru.insert(ru.index(a), v)
         rv.insert(rv.index(b), u)
+
+    def _admissible_faces(self) -> list[int]:
+        """Each vertex's admissible faces of H as a bitmask (rule 3), read
+        off one walk over the kept graph: -1, all faces, where there is no
+        H or a component of kept - V(H) has no attachment.  No mask is 0, as
+        the kept graph is planar, so 0 marks a vertex not yet reached."""
+        h, rotation = self._h_mask, self.rotation
+        reach = h.copy()
+        for s in range(self.n):
+            if reach[s]:
+                continue
+            bound, component, reach[s] = -1, [s], -1
+            for x in component:
+                for w in rotation[x]:
+                    if h[w]:
+                        bound &= h[w]
+                    elif not reach[w]:
+                        reach[w] = -1
+                        component.append(w)
+            for x in component:
+                reach[x] = bound
+        return reach
 
     def _refresh_h(self) -> None:
         """Take the 3-core as H if it is 3-connected; keep the old H otherwise."""
@@ -312,7 +338,7 @@ class _PlanarityGate:
         ]
         walks, face_of = trace_faces(core)
         if _is_triconnected(walks, face_of, sum(inside)):
-            self._h_mask = _face_masks(self.n, walks)
+            self._h_mask, self._reach = _face_masks(self.n, walks), []
 
 
 def build_pmfg(
@@ -326,8 +352,8 @@ def build_pmfg(
     1. u and v lie in different components: accept.
     2. u and v share a face of the current rotation: accept, splicing uv
        into that face.
-    3. u and v lie in a stored 3-connected subgraph H and share no face of
-       its embedding, which is unique by Whitney's theorem: reject.
+    3. Both endpoints' admissible faces of a stored 3-connected subgraph H,
+       whose embedding is unique by Whitney's theorem, are disjoint: reject.
     4. Otherwise a full LR planarity test decides, and an accept adopts its
        rotation.
 

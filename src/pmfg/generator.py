@@ -224,13 +224,15 @@ def _vertex_ops(u: int, nbrs: Sequence[int]) -> list[EberhardOp]:
 
 class _WheelTable(Sequence):
     """The counts behind one triangulation's wheel insertions, read as the
-    sequence of those insertions (see ``eberhard_ops``)."""
+    sequence of those insertions (see ``eberhard_ops``); ``phi3`` sums ``chains``."""
 
-    __slots__ = ("rot", "faces", "chains", "edges", "_len")
+    __slots__ = ("rot", "faces", "chains", "edges", "phi3", "_len")
 
-    def __init__(self, emb: PlanarEmbedding, faces: list, chains: list, edges: list):
+    def __init__(
+        self, emb: PlanarEmbedding, faces: list, chains: list, edges: list, phi3: int
+    ):
         self.rot, self.faces, self.chains, self.edges = emb.rotation, faces, chains, edges
-        self._len = len(faces) + 3 * emb.n - 6 + sum(chains)
+        self.phi3, self._len = phi3, len(faces) + 3 * emb.n - 6 + phi3
 
     def __len__(self) -> int:
         return self._len
@@ -288,7 +290,8 @@ def _scratch_table(emb: PlanarEmbedding) -> _WheelTable:
     """The table read off every face and vertex of ``emb``."""
     faces, rot = list(emb.faces), emb.rotation
     edges = [sum(t > u for t in nbrs) for u, nbrs in enumerate(rot)]
-    return _WheelTable(emb, faces, [_chain_count(f, rot) for f in faces], edges)
+    chains = [_chain_count(f, rot) for f in faces]
+    return _WheelTable(emb, faces, chains, edges, sum(chains))
 
 
 def _derived_table(
@@ -299,21 +302,25 @@ def _derived_table(
     old = parent._wheel_table
     faces, chains, edges = old.faces.copy(), old.chains.copy(), old.edges.copy()
     sides = list(zip(walk, walk[1:] + walk[:1]))
-    before, after = parent.rotation, emb.rotation
+    before, after, phi3 = parent.rotation, emb.rotation, old.phi3
     for region_face in {_face_triple(u, v, apex(before, u, v)) for u, v in sides}:
         i = bisect.bisect_left(faces, region_face)
-        del faces[i], chains[i]
+        phi3 -= chains.pop(i)
+        del faces[i]
     for u, v in sides:
         hub_face = _face_triple(u, v, parent.n)
         i = bisect.bisect_left(faces, hub_face)
         faces.insert(i, hub_face)
         chains.insert(i, _chain_count(hub_face, after))
+        phi3 += chains[i]
     for face in {_face_triple(v, u, apex(after, v, u)) for u, v in sides}:
-        chains[bisect.bisect_left(faces, face)] = _chain_count(face, after)
+        i = bisect.bisect_left(faces, face)
+        phi3 += (count := _chain_count(face, after)) - chains[i]
+        chains[i] = count
     edges.append(0)
     for u in walk:
         edges[u] = sum(t > u for t in after[u])
-    return _WheelTable(emb, faces, chains, edges)
+    return _WheelTable(emb, faces, chains, edges, phi3)
 
 
 def pure_chord_cycle_sets(emb: PlanarEmbedding, k: int) -> list[EberhardOp]:
@@ -363,8 +370,7 @@ def apply_eberhard(emb: PlanarEmbedding, op: EberhardOp) -> PlanarEmbedding:
         raise OperationError(f"cycle {verts} is not 3 to 5 distinct vertices")
     if len(chords) != k - 3:
         raise OperationError(f"{op.kind} needs exactly {k - 3} chords")
-    for i, u in enumerate(verts):
-        v = verts[(i + 1) % k]
+    for u, v in zip(verts, verts[1:] + verts[:1]):
         if not emb.has_edge(u, v):
             raise OperationError(f"cycle vertices {u}, {v} are not adjacent")
     cycle_set = frozenset(verts)
@@ -435,9 +441,7 @@ def diagonal_flip(emb: PlanarEmbedding, move: FlipMove) -> PlanarEmbedding:
     if apex(emb.rotation, c, p) != a or apex(emb.rotation, a, q) != c:
         raise StructuralError(f"faces at edge ({a}, {c}) are not both triangles")
     if p == q or emb.has_edge(p, q):
-        raise FlipForbiddenError(
-            f"flip of ({a}, {c}) would duplicate edge ({p}, {q})"
-        )
+        raise FlipForbiddenError(f"flip of ({a}, {c}) would duplicate edge ({p}, {q})")
     if move.replacement is not None and set(move.replacement) != {p, q}:
         raise OperationError(
             f"replacement {move.replacement} does not match faces at ({a}, {c})"
@@ -452,10 +456,7 @@ def diagonal_flip(emb: PlanarEmbedding, move: FlipMove) -> PlanarEmbedding:
     for v in (a, c, p, q):
         rot[v] = _canonical_rotation(rot[v])
     outer = emb.outer_face
-    if outer is not None and frozenset(outer) in (
-        frozenset((a, c, p)),
-        frozenset((a, c, q)),
-    ):
+    if outer is not None and set(outer) in ({a, c, p}, {a, c, q}):
         outer = None
     return PlanarEmbedding._trusted(tuple(rot), labels=emb.labels, outer_face=outer)
 
@@ -616,8 +617,7 @@ def _check_clique_delta(
     delete; what holds universally is the bound of at most +3 and +1 per
     step, which is precisely what the maxima 3n - 8 and n - 3 require.
     """
-    dc3 = child[0] - parent[0]
-    dc4 = child[1] - parent[1]
+    dc3, dc4 = child[0] - parent[0], child[1] - parent[1]
     ok = (dc3 == 3 and dc4 == 1) if kind == "phi1" else (dc3 <= 3 and dc4 <= 1)
     if not ok:
         raise VerificationFailure(

@@ -448,31 +448,63 @@ class TestIncrementalGate:
         assert build_pmfg(sim).accepted == plain_lr_greedy(sim)
 
     def test_every_decision_is_exact_and_every_rule_fires(self):
-        sim = sector_similarity(20, seed=4)
-        n = sim.n
-        gate = _PlanarityGate(n)
-        kept = []
-        fired = Counter()
-        for u, v, _ in weighted_edge_list(sim):
-            before = [getattr(gate, rule) for rule in GATE_RULES]
-            decided = gate.add_if_planar(u, v)
-            after = [getattr(gate, rule) for rule in GATE_RULES]
-            (rule,) = [r for r, b, a in zip(GATE_RULES, before, after) if a == b + 1]
-            fired[rule] += 1
-            candidate = kept + [(u, v)]
-            assert decided == is_planar(n, candidate).planar, (rule, u, v)
-            if rule == "whitney_rejects":
-                witness = is_planar(n, candidate, want_witness=True).witness
-                assert (u, v) in witness and set(witness) <= set(candidate)
-                assert is_kuratowski_subdivision(witness)
-            if rule in ("component_joins", "face_accepts"):
-                assert decided
-            if decided:
-                kept = candidate
-                assert_components_are_spherical(gate)
-                if len(kept) == 3 * (n - 2):
-                    break
-        assert all(fired[rule] > 0 for rule in GATE_RULES), fired
+        sims = [sector_similarity(20, seed=seed) for seed in (4, 5, 6)]
+        for sim in sims + [uniform_similarity(25, seed=1)]:
+            n = sim.n
+            gate = _PlanarityGate(n)
+            kept = []
+            fired = Counter()
+            for u, v, _ in weighted_edge_list(sim):
+                off_h = not (gate._h_mask[u] and gate._h_mask[v])
+                before = [getattr(gate, rule) for rule in GATE_RULES]
+                decided = gate.add_if_planar(u, v)
+                after = [getattr(gate, rule) for rule in GATE_RULES]
+                (rule,) = [r for r, b, a in zip(GATE_RULES, before, after) if a == b + 1]
+                fired[rule] += 1
+                candidate = kept + [(u, v)]
+                assert decided == is_planar(n, candidate).planar, (rule, u, v)
+                if rule == "whitney_rejects":
+                    witness = is_planar(n, candidate, want_witness=True).witness
+                    assert (u, v) in witness and set(witness) <= set(candidate)
+                    assert is_kuratowski_subdivision(witness)
+                    fired["bridge_rejects"] += off_h
+                if rule in ("component_joins", "face_accepts"):
+                    assert decided
+                if decided:
+                    kept = candidate
+                    assert_components_are_spherical(gate)
+                    if len(kept) == 3 * (n - 2):
+                        break
+            # Certified rejects with an endpoint off H come from its bridges.
+            assert all(fired[r] > 0 for r in GATE_RULES + ("bridge_rejects",)), fired
+
+    def test_bridge_of_the_octahedron_reaches_only_the_faces_at_its_attachments(
+        self, monkeypatch
+    ):
+        # Poles 0 and 5 over the ring 1, 2, 3, 4; x = 6 hangs on the edge 0-1,
+        # whose two faces have the apexes 2 and 4.
+        ring = [(1, 2), (2, 3), (3, 4), (1, 4)]
+        octahedron = ring + [(p, r) for p in (0, 5) for r in range(1, 5)]
+        gate = _PlanarityGate(7)
+        for u, v in octahedron:
+            assert gate.add_if_planar(u, v)
+        gate._refresh_h()
+        assert all(gate._h_mask[x] for x in range(6))
+        assert gate.add_if_planar(6, 0) and gate.add_if_planar(6, 1)
+
+        def no_lr(*args):
+            raise AssertionError("the gate ran the LR test")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(pmfg.builder, "_lr_rotation", no_lr)
+            for d in (3, 5):  # on neither face at 0-1
+                rejects = gate.whitney_rejects
+                assert not gate.add_if_planar(6, d)
+                assert gate.whitney_rejects == rejects + 1
+        rejects = gate.whitney_rejects
+        assert gate.add_if_planar(6, 2)
+        assert gate.whitney_rejects == rejects
+        assert_components_are_spherical(gate)
 
     def test_counts_cover_every_examined_pair(self):
         sim = sector_similarity(40, seed=6)
@@ -481,7 +513,8 @@ class TestIncrementalGate:
         examined = len(result.accepted) + len(result.rejected)
         assert sum(astuple(counts)) == examined
         assert counts.component_joins == sim.n - 1  # one per spanning-forest edge
-        assert counts.lr_calls < examined
+        # 49 of 621 pairs since rule 3 reads H's bridges; 116 when it read H alone.
+        assert counts.lr_calls <= 49
         assert counts.whitney_rejects > 0
 
     def test_triconnectivity_from_faces_matches_networkx(self):

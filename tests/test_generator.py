@@ -426,7 +426,7 @@ def from_scratch(emb: PlanarEmbedding) -> list[EberhardOp]:
 
 def table_fields(table) -> tuple:
     """Every count a wheel table keeps, with the faces they belong to."""
-    return table.faces, table.chains, table.edges, len(table)
+    return table.faces, table.chains, table.edges, table.phi3, len(table)
 
 
 def assert_indexes_agree(emb: PlanarEmbedding) -> None:
