@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .embedding import Edge, PlanarEmbedding, trace_faces
+from .embedding import PlanarEmbedding, trace_faces
 from .errors import InputError, VerificationFailure
 from .planarity import _lr_rotation, is_planar
 
@@ -161,45 +161,41 @@ def weighted_edge_list(
     return tuple(pairs)
 
 
-def _face_masks(n: int, walks: list[list[int]]) -> list[int]:
-    """Bit k of entry x is set iff vertex x lies on walk k."""
+def _face_table(n: int, rotation: list[list[int]]) -> tuple[list[list[int]], list[int]]:
+    """The walks of ``trace_faces`` and each vertex's face bitmask: bit k of
+    entry x is set iff x lies on walk k."""
+    walks = trace_faces(rotation)
     masks = [0] * n
     for k, walk in enumerate(walks):
         bit = 1 << k
         for x in walk:
             masks[x] |= bit
-    return masks
+    return walks, masks
 
 
-def _is_triconnected(walks: list[list[int]], face_of: dict[Edge, int], size: int) -> bool:
-    """True iff a plane graph is 3-connected, given its face walks and dart
-    faces (``trace_faces``) and its number ``size`` of non-isolated vertices.
+def _is_triconnected(walks: list[list[int]], masks: list[int]) -> bool:
+    """True iff a plane graph of minimum degree 3 is 3-connected, given its
+    face table (``_face_table``); its vertices are the nonzero masks.
 
-    A connected plane graph with minimum degree 3 is 2-connected iff every
-    face walk is a cycle, and a 2-connected one is 3-connected iff any two
-    faces meet in nothing, one vertex or one edge (Mohar & Thomassen,
-    Graphs on Surfaces, 2001).
+    It is exactly when it is connected (Euler's formula), every walk is a
+    cycle, and any two faces meet in nothing, one vertex or one edge (Mohar
+    & Thomassen, Graphs on Surfaces, 2001).  Vertices where two faces meet
+    share both, and an edge's ends share just its two, so a pair on a walk
+    fails when it shares three faces or two while not consecutive (three
+    consecutive shared vertices would make two faces one triangle).
     """
-    if size < 4 or size - len(face_of) // 2 + len(walks) != 2:  # disconnected
+    size = len(masks) - masks.count(0)
+    if size < 4 or size - sum(map(len, walks)) // 2 + len(walks) != 2:
         return False
-    if any(len(set(walk)) != len(walk) for walk in walks):
-        return False
-    around: dict[int, list[int]] = {}
-    for (x, _), f in face_of.items():
-        around.setdefault(x, []).append(f)
-    shared: dict[Edge, list[int]] = {}
-    for x, faces in around.items():
-        faces.sort()
-        for i, f in enumerate(faces):
-            for g in faces[i + 1 :]:
-                shared.setdefault((f, g), []).append(x)
-    for (f, g), common in shared.items():
-        if len(common) > 2:
+    for walk in walks:
+        k = len(walk)
+        if len(set(walk)) != k:
             return False
-        if len(common) == 2:
-            a, b = common
-            if {face_of.get((a, b)), face_of.get((b, a))} != {f, g}:
-                return False
+        for i, x in enumerate(walk):
+            for j in range(i + 1, k):
+                shared = (masks[x] & masks[walk[j]]).bit_count()
+                if shared > 2 or shared == 2 and 1 < j - i < k - 1:
+                    return False
     return True
 
 
@@ -207,10 +203,10 @@ class _PlanarityGate:
     """The kept graph of a PMFG scan, growing one planar edge at a time.
 
     The gate holds a rotation system of the kept graph, its adjacency lists
-    in accept order, union-find components, the face walks of the rotation
-    with per-vertex face bitmasks, and a stored 3-connected subgraph H with
-    the face bitmasks of its embedding.  ``add_if_planar`` applies the first
-    rule that decides:
+    in accept order, union-find components, the rotation's face table
+    (``_face_table``: walks and per-vertex face bitmasks), and a stored
+    3-connected subgraph H with its face bitmasks.  Every face question is an
+    AND of bitmasks.  ``add_if_planar`` applies the first rule that decides:
 
     1. endpoints in different components: accept, joining them at any corner;
     2. endpoints on a common face: accept, splicing the edge into that face;
@@ -280,8 +276,7 @@ class _PlanarityGate:
                 return False
             self.rotation = found[0]
         self._grown, self._reach = True, []
-        self._faces, _ = trace_faces(self.rotation)
-        self._face_mask = _face_masks(self.n, self._faces)
+        self._faces, self._face_mask = _face_table(self.n, self.rotation)
         return True
 
     def _splice(self, u: int, v: int, walk: list[int]) -> None:
@@ -319,7 +314,7 @@ class _PlanarityGate:
         return reach
 
     def _refresh_h(self) -> None:
-        """Take the 3-core as H if it is 3-connected; keep the old H otherwise."""
+        """Adopt the 3-core as H, with its face masks, if it is 3-connected."""
         self._grown = False
         rotation = self.rotation
         degree = [len(nbrs) for nbrs in rotation]
@@ -336,9 +331,9 @@ class _PlanarityGate:
             [w for w in nbrs if inside[w]] if inside[x] else []
             for x, nbrs in enumerate(rotation)
         ]
-        walks, face_of = trace_faces(core)
-        if _is_triconnected(walks, face_of, sum(inside)):
-            self._h_mask, self._reach = _face_masks(self.n, walks), []
+        walks, masks = _face_table(self.n, core)
+        if _is_triconnected(walks, masks):
+            self._h_mask, self._reach = masks, []
 
 
 def build_pmfg(
@@ -403,7 +398,7 @@ def _read_rows(path: str | Path) -> list[list[str]]:
     """The rows of a CSV file.  A file that cannot be opened or decoded, or
     that holds a field over the csv module's size limit, is an InputError."""
     try:
-        with open(path, newline="") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             return list(csv.reader(fh))
     except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc

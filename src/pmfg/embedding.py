@@ -23,7 +23,6 @@ from typing import Iterator, NamedTuple, Sequence
 from .errors import InputError, StructuralError, VerificationFailure
 
 Edge = tuple[int, int]
-Dart = tuple[int, int]
 # A face as the closed walk that traces its boundary, started where
 # ``trace_faces`` starts it.  In a triangulation every boundary is a 3-cycle.
 # For other embeddings a walk may repeat vertices (walking a tree traverses each
@@ -51,10 +50,8 @@ def apex(rotation: Sequence[Sequence[int]], u: int, v: int) -> int:
     return r[r.index(u) - 1]
 
 
-def trace_faces(
-    rotation: Sequence[Sequence[int]],
-) -> tuple[list[list[int]], dict[Dart, int]]:
-    """Boundary walks of a rotation system, and the walk index of every dart.
+def trace_faces(rotation: Sequence[Sequence[int]]) -> list[list[int]]:
+    """Boundary walks of a rotation system.
 
     Each walk follows ``apex`` from dart to dart.  It starts at its least
     vertex, by that vertex's first dart on it in rotation order, since
@@ -63,22 +60,21 @@ def trace_faces(
     gives the walks of each component.
     """
     walks: list[list[int]] = []
-    face_of: dict[Dart, int] = {}
+    seen: set[tuple[int, int]] = set()  # darts
     for u, nbrs in enumerate(rotation):
         for v in nbrs:
-            if (u, v) in face_of:
+            if (u, v) in seen:
                 continue
-            k = len(walks)
             walk = []
             a, b = u, v
-            while (a, b) not in face_of:
-                face_of[a, b] = k
+            while (a, b) not in seen:
+                seen.add((a, b))
                 walk.append(a)
                 # apex(rotation, a, b) inlined: this is the builder's hot loop.
                 r = rotation[b]
                 a, b = b, r[r.index(a) - 1]
             walks.append(walk)
-    return walks, face_of
+    return walks
 
 
 def _canonical_rotation(nbrs: Sequence[int]) -> tuple[int, ...]:
@@ -174,8 +170,7 @@ class PlanarEmbedding:
     @cached_property
     def faces(self) -> tuple[Face, ...]:
         """The walks of ``trace_faces``, in sorted order."""
-        walks, _ = trace_faces(self.rotation)
-        return tuple(sorted(map(tuple, walks)))
+        return tuple(sorted(map(tuple, trace_faces(self.rotation))))
 
     def is_triangulation(self) -> bool:
         """Whether every face is a triangle, decided by the edge count alone.
@@ -234,8 +229,8 @@ class PlanarEmbedding:
         if self.labels is not None and len(self.labels) != n:
             raise StructuralError("labels must cover every vertex")
         if self.outer_face is not None:
-            outer = set(self.outer_face)
-            if not any(set(f) == outer for f in self.faces):
+            outer = sorted(self.outer_face)
+            if not any(sorted(f) == outer for f in self.faces):
                 raise StructuralError("outer_face marker does not match any face")
 
     # ------------------------------------------------------------------

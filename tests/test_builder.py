@@ -27,15 +27,22 @@ from pmfg import (
     weighted_edge_list,
 )
 from pmfg.builder import (
+    _face_table,
     _is_triconnected,
     _PlanarityGate,
     acceptance_log_csv,
     read_matrix_csv,
     read_returns_csv,
 )
-from pmfg.embedding import trace_faces
 
 GATE_RULES = ("component_joins", "face_accepts", "whitney_rejects", "lr_calls")
+
+
+def cubes_glued_at_a_diagonal():
+    """Two cubes sharing the diagonal (0, 0, 0)-(0, 1, 1) of one face each."""
+    cube = nx.hypercube_graph(3)
+    glued = ((0, 0, 0), (0, 1, 1))
+    return nx.compose(cube, nx.relabel_nodes(cube, lambda t: t if t in glued else ("b", t)))
 
 
 def pearson_by_hand(x, y):
@@ -514,22 +521,45 @@ class TestIncrementalGate:
         assert sum(astuple(counts)) == examined
         assert counts.component_joins == sim.n - 1  # one per spanning-forest edge
         # 49 of 621 pairs since rule 3 reads H's bridges; 116 when it read H alone.
-        assert counts.lr_calls <= 49
-        assert counts.whitney_rejects > 0
+        assert astuple(counts) == (39, 46, 487, 49)
 
     def test_triconnectivity_from_faces_matches_networkx(self):
         rng = np.random.default_rng(8)
         seen = Counter()
-        for trial in range(60):
-            tri = random_triangulation(12, seed=trial)
+        for trial in range(150):
+            tri = random_triangulation(6 + trial % 35, seed=trial)
             rotation = [list(nbrs) for nbrs in tri.rotation]
             for u, v in rng.permutation(list(tri.edges())):
-                if len(rotation[u]) > 3 and len(rotation[v]) > 3 and rng.random() < 0.7:
+                if len(rotation[u]) > 3 and len(rotation[v]) > 3 and rng.random() < 0.4:
                     rotation[u].remove(v)
                     rotation[v].remove(u)
             graph = nx.Graph((x, w) for x, nbrs in enumerate(rotation) for w in nbrs)
             expected = nx.node_connectivity(graph) >= 3
-            walks, face_of = trace_faces(rotation)
-            assert _is_triconnected(walks, face_of, graph.number_of_nodes()) == expected
+            assert _is_triconnected(*_face_table(tri.n, rotation)) == expected
             seen[expected] += 1
-        assert seen[True] and seen[False], seen
+        assert min(seen[True], seen[False]) >= 50, seen
+
+    @pytest.mark.parametrize(
+        "graph, pair, shared, triconnected",
+        [
+            (nx.complete_graph(4), (0, 1), 2, True),
+            (nx.octahedral_graph(), (0, 1), 2, True),
+            # The shared edge's ends lie on three faces.
+            (nx.compose(nx.complete_graph(4), nx.complete_graph([0, 1, 4, 5])), (0, 1), 3, False),
+            # The glued diagonal's ends are not adjacent and share two faces.
+            (cubes_glued_at_a_diagonal(), ((0, 0, 0), (0, 1, 1)), 2, False),
+            # Euler's formula fails: 8 - 12 + 8 = 4.
+            (nx.disjoint_union(nx.complete_graph(4), nx.complete_graph(4)), (0, 1), 2, False),
+        ],
+        ids=["k4", "octahedron", "k4s-sharing-an-edge", "cubes-glued-at-a-diagonal", "two-k4s"],
+    )
+    def test_triconnectivity_of_hand_made_graphs(self, graph, pair, shared, triconnected):
+        index = {x: i for i, x in enumerate(graph)}
+        planar, plane = nx.check_planarity(graph)
+        assert planar
+        rotation = [[index[w] for w in plane.neighbors_cw_order(x)] for x in graph]
+        walks, masks = _face_table(len(index), rotation)
+        x, y = (index[p] for p in pair)
+        assert (masks[x] & masks[y]).bit_count() == shared
+        assert (nx.node_connectivity(graph) >= 3) == triconnected
+        assert _is_triconnected(walks, masks) == triconnected

@@ -143,6 +143,16 @@ class TestBuildCommand:
         census = json.loads((out / "returns.census.json").read_text())
         assert census["accepted_edges"] == 9
 
+    def test_byte_order_mark_is_not_part_of_the_first_label(self, tmp_path):
+        path = tmp_path / "returns.csv"
+        path.write_bytes(b"\xef\xbb\xbf" + RETURNS4_CSV.encode())
+        argv = ["build", str(path), "--format", "returns", "--output-dir", str(tmp_path)]
+        assert main(argv) == 0
+        graph = PlanarEmbedding.from_json((tmp_path / "returns.pmfg.json").read_text())
+        assert graph.labels == ("A", "B", "C", "D")
+        log = (tmp_path / "returns.acceptance.csv").read_text()
+        assert "\ufeff" not in log and ",A," in log
+
     def test_one_column_returns_refused_for_too_few_entities(self, tmp_path, capsys):
         path = tmp_path / "returns.csv"
         path.write_text("A\n0.1\n0.2\n0.3\n")
@@ -334,9 +344,13 @@ class TestCliquesCommand:
                 {"n": 4, "rotation": [[1, 3, 2], [2, 3, 0], [0, 3, 1], [0, 1, 2]], "outer_face": []},
                 "outer_face marker does not match any face",
             ),
+            (
+                {**standard_form(5).to_json_dict(), "outer_face": [0, 2, 1, 1]},
+                "outer_face marker does not match any face",
+            ),
             ({"n": 1, "rotation": [[]]}, "an embedding needs at least two vertices"),
         ],
-        ids=["empty-labels", "empty-outer-face", "one-vertex"],
+        ids=["empty-labels", "empty-outer-face", "repeated-outer-vertex", "one-vertex"],
     )
     def test_invalid_graph_document_exits_2(self, tmp_path, capsys, doc, message):
         # Well-formed JSON whose embedding breaks an invariant: an empty

@@ -63,10 +63,9 @@ class TestFaceTracing:
         # A face cycle meets its least vertex once, so ``trace_faces``'s
         # start is the lexicographically least rotation of the walk.
         def lexicographic_faces(emb):
-            walks, _ = trace_faces(emb.rotation)
             starts = (
                 min(tuple(w[i:] + w[:i]) for i, x in enumerate(w) if x == min(w))
-                for w in walks
+                for w in trace_faces(emb.rotation)
             )
             return tuple(sorted(starts))
 
@@ -125,9 +124,8 @@ class TestApex:
             tree = pruned(tri, rng, 1.0)
             assert tree.e == n - 1
             for emb in (tri, pruned(tri, rng, 0.4), tree):
-                walks, _ = trace_faces(emb.rotation)
                 after = {}
-                for walk in walks:
+                for walk in trace_faces(emb.rotation):
                     k = len(walk)
                     for i in range(k):
                         after[walk[i], walk[(i + 1) % k]] = walk[(i + 2) % k]
@@ -213,6 +211,15 @@ class TestValidation:
     def test_outer_face_must_exist(self):
         with pytest.raises(StructuralError, match="outer_face"):
             PlanarEmbedding(k4().rotation, outer_face=(0, 1, 9))
+
+    def test_outer_face_must_be_a_walk_not_just_its_vertex_set(self):
+        rotation = standard_form(5).rotation
+        with pytest.raises(StructuralError, match="outer_face"):
+            PlanarEmbedding(rotation, outer_face=(0, 2, 1, 1))
+        # A reversed triangle, or a walk through a cut vertex twice, still marks a face.
+        assert PlanarEmbedding(rotation, outer_face=(1, 2, 0)).outer_face == (1, 2, 0)
+        path = ((1, 3, 2), (0, 3), (0,), (0, 1))
+        assert PlanarEmbedding(path, outer_face=(0, 2, 0, 3, 1)).outer_face == (0, 2, 0, 3, 1)
 
     def test_label_count_must_match(self):
         with pytest.raises(StructuralError, match="labels"):
