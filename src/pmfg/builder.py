@@ -150,14 +150,14 @@ def weighted_edge_list(
     ]
     pairs.sort(key=lambda entry: _rank_key(labels, entry))
     if tie_policy == "strict":
+        names = [", ".join(_rank_key(labels, entry)[1:]) for entry in pairs]
         tied = [
-            (pairs[k][:2], pairs[k + 1][:2])
+            f"({names[k]}) ~ ({names[k + 1]})"
             for k in range(len(pairs) - 1)
             if pairs[k][2] == pairs[k + 1][2]
         ]
         if tied:
-            listing = "; ".join(f"{x} ~ {y}" for x, y in tied)
-            raise InputError(f"tied weights under strict policy: {listing}")
+            raise InputError(f"tied weights under strict policy: {'; '.join(tied)}")
     return tuple(pairs)
 
 

@@ -149,8 +149,8 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 def _cmd_normalize(args: argparse.Namespace) -> int:
     emb = _load_embedding(args.graph)
-    before = count_cliques(emb)
     normalized, trace = normalize_to_standard(emb)
+    before = count_cliques(emb)
     after = count_cliques(normalized)
     expected = standard_form_expected(emb.n)
     out = Path(args.output_dir)

@@ -96,32 +96,27 @@ class PlanarEmbedding:
     graph is connected, and the face-tracing walk closes up with
     n - e + f = 2.  ``_trusted`` skips the checks and stores its arguments
     as given, so it takes exactly the stored shape: a tuple of rotation
-    tuples, each started at its least neighbor, and labels and outer face
-    each a tuple or None.  Only code that derives the rotation from a valid
-    embedding uses it (``relabel``, ``mirrored``, the wheel insertions,
-    flips and standard form of ``pmfg.generator``, and
-    ``pmfg.builder.build_pmfg`` on the rotation ``is_planar`` has just
-    validated).
+    tuples, each started at its least neighbor, and labels a tuple or None.
+    Only code that derives the rotation from a valid embedding uses it
+    (``relabel``, ``mirrored``, the wheel insertions and flips of
+    ``pmfg.generator``, and ``pmfg.builder.build_pmfg`` on the rotation
+    ``is_planar`` has just validated).
 
     ``labels`` is an optional side table of external names (one per vertex);
-    it is never consulted by any algorithm.  ``outer_face`` optionally marks
-    one face as the unbounded one for rendering and for counts that are
-    stated relative to a plane drawing; it is ignored everywhere else.
+    it is never consulted by any algorithm.  No face is distinguished: a
+    count stated relative to a plane drawing takes its outer face as an
+    argument (``pmfg.generator.pure_chord_cycle_sets``).
     """
 
     def __init__(
         self,
         rotation: Sequence[Sequence[int]],
         labels: Sequence[str] | None = None,
-        outer_face: Sequence[int] | None = None,
     ) -> None:
         self.rotation: tuple[tuple[int, ...], ...] = tuple(
             map(_canonical_rotation, rotation)
         )
         self.labels: tuple[str, ...] | None = None if labels is None else tuple(labels)
-        self.outer_face: tuple[int, ...] | None = (
-            None if outer_face is None else tuple(outer_face)
-        )
         self._validate()
 
     @classmethod
@@ -129,14 +124,13 @@ class PlanarEmbedding:
         cls,
         rotation: tuple[tuple[int, ...], ...],
         labels: tuple[str, ...] | None = None,
-        outer_face: tuple[int, ...] | None = None,
     ) -> "PlanarEmbedding":
         """An embedding whose validity and stored shape the caller has
         established.  A wheel insertion or flip hands over its parent's
         entries with only the ones it touched rebuilt, so it does no Python
         work per untouched vertex."""
         emb = cls.__new__(cls)
-        emb.rotation, emb.labels, emb.outer_face = rotation, labels, outer_face
+        emb.rotation, emb.labels = rotation, labels
         return emb
 
     # ------------------------------------------------------------------
@@ -228,10 +222,6 @@ class PlanarEmbedding:
             )
         if self.labels is not None and len(self.labels) != n:
             raise StructuralError("labels must cover every vertex")
-        if self.outer_face is not None:
-            outer = sorted(self.outer_face)
-            if not any(sorted(f) == outer for f in self.faces):
-                raise StructuralError("outer_face marker does not match any face")
 
     # ------------------------------------------------------------------
     # Equality and transforms
@@ -258,16 +248,12 @@ class PlanarEmbedding:
             _canonical_rotation([perm[w] for w in self.rotation[v]]) for v in old
         )
         labels = tuple(self.labels[v] for v in old) if self.labels else None
-        outer = tuple(perm[v] for v in self.outer_face) if self.outer_face else None
-        return PlanarEmbedding._trusted(rotation, labels=labels, outer_face=outer)
+        return PlanarEmbedding._trusted(rotation, labels=labels)
 
     def mirrored(self) -> "PlanarEmbedding":
         """The reflected embedding (every rotation reversed)."""
-        return PlanarEmbedding._trusted(
-            tuple(_canonical_rotation(nbrs[::-1]) for nbrs in self.rotation),
-            labels=self.labels,
-            outer_face=self.outer_face,
-        )
+        rotation = tuple(_canonical_rotation(nbrs[::-1]) for nbrs in self.rotation)
+        return PlanarEmbedding._trusted(rotation, labels=self.labels)
 
     # ------------------------------------------------------------------
     # Serialization
@@ -280,19 +266,19 @@ class PlanarEmbedding:
         }
         if self.labels is not None:
             doc["labels"] = list(self.labels)
-        if self.outer_face is not None:
-            doc["outer_face"] = list(self.outer_face)
         return doc
 
     def to_json(self, indent: int | None = None) -> str:
         return json.dumps(self.to_json_dict(), indent=indent)
 
     @classmethod
-    def from_json_dict(cls, doc: dict) -> "PlanarEmbedding":
+    def from_json_dict(cls, doc: object) -> "PlanarEmbedding":
+        if not isinstance(doc, dict):
+            raise InputError("graph document: must be a JSON object")
         try:
             n = doc["n"]
             rotation = doc["rotation"]
-        except (TypeError, KeyError) as exc:
+        except KeyError as exc:
             raise InputError(f"graph document lacks required key: {exc}") from exc
         if not isinstance(rotation, list) or not all(
             isinstance(nbrs, list) and all(map(_is_vertex, nbrs)) for nbrs in rotation
@@ -305,12 +291,7 @@ class PlanarEmbedding:
             isinstance(labels, list) and all(isinstance(s, str) for s in labels)
         ):
             raise InputError("graph document: labels must be a list of strings")
-        outer_face = doc.get("outer_face")
-        if outer_face is not None and not (
-            isinstance(outer_face, list) and all(map(_is_vertex, outer_face))
-        ):
-            raise InputError("graph document: outer_face must be a list of integers")
-        return cls(rotation, labels=labels, outer_face=outer_face)
+        return cls(rotation, labels=labels)
 
     @classmethod
     def from_json(cls, text: str) -> "PlanarEmbedding":

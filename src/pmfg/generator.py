@@ -107,16 +107,16 @@ def standard_form(n: int) -> PlanarEmbedding:
 
     Two poles (vertices 0 and 1) are adjacent to everything; the remaining
     vertices form a path, giving degrees [n-1, n-1, 4, ..., 4, 3, 3].  Built
-    by repeatedly inserting a hub into a face containing both poles.  The
-    face (0, 2, 1) is marked as the unbounded one for plane-relative counts:
-    it is a face of K4, and every hub fills a face (0, 1, n - 1) instead.
+    by repeatedly inserting a hub into a face containing both poles.  K4's
+    face (0, 2, 1) stays a face, the outer one of the paper's plane-relative
+    counts: every hub fills a face (0, 1, n - 1) instead.
     """
     if n < 4:
         raise InputError("standard form is defined for n >= 4")
     emb = k4()
     while emb.n < n:
         emb = apply_eberhard(emb, EberhardOp((0, 1, emb.n - 1)))
-    return PlanarEmbedding._trusted(emb.rotation, outer_face=(0, 2, 1))
+    return emb
 
 
 # ----------------------------------------------------------------------
@@ -323,13 +323,15 @@ def _derived_table(
     return _WheelTable(emb, faces, chains, edges, phi3)
 
 
-def pure_chord_cycle_sets(emb: PlanarEmbedding, k: int) -> list[EberhardOp]:
+def pure_chord_cycle_sets(
+    emb: PlanarEmbedding, k: int, outer_face: Sequence[int]
+) -> list[EberhardOp]:
     """Pure chord-cycles of length k, counted as a plane drawing counts them.
 
-    Relative to ``emb.outer_face``, only regions on the bounded side qualify
-    as interiors, and cycles are identified by vertex set.  This is the
-    counting that yields 5, 4 and 1 cycles of lengths 3, 4, 5 for the
-    unique 5-vertex triangulation.
+    Relative to ``outer_face``, a face of ``emb`` in any vertex order, only
+    regions on the bounded side qualify as interiors, and cycles are
+    identified by vertex set.  This is the counting that yields 5, 4 and 1
+    cycles of lengths 3, 4, 5 for ``standard_form(5)`` with outer face (0, 2, 1).
 
     A region contains the outer face iff the face's three vertices lie on
     the cycle and every pair of them is joined by a cycle side or a chord:
@@ -338,9 +340,9 @@ def pure_chord_cycle_sets(emb: PlanarEmbedding, k: int) -> list[EberhardOp]:
     """
     if k not in (3, 4, 5):
         raise InputError(f"pure chord-cycle length must be 3, 4 or 5, not {k}")
-    if emb.outer_face is None:
-        raise InputError("set-level counting needs a distinguished outer face")
-    outer_sides = {frozenset(s) for s in itertools.combinations(emb.outer_face, 2)}
+    if sorted(outer_face) not in map(sorted, emb.faces):
+        raise InputError(f"outer face {tuple(outer_face)} is not a face of the embedding")
+    outer_sides = {frozenset(s) for s in itertools.combinations(outer_face, 2)}
     by_set: dict[frozenset[int], EberhardOp] = {}
     for op in eberhard_ops(emb):
         cyc = op.cycle
@@ -455,10 +457,7 @@ def diagonal_flip(emb: PlanarEmbedding, move: FlipMove) -> PlanarEmbedding:
     rot[q].insert(rot[q].index(a), p)
     for v in (a, c, p, q):
         rot[v] = _canonical_rotation(rot[v])
-    outer = emb.outer_face
-    if outer is not None and set(outer) in ({a, c, p}, {a, c, q}):
-        outer = None
-    return PlanarEmbedding._trusted(tuple(rot), labels=emb.labels, outer_face=outer)
+    return PlanarEmbedding._trusted(tuple(rot), labels=emb.labels)
 
 
 def legal_flips(emb: PlanarEmbedding) -> list[FlipMove]:

@@ -282,7 +282,7 @@ class TestWeightedEdgeList:
         with pytest.raises(InputError) as excinfo:
             weighted_edge_list(sim, tie_policy="strict")
         assert str(excinfo.value) == (
-            "tied weights under strict policy: (0, 1) ~ (0, 2); (0, 2) ~ (1, 2)"
+            "tied weights under strict policy: (a, b) ~ (a, c); (a, c) ~ (b, c)"
         )
 
     def test_unknown_policy_rejected(self):

@@ -128,7 +128,9 @@ class TestBuildCommand:
         path = tmp_path / "tied.csv"
         path.write_text(",a,b,c\na,1,0.5,0.5\nb,0.5,1,0.5\nc,0.5,0.5,1\n")
         assert main(["build", str(path), "--tie-policy", "strict"]) == 2
-        assert "tied weights" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "tied weights" in err
+        assert "(a, b) ~ (a, c); (a, c) ~ (b, c)" in err
 
     def test_returns_format(self, tmp_path):
         rng = np.random.default_rng(0)
@@ -312,7 +314,10 @@ class TestCliquesCommand:
             {"n": 4, "rotation": [1, 2, 3, 4]},
             {"n": 4, "rotation": [[1, 3, 2], [2, 3, 0], [0, 3, 1], [0, 1, 2]], "labels": 7},
             {"n": 4, "rotation": [[1, 3, 2], [2, 3, 0], [0, 3, 1], [0, 1, 2]], "labels": ["a", "b", "c", 4]},
-            {"n": 4, "rotation": [[1, 3, 2], [2, 3, 0], [0, 3, 1], [0, 1, 2]], "outer_face": [[0, 1, 2]]},
+            [1, 2],
+            None,
+            "abc",
+            7,
         ],
         ids=[
             "string-neighbour",
@@ -322,7 +327,10 @@ class TestCliquesCommand:
             "rotation-entry-not-a-list",
             "labels-not-a-list",
             "non-string-label",
-            "nested-outer-face",
+            "top-level-list",
+            "top-level-null",
+            "top-level-string",
+            "top-level-number",
         ],
     )
     def test_malformed_graph_json_exits_2(self, tmp_path, capsys, doc):
@@ -340,17 +348,9 @@ class TestCliquesCommand:
                 {"n": 4, "rotation": [[1, 3, 2], [2, 3, 0], [0, 3, 1], [0, 1, 2]], "labels": []},
                 "labels must cover every vertex",
             ),
-            (
-                {"n": 4, "rotation": [[1, 3, 2], [2, 3, 0], [0, 3, 1], [0, 1, 2]], "outer_face": []},
-                "outer_face marker does not match any face",
-            ),
-            (
-                {**standard_form(5).to_json_dict(), "outer_face": [0, 2, 1, 1]},
-                "outer_face marker does not match any face",
-            ),
             ({"n": 1, "rotation": [[]]}, "an embedding needs at least two vertices"),
         ],
-        ids=["empty-labels", "empty-outer-face", "repeated-outer-vertex", "one-vertex"],
+        ids=["empty-labels", "one-vertex"],
     )
     def test_invalid_graph_document_exits_2(self, tmp_path, capsys, doc, message):
         # Well-formed JSON whose embedding breaks an invariant: an empty
@@ -359,6 +359,21 @@ class TestCliquesCommand:
         path.write_text(json.dumps(doc))
         assert main(["cliques", str(path)]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_keys_outside_the_format_are_ignored(self, tmp_path, capsys):
+        # An outer-face marker is no part of the format: the document loads,
+        # and a flip writes the result back without it.
+        doc = {**standard_form(5).to_json_dict(), "outer_face": [0, 2, 1]}
+        path = tmp_path / "marked.json"
+        path.write_text(json.dumps(doc))
+        assert main(["cliques", str(path)]) == 0
+        capsys.readouterr()
+        assert main(["flip", str(path), "0", "3"]) == 0
+        flipped = json.loads(capsys.readouterr().out)
+        assert set(flipped) == {"n", "rotation"}
+        assert PlanarEmbedding.from_json_dict(flipped) == diagonal_flip(
+            standard_form(5), FlipMove((0, 3))
+        )
 
 
 RETURNS4_CSV = (
@@ -535,10 +550,14 @@ class TestNormalizeCommand:
         assert main(["normalize", str(path), "--output-dir", str(tmp_path)]) == 0
         assert "in 0 flips" in capsys.readouterr().out
 
-    def test_non_triangulation_exits_2(self, tmp_path):
+    def test_non_triangulation_exits_2(self, tmp_path, capsys):
+        # The message names normalization's precondition, not the census's.
         path = tmp_path / "tree.json"
         path.write_text(PlanarEmbedding(((1,), (0, 2), (1,))).to_json())
         assert main(["normalize", str(path), "--output-dir", str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: normalization requires a triangulation\n"
 
     def test_eight_vertex_class_reaches_the_maxima(self, tmp_path, capsys):
         from pmfg import random_triangulation

@@ -208,19 +208,6 @@ class TestValidation:
         with pytest.raises(StructuralError, match="unknown neighbor"):
             PlanarEmbedding(((1, 7), (0,)))
 
-    def test_outer_face_must_exist(self):
-        with pytest.raises(StructuralError, match="outer_face"):
-            PlanarEmbedding(k4().rotation, outer_face=(0, 1, 9))
-
-    def test_outer_face_must_be_a_walk_not_just_its_vertex_set(self):
-        rotation = standard_form(5).rotation
-        with pytest.raises(StructuralError, match="outer_face"):
-            PlanarEmbedding(rotation, outer_face=(0, 2, 1, 1))
-        # A reversed triangle, or a walk through a cut vertex twice, still marks a face.
-        assert PlanarEmbedding(rotation, outer_face=(1, 2, 0)).outer_face == (1, 2, 0)
-        path = ((1, 3, 2), (0, 3), (0,), (0, 1))
-        assert PlanarEmbedding(path, outer_face=(0, 2, 0, 3, 1)).outer_face == (0, 2, 0, 3, 1)
-
     def test_label_count_must_match(self):
         with pytest.raises(StructuralError, match="labels"):
             PlanarEmbedding(k4().rotation, labels=("a", "b"))
@@ -229,18 +216,15 @@ class TestValidation:
 class TestSerialization:
     def test_json_round_trip_identical_rotation(self):
         emb = PlanarEmbedding(
-            standard_form(7).rotation,
-            labels=tuple(f"T{i}" for i in range(7)),
-            outer_face=standard_form(7).outer_face,
+            standard_form(7).rotation, labels=tuple(f"T{i}" for i in range(7))
         )
         again = PlanarEmbedding.from_json(emb.to_json())
         assert again.rotation == emb.rotation
         assert again.labels == emb.labels
-        assert again.outer_face == emb.outer_face
 
     def test_json_keys(self):
         doc = json.loads(standard_form(5).to_json())
-        assert set(doc) == {"n", "rotation", "outer_face"}
+        assert set(doc) == {"n", "rotation"}
         assert doc["n"] == 5
 
     def test_bad_json_is_input_error(self):

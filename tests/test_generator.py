@@ -340,14 +340,23 @@ class TestPureChordCycles:
 
     def test_plane_relative_counts_on_five_vertices(self, p5):
         # Counted as vertex sets of bounded regions: 5, 4 and 1.
-        assert len(pure_chord_cycle_sets(p5, 3)) == 5
-        assert len(pure_chord_cycle_sets(p5, 4)) == 4
-        assert len(pure_chord_cycle_sets(p5, 5)) == 1
+        assert len(pure_chord_cycle_sets(p5, 3, (0, 2, 1))) == 5
+        assert len(pure_chord_cycle_sets(p5, 4, (0, 2, 1))) == 4
+        assert len(pure_chord_cycle_sets(p5, 5, (0, 2, 1))) == 1
+
+    def test_any_order_of_the_outer_face_gives_the_same_sets(self, p5):
+        # Every rotation and reversal of each face's walk names that face.
+        for face in p5.faces:
+            orders = [face[i:] + face[:i] for i in range(3)]
+            orders += [order[::-1] for order in orders]
+            for k in (3, 4, 5):
+                results = [pure_chord_cycle_sets(p5, k, order) for order in orders]
+                assert all(result == results[0] for result in results), (face, k)
 
     def test_chord_counts(self, p5):
-        for op in pure_chord_cycle_sets(p5, 4):
+        for op in pure_chord_cycle_sets(p5, 4, (0, 2, 1)):
             assert len(op.chords) == 1
-        (pent,) = pure_chord_cycle_sets(p5, 5)
+        (pent,) = pure_chord_cycle_sets(p5, 5, (0, 2, 1))
         assert len(pent.chords) == 2
 
     def test_region_chord_counts_by_length(self, p5):
@@ -362,39 +371,42 @@ class TestPureChordCycles:
         assert len(cycles_of_length(emb, 4)) == 6
         assert len(cycles_of_length(emb, 5)) == 0
 
-    def test_set_level_needs_outer_face(self, octahedron):
-        with pytest.raises(InputError):
-            pure_chord_cycle_sets(octahedron, 3)
+    def test_set_level_needs_outer_face(self, p5):
+        # A 4-cycle of the drawing, or three vertices that bound no face, is
+        # not a face.
+        for outer in [(0, 1, 4, 2), (0, 2, 4), (0, 1, 2, 2)]:
+            with pytest.raises(InputError, match="is not a face"):
+                pure_chord_cycle_sets(p5, 3, outer)
 
     def test_bad_length_rejected(self, octahedron):
-        # The length is checked first, even without an outer face.
+        # The length is checked first, even before the outer face.
         with pytest.raises(InputError, match="must be 3, 4 or 5, not 6"):
-            pure_chord_cycle_sets(octahedron, 6)
+            pure_chord_cycle_sets(octahedron, 6, (0, 1, 2, 3))
 
     def test_lone_triangle_has_only_its_two_faces(self):
         # Both sides of a lone triangle are faces, so its cycle fixes no
         # region, and wheel insertions are refused below n = 4.
-        triangle = PlanarEmbedding(((1, 2), (2, 0), (0, 1)), outer_face=(0, 1, 2))
+        triangle = PlanarEmbedding(((1, 2), (2, 0), (0, 1)))
         with pytest.raises(InputError, match="n >= 4"):
             eberhard_ops(triangle)
         for k in (3, 4, 5):
             with pytest.raises(InputError, match="n >= 4"):
-                pure_chord_cycle_sets(triangle, k)
+                pure_chord_cycle_sets(triangle, k, (0, 1, 2))
 
     def test_set_counts_match_the_merge_walk_interiors_on_every_class(self, classes):
         # Each face in turn is the outer one; a region is dropped when one of
         # its interior faces is that face, and kept once per vertex set.
         for records in classes.values():
             for rec in records.values():
-                for face in rec.embedding.faces:
+                emb = rec.embedding
+                for face in emb.faces:
                     outer = frozenset(face)
-                    emb = PlanarEmbedding(rec.embedding.rotation, outer_face=face)
                     for k in (3, 4, 5):
                         want: dict = {}
                         for cyc, chords, interior in merge_walk_cycles(emb, k):
                             if outer not in map(frozenset, interior):
                                 want.setdefault(frozenset(cyc), (cyc, chords))
-                        got = regions(pure_chord_cycle_sets(emb, k))
+                        got = regions(pure_chord_cycle_sets(emb, k, face))
                         assert got == list(want.values()), (emb.rotation, face, k)
 
     def test_matches_the_merge_walk_enumerator_on_every_class(self, classes):
@@ -552,10 +564,11 @@ class TestWheelTable:
         assert ref() is None and child.n == 31
 
     def test_standard_form_marks_the_face_of_its_first_three_vertices(self):
-        # Every hub fills a face (0, 1, n - 1), so K4's face (0, 2, 1) stays.
+        # Every hub fills a face (0, 1, n - 1), so K4's face (0, 2, 1) stays:
+        # the face the paper's plane-relative counts take as the outer one.
         for n in range(4, 61):
             emb = standard_form(n)
-            assert [f for f in emb.faces if set(f) == {0, 1, 2}] == [emb.outer_face]
+            assert [f for f in emb.faces if set(f) == {0, 1, 2}] == [(0, 2, 1)]
 
     def test_large_standard_form_needs_no_recursion(self):
         n = 2000
@@ -939,16 +952,15 @@ def audited(monkeypatch):
     made: Counter = Counter()
     trusted = PlanarEmbedding._trusted.__func__
 
-    def checked(cls, rotation, labels=None, outer_face=None):
+    def checked(cls, rotation, labels=None):
         # _trusted stores its arguments as given: they must be the stored shape.
         assert type(rotation) is tuple
         assert all(type(nbrs) is tuple and nbrs[0] == min(nbrs) for nbrs in rotation)
         assert labels is None or type(labels) is tuple
-        assert outer_face is None or type(outer_face) is tuple
-        emb = trusted(cls, rotation, labels, outer_face)
-        rebuilt = PlanarEmbedding(emb.rotation, labels=emb.labels, outer_face=emb.outer_face)
+        emb = trusted(cls, rotation, labels)
+        rebuilt = PlanarEmbedding(emb.rotation, labels=emb.labels)
         assert rebuilt.rotation == emb.rotation
-        assert (rebuilt.labels, rebuilt.outer_face) == (emb.labels, emb.outer_face)
+        assert rebuilt.labels == emb.labels
         made[sys._getframe(1).f_code.co_name] += 1
         return emb
 
@@ -1007,11 +1019,12 @@ class TestTrustedConstruction:
                 perm = list(range(n))
                 rng.shuffle(perm)
                 labels = [f"v{v}" for v in range(n)]
-                labeled = PlanarEmbedding(emb.rotation, labels, emb.faces[0])
+                labeled = PlanarEmbedding(emb.rotation, labels)
                 labeled.relabel(perm).mirrored()
             flip_closure(n)
+        # standard_form returns its last wheel insertion as it is.
         assert set(audited) == {
-            "apply_eberhard", "diagonal_flip", "standard_form", "relabel", "mirrored"
+            "apply_eberhard", "diagonal_flip", "relabel", "mirrored"
         }, audited
 
     def test_normalization_builds_only_valid_embeddings(self, audited):
