@@ -31,6 +31,17 @@ SYMMETRY_TOLERANCE = 1e-12
 TiePolicy = str  # "lexicographic" | "strict"
 
 
+def _check_labels(labels: list[str] | tuple[str, ...]) -> None:
+    """Entity labels must be non-empty and distinct; positions count from 1."""
+    seen: set[str] = set()
+    for i, label in enumerate(labels, start=1):
+        if not label:
+            raise InputError(f"label {i} is empty")
+        if label in seen:
+            raise InputError(f"labels must be unique: {label!r} repeats")
+        seen.add(label)
+
+
 @dataclass(frozen=True)
 class SimilarityMatrix:
     """Symmetric matrix of pairwise similarity coefficients.
@@ -49,8 +60,7 @@ class SimilarityMatrix:
             raise InputError("similarity matrix must be square")
         if len(self.labels) != v.shape[0]:
             raise InputError("one label per matrix row is required")
-        if len(set(self.labels)) != len(self.labels):
-            raise InputError("labels must be unique")
+        _check_labels(self.labels)
         off = ~np.eye(v.shape[0], dtype=bool)
         if not np.isfinite(v[off]).all():
             i, j = next(zip(*np.where(~np.isfinite(v) & off)))
@@ -427,6 +437,7 @@ def read_matrix_csv(path: str | Path) -> SimilarityMatrix:
     if not rows:
         raise InputError(f"{path}: empty file")
     labels = [c.strip() for c in rows[0][1:]]
+    _check_labels(labels)  # before the shape: a trailing comma is an empty label
     n = len(labels)
     if len(rows) != n + 1:
         raise InputError(f"{path}: expected {n} data rows after the header")

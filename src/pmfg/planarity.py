@@ -112,12 +112,16 @@ def _lr_rotation(
     and plain lists.  Its four phases are the orientation DFS (lowpoints and
     nesting depths), the testing DFS over conflict pairs of return-edge
     intervals, ``sign`` (resolving each edge's side relative to its
-    reference edge), and the embedding DFS.  The graph is traversed as
+    reference edge), and the embedding DFS, which builds each vertex's
+    clockwise ring of neighbours as a plain list.  The graph is traversed as
     networkx's internal copy of an ``nx.Graph`` traverses it: vertices in
     ascending order, and each vertex's edges to smaller vertices (ascending)
     before its edges to larger ones (in adjacency order).  So the rotation,
     including where each cyclic order starts, is the reverse of networkx's
-    ``neighbors_cw_order``.  Time is linear up to the sort by nesting depth.
+    ``neighbors_cw_order``.  The first three phases are linear up to the sort
+    by nesting depth.  The embedding's ``list.insert`` and ``list.index``
+    calls cost O(deg) each, O(sum of deg**2) C-level work in all, which
+    shows only once a vertex has tens of thousands of neighbours.
     """
     # Edges e = 0..m-1, listed as networkx's copy lists them.
     ends: list[int] = []  # v, w of edge e at 2e, 2e + 1
@@ -250,7 +254,7 @@ def _lr_rotation(
         u = src[e]
         hu = height[u]
         while S:  # drop entire conflict pairs
-            ll, lh, rl, rh = P = S[-1]
+            ll, lh, rl, rh = S[-1]
             if ll is None and lh is None:
                 lowest = lowpt[rl]
             elif rl is None and rh is None:
@@ -336,22 +340,15 @@ def _lr_rotation(
     for e in range(m):
         depth[e] *= side[e]
 
-    # Embedding: each vertex's out-edges in signed nesting order start its
-    # clockwise cycle; a last DFS hangs each tree edge and back edge onto
-    # the rotation of its head.  Dart 2e runs src[e] -> dst[e] and dart
-    # 2e + 1 back; cw and ccw link the darts around their tail, and
-    # leftmost[v] is the dart networkx keeps last in v's dict.
-    cw = [0] * (2 * m)
-    ccw = [0] * (2 * m)
-    leftmost = [-1] * n
+    # Embedding: rings[v] lists v's neighbours clockwise from the one
+    # networkx keeps first.  v's out-edges in signed nesting order start it;
+    # a last DFS hangs each tree edge and back edge onto the ring of its
+    # head.  left_ref[v] and right_ref[v] are the neighbours of v that v's
+    # later back edges go next to.
+    rings: list[list[int]] = []
     for v in range(n):
         edges = ordered[v] = sorted(out[v], key=key)
-        if edges:
-            darts = [2 * e for e in edges]
-            leftmost[v] = darts[0]
-            for d, d_next in zip(darts, darts[1:] + darts[:1]):
-                cw[d] = d_next
-                ccw[d_next] = d
+        rings.append([dst[e] for e in edges])
     left_ref = [0] * n
     right_ref = [0] * n
     nxt = [0] * n
@@ -365,46 +362,21 @@ def _lr_rotation(
                 ei = edges[i]
                 i += 1
                 w = dst[ei]
-                d = 2 * ei + 1  # the dart w -> v
-                if parent[w] == ei:  # tree edge: v becomes w's leftmost neighbour
-                    first = leftmost[w]
-                    if first < 0:
-                        cw[d] = ccw[d] = d
-                    else:
-                        p = ccw[first]
-                        cw[d], ccw[d], cw[p], ccw[first] = first, p, d, d
-                    leftmost[w] = d
-                    left_ref[v] = right_ref[v] = 2 * ei
+                ring = rings[w]
+                if parent[w] == ei:  # tree edge: v becomes w's first neighbour
+                    ring.insert(0, v)
+                    left_ref[v] = right_ref[v] = w
                     nxt[v] = i
                     stack += (v, w)
                     break
                 if side[ei] == 1:  # just clockwise after right_ref[w]
-                    r = right_ref[w]
-                    q = cw[r]
-                    ccw[d], cw[d], cw[r], ccw[q] = r, q, d, d
+                    ring.insert(ring.index(right_ref[w]) + 1, v)
                 else:  # just counter-clockwise before left_ref[w]
-                    r = left_ref[w]
-                    p = ccw[r]
-                    cw[d], ccw[d], cw[p], ccw[r] = r, p, d, d
-                    if leftmost[w] == r:
-                        leftmost[w] = d
-                    left_ref[w] = d
-
-    # networkx lists clockwise from the leftmost dart; reversed, that is
-    # counter-clockwise from the dart before it, ending at the leftmost.
-    head = [0] * (2 * m)
-    head[0::2] = dst
-    head[1::2] = src
-    rotation: list[list[int]] = []
-    for v in range(n):
-        nbrs: list[int] = []
-        if leftmost[v] >= 0:
-            d = ccw[leftmost[v]]
-            for _ in incident[v]:
-                nbrs.append(head[d])
-                d = ccw[d]
-        rotation.append(nbrs)
-    return rotation, len(roots)
+                    ring.insert(ring.index(left_ref[w]), v)
+                    left_ref[w] = v
+    # Reversed, a ring runs counter-clockwise from the neighbour before its
+    # first one and ends at the first: networkx's order read backwards.
+    return [ring[::-1] for ring in rings], len(roots)
 
 
 # ----------------------------------------------------------------------

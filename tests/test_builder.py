@@ -248,8 +248,12 @@ class TestSimilarityMatrix:
             SimilarityMatrix(("a", "b"), values, correlation=True)
 
     def test_duplicate_labels_rejected(self):
-        with pytest.raises(InputError, match="unique"):
-            SimilarityMatrix(("a", "a"), np.eye(2))
+        with pytest.raises(InputError, match="unique: 'b' repeats"):
+            SimilarityMatrix(("a", "b", "c", "b", "a"), np.eye(5))
+
+    def test_empty_label_rejected_by_position(self):
+        with pytest.raises(InputError, match="^label 2 is empty$"):
+            SimilarityMatrix(("a", "", "c"), np.eye(3))
 
 
 class TestWeightedEdgeList:
@@ -389,6 +393,12 @@ class TestCsvInterfaces:
         path = tmp_path / "matrix.csv"
         path.write_text(",a,b\nb,1.0,0.5\na,0.5,1.0\n")
         with pytest.raises(InputError, match="row label"):
+            read_matrix_csv(path)
+
+    def test_matrix_trailing_comma_header_names_the_empty_label(self, tmp_path):
+        path = tmp_path / "matrix.csv"
+        path.write_text(",a,b,c,\na,1,0.5,0.2\nb,0.5,1,0.3\nc,0.2,0.3,1\n")
+        with pytest.raises(InputError, match="^label 4 is empty$"):
             read_matrix_csv(path)
 
     def test_missing_file(self):
