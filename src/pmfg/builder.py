@@ -22,24 +22,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .embedding import PlanarEmbedding, trace_faces
+from .embedding import PlanarEmbedding, _check_labels, trace_faces
 from .errors import InputError, VerificationFailure
 from .planarity import _lr_rotation, is_planar
 
 SYMMETRY_TOLERANCE = 1e-12
 
 TiePolicy = str  # "lexicographic" | "strict"
-
-
-def _check_labels(labels: list[str] | tuple[str, ...]) -> None:
-    """Entity labels must be non-empty and distinct; positions count from 1."""
-    seen: set[str] = set()
-    for i, label in enumerate(labels, start=1):
-        if not label:
-            raise InputError(f"label {i} is empty")
-        if label in seen:
-            raise InputError(f"labels must be unique: {label!r} repeats")
-        seen.add(label)
 
 
 @dataclass(frozen=True)

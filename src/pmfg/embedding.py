@@ -42,6 +42,17 @@ def _is_vertex(x: object) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+def _check_labels(labels: Sequence[str]) -> None:
+    """Entity labels must be non-empty and distinct; positions count from 1."""
+    seen: set[str] = set()
+    for i, label in enumerate(labels, start=1):
+        if not label:
+            raise InputError(f"label {i} is empty")
+        if label in seen:
+            raise InputError(f"labels must be unique: {label!r} repeats")
+        seen.add(label)
+
+
 def apex(rotation: Sequence[Sequence[int]], u: int, v: int) -> int:
     """The face walk's step: after the dart u -> v it turns at v onto the
     neighbor immediately preceding u.  With counter-clockwise rotations it
@@ -102,10 +113,10 @@ class PlanarEmbedding:
     ``pmfg.generator``, and ``pmfg.builder.build_pmfg`` on the rotation
     ``is_planar`` has just validated).
 
-    ``labels`` is an optional side table of external names (one per vertex);
-    it is never consulted by any algorithm.  No face is distinguished: a
-    count stated relative to a plane drawing takes its outer face as an
-    argument (``pmfg.generator.pure_chord_cycle_sets``).
+    ``labels`` is an optional side table of external names, one per vertex,
+    non-empty and distinct; it is never consulted by any algorithm.  No face
+    is distinguished: a count stated relative to a plane drawing takes its
+    outer face as an argument (``pmfg.generator.pure_chord_cycle_sets``).
     """
 
     def __init__(
@@ -220,8 +231,10 @@ class PlanarEmbedding:
             raise StructuralError(
                 f"rotation system has genus > 0: n={n} e={self.e} f={f}"
             )
-        if self.labels is not None and len(self.labels) != n:
-            raise StructuralError("labels must cover every vertex")
+        if self.labels is not None:
+            if len(self.labels) != n:
+                raise StructuralError("labels must cover every vertex")
+            _check_labels(self.labels)
 
     # ------------------------------------------------------------------
     # Equality and transforms

@@ -370,6 +370,9 @@ def apply_eberhard(emb: PlanarEmbedding, op: EberhardOp) -> PlanarEmbedding:
     k = len(verts)
     if not 3 <= k <= 5 or len(set(verts)) != k:
         raise OperationError(f"cycle {verts} is not 3 to 5 distinct vertices")
+    for v in verts:
+        if not 0 <= v < emb.n:
+            raise OperationError(f"cycle vertex {v} is outside 0..{emb.n - 1}")
     if len(chords) != k - 3:
         raise OperationError(f"{op.kind} needs exactly {k - 3} chords")
     for u, v in zip(verts, verts[1:] + verts[:1]):
@@ -743,8 +746,9 @@ def flip_closure(n: int, *, ceiling: int = GENERATION_CEILING) -> set[CanonicalC
 def _degree_raising_flip(emb: PlanarEmbedding, p: int, start: int = 0) -> FlipMove:
     """A flip that raises deg(p), or failing that strictly reduces the
     number of edges among p's neighbors (after which a raising flip must
-    eventually appear).  Every returned move is legal.  The link scan
-    begins at link edge ``start``; the caller vouches for the ones before."""
+    eventually appear).  Every returned move is legal and names its
+    replacement.  The link scan begins at link edge ``start``; the caller
+    vouches for the ones before."""
     link = emb.rotation[p]
     nbrs = set(link)
     d = len(link)
@@ -754,7 +758,7 @@ def _degree_raising_flip(emb: PlanarEmbedding, p: int, start: int = 0) -> FlipMo
         w1, w2 = _face_apexes(emb, x, y)
         w = w2 if w1 == p else w1
         if w != p and w not in nbrs:
-            return FlipMove((x, y) if x < y else (y, x))
+            return FlipMove((x, y) if x < y else (y, x), (p, w) if p < w else (w, p))
     # Chords of the link: flip one whose replacement leaves the neighborhood.
     chords = sorted((x, y) for x in link for y in emb.rotation[x] if x < y and y in nbrs)
     for x, y in chords:
@@ -764,14 +768,8 @@ def _degree_raising_flip(emb: PlanarEmbedding, p: int, start: int = 0) -> FlipMo
         if w1 == w2 or emb.has_edge(w1, w2):
             continue
         if w1 not in nbrs or w2 not in nbrs:
-            return FlipMove((x, y))
+            return FlipMove((x, y), (w1, w2) if w1 < w2 else (w2, w1))
     raise StructuralError(f"no degree-raising flip available for vertex {p}")
-
-
-def _recorded(emb: PlanarEmbedding, move: FlipMove) -> FlipMove:
-    """The move with its replacement: the edge joining the apexes of the two
-    faces at its shared edge."""
-    return FlipMove(move.shared_edge, tuple(sorted(_face_apexes(emb, *move.shared_edge))))
 
 
 def normalize_to_standard(
@@ -794,8 +792,9 @@ def normalize_to_standard(
     just flipped, as every link edge before it still has a far apex that
     already neighbors p; it starts over after a chord flip, and when the new
     neighbor leads p's rotation.  The fan phase keeps q's flippable chords
-    in a heap and adds only each flip's two new ones.  Both phases thus pick
-    the moves of a scan over every edge.
+    in a heap with their far apexes, which no later flip changes, as a
+    flip's two new chords were no chords before it; it adds only those two.
+    Both phases thus pick the moves of a scan over every edge.
     """
     if not emb.is_triangulation():
         raise StructuralError("normalization requires a triangulation")
@@ -808,7 +807,7 @@ def normalize_to_standard(
     guard = 10 * n * n + 64
     start = 0
     while cur.degree(p) < n - 1:
-        move = _recorded(cur, _degree_raising_flip(cur, p, start))
+        move = _degree_raising_flip(cur, p, start)
         cur = diagonal_flip(cur, move)
         trace.append(move)
         # Resume at the link edge before a new neighbor; a chord flip restarts.
@@ -818,11 +817,13 @@ def normalize_to_standard(
         if guard <= 0:
             raise StructuralError("normalization did not converge")
     q = max(cur.rotation[p], key=lambda v: (cur.degree(v), -v))
-    chords: list[Edge] = []
+    chords: list[tuple[int, int, int]] = []  # (x, y, far apex), x < y
 
     def push_chord(x: int, y: int) -> None:
-        if p not in (x, y) and p not in _face_apexes(cur, x, y):
-            heapq.heappush(chords, (x, y) if x < y else (y, x))
+        w1, w2 = _face_apexes(cur, x, y)
+        if p not in (x, y, w1, w2):
+            w = w2 if w1 == q else w1
+            heapq.heappush(chords, (x, y, w) if x < y else (y, x, w))
 
     ring = cur.rotation[q]
     for x, y in zip(ring, ring[1:] + ring[:1]):
@@ -830,11 +831,10 @@ def normalize_to_standard(
     while cur.degree(q) < n - 1:
         if not chords:
             raise StructuralError(f"no fan flip available toward vertex {q}")
-        move = _recorded(cur, FlipMove(heapq.heappop(chords)))
+        x, y, w = heapq.heappop(chords)  # w becomes a neighbor of q
+        move = FlipMove((x, y), (q, w) if q < w else (w, q))
         cur = diagonal_flip(cur, move)
         trace.append(move)
-        x, y = move.shared_edge
-        w = sum(move.replacement) - q  # the new neighbor of q
         push_chord(x, w)
         push_chord(w, y)
         guard -= 1

@@ -400,9 +400,9 @@ def kuratowski_oracle(n: int, edges) -> bool:
     for u, v in edge_list:
         masks[u] |= 1 << v
         masks[v] |= 1 << u
-    if _has_k5_subdivision(n, masks) or _has_k33_subdivision(n, masks):
-        return False
-    return True
+    return not any(
+        _pack_paths(masks, pairs, free) for free, pairs in _branch_placements(n, masks)
+    )
 
 
 def _bits(mask: int):
@@ -489,31 +489,18 @@ def _pack_paths(masks: list[int], pairs: list[Edge], free: int) -> bool:
     return solve(0, free)
 
 
-def _has_k5_subdivision(n: int, masks: list[int]) -> bool:
-    candidates = [v for v in range(n) if bin(masks[v]).count("1") >= 4]
+def _branch_placements(n: int, masks: list[int]):
+    """Every placement of branch vertices as (free, pairs): the vertices off
+    the branch, through which paths may run, and the pairs to join.  First
+    each 5-set of degree >= 4 with K5's 10 pairs, then each 6-set of degree
+    >= 3, split with branch[0] on the left, with K3,3's 9 pairs."""
+    degree = [mask.bit_count() for mask in masks]
     all_mask = (1 << n) - 1
-    for branch in combinations(candidates, 5):
-        branch_mask = 0
-        for v in branch:
-            branch_mask |= 1 << v
-        pairs = list(combinations(branch, 2))
-        if _pack_paths(masks, pairs, all_mask & ~branch_mask):
-            return True
-    return False
-
-
-def _has_k33_subdivision(n: int, masks: list[int]) -> bool:
-    candidates = [v for v in range(n) if bin(masks[v]).count("1") >= 3]
-    all_mask = (1 << n) - 1
-    for branch in combinations(candidates, 6):
-        branch_mask = 0
-        for v in branch:
-            branch_mask |= 1 << v
+    for branch in combinations([v for v in range(n) if degree[v] >= 4], 5):
+        yield all_mask & ~sum(1 << v for v in branch), list(combinations(branch, 2))
+    for branch in combinations([v for v in range(n) if degree[v] >= 3], 6):
+        free = all_mask & ~sum(1 << v for v in branch)
         rest = branch[1:]
         for left_rest in combinations(rest, 2):
-            left = (branch[0],) + left_rest
-            right = tuple(v for v in rest if v not in left_rest)
-            pairs = [(a, b) for a in left for b in right]
-            if _pack_paths(masks, pairs, all_mask & ~branch_mask):
-                return True
-    return False
+            right = [v for v in rest if v not in left_rest]
+            yield free, [(a, b) for a in (branch[0], *left_rest) for b in right]

@@ -435,6 +435,8 @@ class TestMalformedInput:
             (["cliques"], b"[" * 100_000),
             (["build", "--format", "returns"], b"A,,C\n1,2,3\n2,1,3\n3,1,2\n4,5,1\n"),
             (["build"], b",A,B,C,\nA,1,0.5,0.2\nB,0.5,1,0.3\nC,0.2,0.3,1\n"),
+            (["cliques"], GRAPH_JSONS[1].encode().replace(b'"c"', b'""')),
+            (["cliques"], GRAPH_JSONS[1].encode().replace(b'"c"', b'"a"')),
         ],
         ids=[
             "matrix-undecodable",
@@ -444,6 +446,8 @@ class TestMalformedInput:
             "graph-nested-too-deep",
             "returns-empty-label",
             "matrix-trailing-comma-header",
+            "graph-empty-label",
+            "graph-repeated-label",
         ],
     )
     def test_exits_2_with_one_line(self, tmp_path, capsys, argv, data):

@@ -212,6 +212,15 @@ class TestValidation:
         with pytest.raises(StructuralError, match="labels"):
             PlanarEmbedding(k4().rotation, labels=("a", "b"))
 
+    @pytest.mark.parametrize(
+        "labels, message",
+        [(("a", "b", "", "d"), "label 3 is empty"), (("a", "b", "a", "d"), "'a' repeats")],
+    )
+    def test_labels_must_be_non_empty_and_distinct(self, labels, message):
+        # The rule the matrix readers apply to entity labels.
+        with pytest.raises(InputError, match=message):
+            PlanarEmbedding(k4().rotation, labels=labels)
+
 
 class TestSerialization:
     def test_json_round_trip_identical_rotation(self):

@@ -44,7 +44,6 @@ from pmfg.generator import (
     _canonical_search,
     _degree_raising_flip,
     _face_apexes,
-    _recorded,
     generate_levels,
     standard_form_code,
 )
@@ -270,20 +269,23 @@ def scanning_normalization(
     emb: PlanarEmbedding,
 ) -> tuple[PlanarEmbedding, list[FlipMove], Counter]:
     """``normalize_to_standard`` with every move picked by the full scans
-    above: its result, its trace, and how many moves each phase picked
-    ("link" and "chord" raise the pole, "fan" fans from the second pole)."""
+    above, and its replacement read off the two faces at the move's edge:
+    its result, its trace, and how many moves each phase picked ("link" and
+    "chord" raise the pole, "fan" fans from the second pole)."""
     n = emb.n
     trace: list[FlipMove] = []
     phases: Counter = Counter()
     p = max(range(n), key=lambda v: (emb.degree(v), -v))
     while emb.degree(p) < n - 1:
-        move = _recorded(emb, scanning_degree_raising_flip(emb, p))
+        edge = scanning_degree_raising_flip(emb, p).shared_edge
+        move = FlipMove(edge, tuple(sorted(_face_apexes(emb, *edge))))
         phases["link" if p in move.replacement else "chord"] += 1
         emb = diagonal_flip(emb, move)
         trace.append(move)
     q = max(emb.rotation[p], key=lambda v: (emb.degree(v), -v))
     while emb.degree(q) < n - 1:
-        move = _recorded(emb, scanning_fan_flip(emb, p, q))
+        edge = scanning_fan_flip(emb, p, q).shared_edge
+        move = FlipMove(edge, tuple(sorted(_face_apexes(emb, *edge))))
         phases["fan"] += 1
         emb = diagonal_flip(emb, move)
         trace.append(move)
@@ -685,8 +687,17 @@ class TestApplyEberhard:
             apply_eberhard(p5, EberhardOp(cycle))
 
     def test_nonadjacent_cycle_rejected(self):
-        with pytest.raises(OperationError):
-            apply_eberhard(k4(), EberhardOp((0, 1, 9)))
+        with pytest.raises(OperationError, match="not adjacent"):
+            apply_eberhard(standard_form(6), EberhardOp((0, 2, 4)))
+
+    def test_cycle_vertex_outside_the_embedding_rejected(self):
+        # Named before any adjacency lookup, also when replayed from a trace.
+        with pytest.raises(OperationError, match="cycle vertex 7 is outside 0..5"):
+            apply_eberhard(standard_form(6), EberhardOp((7, 0, 1)))
+        with pytest.raises(OperationError, match="cycle vertex 4 is outside 0..3"):
+            apply_trace(k4(), [EberhardOp((4, 0, 1))])
+        with pytest.raises(OperationError, match="cycle vertex -1 is outside"):
+            apply_eberhard(k4(), EberhardOp((-1, 0, 1)))
 
     def test_cycle_bounding_two_faces_rejected(self):
         # Both sides of a lone triangle are faces, so the cycle fixes no region.
@@ -750,10 +761,15 @@ class TestApplyEberhard:
                         assert isinstance(got, OperationError), op
                         assert "repeated" in str(got), op
                         outcomes["repeated chord"] += 1
+                    elif type(want) is IndexError:
+                        # ... and in has_edge on a cycle vertex past n - 1.
+                        assert isinstance(got, OperationError), op
+                        assert "outside" in str(got), op
+                        outcomes["vertex outside"] += 1
                     else:
                         assert type(got) is type(want), (op, want, got)
                         outcomes[type(want).__name__] += 1
-        kinds = {"same rotation", "repeated chord", "OperationError", "IndexError"}
+        kinds = {"same rotation", "repeated chord", "OperationError", "vertex outside"}
         assert set(outcomes) == kinds and min(outcomes.values()) > 50, outcomes
 
     def test_matches_the_validating_version_on_pruned_embeddings(self):
@@ -812,20 +828,28 @@ class TestFlipScans:
         # Every vertex below degree n - 1 of every class up to n = 8, then the
         # whole flip path that raises one of several poles of a random
         # triangulation to degree n - 1, which reaches the chord phase.
+        def check(emb: PlanarEmbedding, p: int):
+            # The scan's edge, or its failure; the move also names the edge
+            # joining the apexes of the two faces at that edge.
+            want = self.outcome(scanning_degree_raising_flip, emb, p)
+            if isinstance(want, FlipMove):
+                edge = want.shared_edge
+                want = FlipMove(edge, tuple(sorted(_face_apexes(emb, *edge))))
+            assert self.outcome(_degree_raising_flip, emb, p) == want, (emb.rotation, p)
+            return want
+
         for recs in classes.values():
             for rec in recs.values():
                 emb = rec.embedding
                 for p in range(emb.n):
                     if emb.degree(p) < emb.n - 1:
-                        want = self.outcome(scanning_degree_raising_flip, emb, p)
-                        assert self.outcome(_degree_raising_flip, emb, p) == want
+                        check(emb, p)
         chord_moves = 0
         for n in range(9, 61, 2):
             for p in range(0, n, 6):
                 emb = random_triangulation(n, seed=n)
                 while emb.degree(p) < n - 1:
-                    move = scanning_degree_raising_flip(emb, p)
-                    assert _degree_raising_flip(emb, p) == move, (emb.rotation, p)
+                    move = check(emb, p)
                     chord_moves += p not in _face_apexes(emb, *move.shared_edge)
                     emb = diagonal_flip(emb, move)
         assert chord_moves > 100, chord_moves

@@ -3,6 +3,7 @@ import inspect
 import pmfg
 import pmfg.embedding
 import pmfg.generator
+import pmfg.planarity
 import pmfg.verify
 from pmfg import PlanarEmbedding
 
@@ -28,6 +29,11 @@ def test_removed_names_stay_removed():
     assert not hasattr(pmfg.embedding, "_canonical_walk")
     assert not hasattr(PlanarEmbedding, "neighbors")
     assert not hasattr(PlanarEmbedding, "darts")
+    # The oracle's two searches are one loop over branch placements, and a
+    # normalization move carries the replacement its finder computed.
+    assert not hasattr(pmfg.planarity, "_has_k5_subdivision")
+    assert not hasattr(pmfg.planarity, "_has_k33_subdivision")
+    assert not hasattr(pmfg.generator, "_recorded")
 
 
 def test_generate_all_audits_only_through_its_callback():
