@@ -202,10 +202,11 @@ class _PlanarityGate:
     """The kept graph of a PMFG scan, growing one planar edge at a time.
 
     The gate holds a rotation system of the kept graph, its adjacency lists
-    in accept order, union-find components, the rotation's face table
-    (``_face_table``: walks and per-vertex face bitmasks), and a stored
-    3-connected subgraph H with its face bitmasks.  Every face question is an
-    AND of bitmasks.  ``add_if_planar`` applies the first rule that decides:
+    in accept order, union-find components, the rotation's face table (walks
+    by face id and per-vertex face bitmasks; only an LR accept re-traces it
+    whole), and a stored 3-connected subgraph H with its face bitmasks.  Every
+    face question is an AND of bitmasks.  ``add_if_planar`` applies the first
+    rule that decides:
 
     1. endpoints in different components: accept, joining them at any corner;
     2. endpoints on a common face: accept, splicing the edge into that face;
@@ -227,11 +228,12 @@ class _PlanarityGate:
     def __init__(self, n: int) -> None:
         self.n = n
         self.rotation: list[list[int]] = [[] for _ in range(n)]
-        self._faces: list[list[int]] = []
+        self._faces: list[list[int]] = []  # by face id; [] at a free id
         self._face_mask = [0] * n
         self._h_mask = [0] * n  # face bitmasks of H's embedding; 0 off H
         self._reach: list[int] = []  # admissible faces of H; [] when stale
         self._grown = False  # an edge was accepted since H's last refresh
+        self._core_size = (0, 0)  # 3-core vertices and edges at that refresh
         self._parent = list(range(n))
         self._adjacency: list[list[int]] = [[] for _ in range(n)]  # in accept order
         self.component_joins = self.face_accepts = 0
@@ -256,9 +258,11 @@ class _PlanarityGate:
             self.rotation[u].append(v)
             self.rotation[v].append(u)
             self.component_joins += 1
+            self._retrace(u, v)
         elif shared:
-            self._splice(u, v, self._faces[(shared & -shared).bit_length() - 1])
+            self._splice(u, v, shared)
             self.face_accepts += 1
+            self._retrace(u, v)
         else:
             reach = self._reach = self._reach or self._admissible_faces()
             found = None
@@ -274,21 +278,53 @@ class _PlanarityGate:
                 adjacency[v].pop()
                 return False
             self.rotation = found[0]
+            self._faces, self._face_mask = _face_table(self.n, self.rotation)
         self._grown, self._reach = True, []
-        self._faces, self._face_mask = _face_table(self.n, self.rotation)
         return True
 
-    def _splice(self, u: int, v: int, walk: list[int]) -> None:
-        """Insert uv into the face with boundary ``walk`` (through u and v).
+    def _splice(self, u: int, v: int, shared: int) -> None:
+        """Insert uv into the first face of u and v, in ``trace_faces`` order,
+        that the bitmask ``shared`` holds: the one whose walk's start is least.
 
         Arriving at x from a, the walk leaves along the neighbour preceding
         a; inserting y just before a makes the walk turn onto xy there.
         """
+        walks = [self._faces[k] for k in range(shared.bit_length()) if shared >> k & 1]
+        walk = min(walks, key=lambda w: (w[0], self.rotation[w[0]].index(w[1])))
         ru, rv = self.rotation[u], self.rotation[v]
         i, j = walk.index(u), walk.index(v)
         a, b = walk[i - 1], walk[j - 1]
         ru.insert(ru.index(a), v)
         rv.insert(rv.index(b), u)
+
+    def _retrace(self, u: int, v: int) -> None:
+        """Replace the faces a new edge uv joined or split: the walks through
+        u->v and v->u take the least free ids, and the faces whose darts they
+        took over are freed."""
+        rotation, faces, masks = self.rotation, self._faces, self._face_mask
+        darts: set[tuple[int, int]] = set()
+        walks = []
+        for a, b in ((u, v), (v, u)):
+            walk = []
+            while (a, b) not in darts:
+                darts.add((a, b))
+                walk.append(a)
+                r = rotation[b]
+                a, b = b, r[r.index(a) - 1]
+            if walk:  # trace_faces starts it at its least (vertex, rotation index) dart
+                keys = [(x, rotation[x].index(y)) for x, y in zip(walk, walk[1:] + walk[:1])]
+                i = keys.index(min(keys))
+                walks.append(walk[i:] + walk[:i])
+        for k, walk in enumerate(faces):
+            if walk and (walk[0], walk[1]) in darts:
+                for x in walk:
+                    masks[x] &= ~(1 << k)
+                faces[k] = []
+        for walk in walks:
+            k = faces.index([]) if [] in faces else len(faces)
+            faces[k : k + 1] = [walk]
+            for x in walk:
+                masks[x] |= 1 << k
 
     def _admissible_faces(self) -> list[int]:
         """Each vertex's admissible faces of H as a bitmask (rule 3), read
@@ -330,9 +366,12 @@ class _PlanarityGate:
             [w for w in nbrs if inside[w]] if inside[x] else []
             for x, nbrs in enumerate(rotation)
         ]
-        walks, masks = _face_table(self.n, core)
-        if _is_triconnected(walks, masks):
-            self._h_mask, self._reach = masks, []
+        size = (inside.count(True), sum(map(len, core)))
+        if size != self._core_size:  # the core only grows: same size, same core
+            self._core_size = size
+            walks, masks = _face_table(self.n, core)
+            if _is_triconnected(walks, masks):
+                self._h_mask, self._reach = masks, []
 
 
 def build_pmfg(
@@ -409,6 +448,7 @@ def read_returns_csv(path: str | Path) -> tuple[list[str], np.ndarray]:
     if not rows or len(rows) < 3:
         raise InputError(f"{path}: need a header and at least two observations")
     labels = [c.strip() for c in rows[0]]
+    _check_labels(labels)  # before the shape: a trailing comma is an empty label
     data = []
     for lineno, row in enumerate(rows[1:], start=2):
         if len(row) != len(labels):

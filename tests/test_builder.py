@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import pmfg.builder
+import pmfg.embedding
 from pmfg import (
     InputError,
     PlanarEmbedding,
@@ -34,6 +35,7 @@ from pmfg.builder import (
     read_matrix_csv,
     read_returns_csv,
 )
+from pmfg.embedding import trace_faces
 
 GATE_RULES = ("component_joins", "face_accepts", "whitney_rejects", "lr_calls")
 
@@ -142,6 +144,18 @@ def assert_components_are_spherical(gate):
         )
         report = euler_check(emb)
         assert report.n - report.e + report.f == 2
+
+
+class RetracingGate(_PlanarityGate):
+    """The reference gate: every accept re-traces the whole face table, so
+    face ids follow ``trace_faces`` order and the lowest shared bit is the
+    face to splice into."""
+
+    def _splice(self, u, v, shared):
+        super()._splice(u, v, shared & -shared)
+
+    def _retrace(self, u, v):
+        self._faces, self._face_mask = _face_table(self.n, self.rotation)
 
 
 def oracle_gated_greedy(sim):
@@ -462,7 +476,69 @@ class TestIncrementalGate:
     @pytest.mark.parametrize("n", [100, 200])
     def test_matches_plain_lr_scan_at_large_n(self, n):
         sim = sector_similarity(n, seed=1000 + n)
-        assert build_pmfg(sim).accepted == plain_lr_greedy(sim)
+        result = build_pmfg(sim)
+        assert result.accepted == plain_lr_greedy(sim)
+        counts = {100: (99, 106, 2757, 349), 200: (199, 197, 10152, 4403)}[n]
+        assert astuple(result.gate_counts) == counts
+
+    def test_kept_faces_match_a_full_retrace_after_every_pair(self):
+        base = sector_similarity(30, seed=5)
+        sims = [sector_similarity(n, seed=100 + n) for n in (15, 30, 45, 60)]
+        sims += [uniform_similarity(n, seed) for n, seed in ((12, 1), (25, 2), (40, 3))]
+        sims += [SimilarityMatrix(base.labels, np.round(base.values, 1))]
+        ties = repeats = 0
+        for sim in sims:
+            gate, reference = _PlanarityGate(sim.n), RetracingGate(sim.n)
+            for u, v, _ in weighted_edge_list(sim):
+                shared = reference._face_mask[u] & reference._face_mask[v]
+                splices = gate.face_accepts
+                decided = gate.add_if_planar(u, v)
+                assert decided == reference.add_if_planar(u, v)
+                assert gate.rotation == reference.rotation
+                if gate.face_accepts > splices:
+                    walk = reference._faces[(shared & -shared).bit_length() - 1]
+                    ties += shared.bit_count() > 1
+                    repeats += walk.count(u) > 1 or walk.count(v) > 1
+                rotation = gate.rotation
+                walks = sorted(
+                    filter(None, gate._faces),
+                    key=lambda w: (w[0], rotation[w[0]].index(w[1])),
+                )
+                assert walks == trace_faces(rotation)
+                masks = [0] * sim.n
+                for k, walk in enumerate(gate._faces):
+                    for x in walk:
+                        masks[x] |= 1 << k
+                assert masks == gate._face_mask
+                if sum(map(len, rotation)) == 6 * (sim.n - 2):
+                    break
+        # Both tie-breaks of today's face order are exercised.
+        assert ties > 0 and repeats > 0, (ties, repeats)
+
+    def test_only_lr_accepts_and_h_refreshes_trace_every_face(self, monkeypatch):
+        calls = Counter()
+        trace, lr, refresh = trace_faces, pmfg.builder._lr_rotation, _PlanarityGate._refresh_h
+
+        def counting_trace(rotation):
+            calls["traces"] += 1
+            return trace(rotation)
+
+        def counting_lr(n, adjacency):
+            found = lr(n, adjacency)
+            calls["lr_accepts"] += found is not None
+            return found
+
+        def counting_refresh(gate):
+            calls["refreshes"] += 1
+            refresh(gate)
+
+        monkeypatch.setattr(pmfg.builder, "trace_faces", counting_trace)
+        monkeypatch.setattr(pmfg.embedding, "trace_faces", counting_trace)
+        monkeypatch.setattr(pmfg.builder, "_lr_rotation", counting_lr)
+        monkeypatch.setattr(_PlanarityGate, "_refresh_h", counting_refresh)
+        build_pmfg(sector_similarity(40, seed=6))
+        # The one more is the validated output embedding.
+        assert 0 < calls["traces"] <= calls["lr_accepts"] + calls["refreshes"] + 1, calls
 
     def test_every_decision_is_exact_and_every_rule_fires(self):
         sims = [sector_similarity(20, seed=seed) for seed in (4, 5, 6)]

@@ -162,6 +162,13 @@ class TestBuildCommand:
         assert main(argv) == 2
         assert capsys.readouterr().err == "error: PMFG needs at least 3 entities\n"
 
+    def test_returns_trailing_comma_header_names_the_empty_label(self, tmp_path, capsys):
+        path = tmp_path / "r.csv"
+        path.write_text("A,B,C,\n1,2,3\n2,1,3\n3,1,2\n")
+        argv = ["build", str(path), "--format", "returns", "--output-dir", str(tmp_path)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "error: label 4 is empty\n"
+
     def test_overflowing_returns_exit_2_without_warnings(self, tmp_path):
         # Finite entries whose squares overflow make every correlation undefined.
         path = tmp_path / "returns.csv"
