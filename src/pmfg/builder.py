@@ -72,8 +72,9 @@ class GateCounts:
     """How many examined pairs each rule of the planarity gate decided.
 
     The first three are certified decisions (``whitney_rejects``: both
-    endpoints' admissible faces of H are disjoint); ``lr_calls`` counts the
-    pairs that fell through to a full LR planarity test, accepted or rejected.
+    endpoints' admissible faces in one triconnected piece of the kept graph
+    are disjoint); ``lr_calls`` counts the pairs that fell through to a full
+    LR planarity test, accepted or rejected.
     """
 
     component_joins: int = 0
@@ -172,30 +173,131 @@ def _face_table(n: int, rotation: list[list[int]]) -> tuple[list[list[int]], lis
     return walks, masks
 
 
-def _is_triconnected(walks: list[list[int]], masks: list[int]) -> bool:
-    """True iff a plane graph of minimum degree 3 is 3-connected, given its
-    face table (``_face_table``); its vertices are the nonzero masks.
+def _separator(walks: list[list[int]], masks: list[int]) -> tuple[int, ...] | None:
+    """None iff a plane graph of minimum degree 3 is 3-connected, given its
+    face table (``_face_table``; its vertices are the nonzero masks), and
+    otherwise a set of at most two vertices whose removal disconnects it.
 
-    It is exactly when it is connected (Euler's formula), every walk is a
-    cycle, and any two faces meet in nothing, one vertex or one edge (Mohar
-    & Thomassen, Graphs on Surfaces, 2001).  Vertices where two faces meet
-    share both, and an edge's ends share just its two, so a pair on a walk
-    fails when it shares three faces or two while not consecutive (three
+    It is 3-connected exactly when it is connected (Euler's formula), every
+    walk is a cycle, and any two faces meet in nothing, one vertex or one
+    edge (Mohar & Thomassen, Graphs on Surfaces, 2001).  A vertex repeated
+    on a walk is a cut vertex.  Vertices where two faces meet share both,
+    and an edge's ends share just its two, so a pair on a walk separates
+    when it shares three faces or two while not consecutive (three
     consecutive shared vertices would make two faces one triangle).
     """
     size = len(masks) - masks.count(0)
-    if size < 4 or size - sum(map(len, walks)) // 2 + len(walks) != 2:
-        return False
+    if size - sum(map(len, walks)) // 2 + len(walks) != 2:
+        return ()
+    for walk in walks:
+        if len(set(walk)) != len(walk):
+            return (next(x for x in walk if walk.count(x) > 1),)
     for walk in walks:
         k = len(walk)
-        if len(set(walk)) != k:
-            return False
         for i, x in enumerate(walk):
             for j in range(i + 1, k):
                 shared = (masks[x] & masks[walk[j]]).bit_count()
                 if shared > 2 or shared == 2 and 1 < j - i < k - 1:
-                    return False
-    return True
+                    return x, walk[j]
+    return None
+
+
+def _series_reduced(rotation: list[list[int]]) -> list[list[int]]:
+    """A planar rotation with every vertex of degree 1 or less dropped and
+    every vertex of degree 2 suppressed, in place in its neighbours'
+    rotations, until the minimum degree is 3; a suppression that would give
+    a parallel edge drops the vertex with both its edges instead."""
+    rot = [list(nbrs) for nbrs in rotation]
+    stack = [x for x, nbrs in enumerate(rot) if len(nbrs) <= 2]
+    while stack:
+        x = stack.pop()
+        nbrs = rot[x]
+        if len(nbrs) > 2:
+            continue
+        rot[x] = []
+        if len(nbrs) == 2 and nbrs[1] not in rot[nbrs[0]]:
+            a, b = nbrs
+            rot[a][rot[a].index(x)] = b
+            rot[b][rot[b].index(x)] = a
+        else:
+            for w in nbrs:
+                rot[w].remove(x)
+                if len(rot[w]) <= 2:
+                    stack.append(w)
+    return rot
+
+
+def _admissible_faces(rotation: list[list[int]], h: list[int]) -> list[int]:
+    """Each vertex's admissible faces of a piece as a bitmask (rule 3 of
+    ``_PlanarityGate``), given h, which fixes them on the piece and is 0 on
+    the bridges, read off one walk over the rotation: -1, all faces, where a
+    bridge has no attachment.  No mask is 0, as the graph is planar, so 0
+    marks a vertex not yet reached."""
+    reach = h.copy()
+    for s in range(len(h)):
+        if reach[s]:
+            continue
+        bound, component, reach[s] = -1, [s], -1
+        for x in component:
+            for w in rotation[x]:
+                if h[w]:
+                    bound &= h[w]
+                elif not reach[w]:
+                    reach[w] = -1
+                    component.append(w)
+        for x in component:
+            reach[x] = bound
+    return reach
+
+
+def _triconnected_pieces(n: int, rotation: list[list[int]]) -> list[list[int]]:
+    """The face bitmasks of each 3-connected piece of a planar rotation, the
+    R-node skeletons of its triconnected components (Hopcroft & Tarjan, SIAM
+    J. Comput. 2 (1973)), over the rotation's vertex ids.
+
+    The series-reduced graph is split at ``_separator``'s vertices into one
+    side per component of the rest, and each side is reduced and split
+    again.  At a separation pair ab, each side gets a virtual edge ab where
+    the other sides were (a component's neighbours of a are consecutive
+    around a, so the side stays plane).  It stands for the edge ab, if the
+    graph has one, or else for a path through a bridge of the piece attached
+    at a and b alone, so a piece is a subdivision of a 3-connected graph
+    inside the rotation's graph.  Such a bridge stays in the two faces of ab
+    as the graph grows, so its vertices keep them (a vertex of the piece
+    has three or more); any other vertex off the piece gets 0.
+    """
+    pieces, stack = [], [rotation]
+    while stack:
+        rot = _series_reduced(stack.pop())
+        walks, masks = _face_table(n, rot)
+        cut = _separator(walks, masks)
+        if cut is None:
+            real = {masks[a] & masks[b] for a, nbrs in enumerate(rotation) for b in nbrs}
+            reach = _admissible_faces(rotation, masks)
+            pieces.append([r if m or r.bit_count() == 2 and r not in real else 0
+                           for r, m in zip(reach, masks)])
+            continue
+        side = [-1] * n
+        for c in cut:
+            side[c] = -2
+        for s, nbrs in enumerate(rot):
+            if not nbrs or side[s] != -1:
+                continue
+            component, side[s] = [s], s  # each side is labelled by its least vertex
+            for x in component:
+                for w in rot[x]:
+                    if side[w] == -1:
+                        side[w] = s
+                        component.append(w)
+            sub = [nbrs if side[x] == s else [] for x, nbrs in enumerate(rot)]
+            for c in cut:
+                r = rot[c]
+                i = next(i for i, w in enumerate(r) if side[w] == s and side[r[i - 1]] != s)
+                sub[c] = [w for w in r[i:] + r[:i] if side[w] == s]
+                if len(cut) == 2:
+                    sub[c].append(cut[0] + cut[1] - c)
+            stack.append(sub)
+    return pieces
 
 
 class _PlanarityGate:
@@ -204,25 +306,25 @@ class _PlanarityGate:
     The gate holds a rotation system of the kept graph, its adjacency lists
     in accept order, union-find components, the rotation's face table (walks
     by face id and per-vertex face bitmasks; only an LR accept re-traces it
-    whole), and a stored 3-connected subgraph H with its face bitmasks.  Every
-    face question is an AND of bitmasks.  ``add_if_planar`` applies the first
-    rule that decides:
+    whole), and the face bitmasks of the kept graph's triconnected pieces
+    (``_triconnected_pieces``).  Every face question is an AND of bitmasks.
+    ``add_if_planar`` applies the first rule that decides:
 
     1. endpoints in different components: accept, joining them at any corner;
     2. endpoints on a common face: accept, splicing the edge into that face;
-    3. both endpoints' admissible faces of H are disjoint: reject.  A vertex
-       of H admits its faces of H, any other vertex the faces holding all
-       attachments of its bridge of H (Demoucron, Malgrange & Pertuiset,
-       1964).  H is 3-connected, so every embedding of kept + uv restricts
-       to H's unique one (Whitney) and puts the bridge through uv in one
-       face, admissible for both;
+    3. both endpoints' admissible faces of one piece H are disjoint: reject.
+       H is a subdivision of a 3-connected graph inside the kept graph, so
+       every embedding of kept + uv restricts to H's unique one (Whitney)
+       and puts the bridge of H through uv in one face, admissible for both.
+       A vertex on H admits its faces of H, any other vertex the faces
+       holding all attachments of its bridge (Demoucron, Malgrange &
+       Pertuiset, 1964);
     4. otherwise run the left-right planarity test (``_lr_rotation``, our
        own port of networkx's algorithm) on the adjacency lists plus uv and,
        on accept, adopt its rotation.
 
-    H is the 3-core of the kept graph whenever that core is 3-connected.  It
-    is refreshed after an LR reject if the graph grew since the last
-    refresh; an older H stays valid, since the kept graph only grows.
+    The pieces are refreshed after an LR reject if the graph grew since the
+    last refresh; older pieces stay valid, since the kept graph only grows.
     """
 
     def __init__(self, n: int) -> None:
@@ -230,10 +332,9 @@ class _PlanarityGate:
         self.rotation: list[list[int]] = [[] for _ in range(n)]
         self._faces: list[list[int]] = []  # by face id; [] at a free id
         self._face_mask = [0] * n
-        self._h_mask = [0] * n  # face bitmasks of H's embedding; 0 off H
-        self._reach: list[int] = []  # admissible faces of H; [] when stale
-        self._grown = False  # an edge was accepted since H's last refresh
-        self._core_size = (0, 0)  # 3-core vertices and edges at that refresh
+        self._pieces: list[list[int]] = []  # as at the last refresh
+        self._reach: list[list[int]] = []  # admissible faces of the first pieces
+        self._grown = False  # an edge was accepted since the pieces' last refresh
         self._parent = list(range(n))
         self._adjacency: list[list[int]] = [[] for _ in range(n)]  # in accept order
         self.component_joins = self.face_accepts = 0
@@ -264,15 +365,19 @@ class _PlanarityGate:
             self.face_accepts += 1
             self._retrace(u, v)
         else:
-            reach = self._reach = self._reach or self._admissible_faces()
-            found = None
-            if not reach[u] & reach[v]:
-                self.whitney_rejects += 1
+            found, reaches = None, self._reach
+            for k, piece in enumerate(self._pieces):
+                if k == len(reaches):
+                    reaches.append(_admissible_faces(self.rotation, piece))
+                if not reaches[k][u] & reaches[k][v]:
+                    self.whitney_rejects += 1
+                    break
             else:
                 self.lr_calls += 1
                 found = _lr_rotation(self.n, adjacency)
                 if found is None and self._grown:
-                    self._refresh_h()
+                    self._grown, self._reach = False, []
+                    self._pieces = _triconnected_pieces(self.n, self.rotation)
             if found is None:
                 adjacency[u].pop()
                 adjacency[v].pop()
@@ -326,53 +431,6 @@ class _PlanarityGate:
             for x in walk:
                 masks[x] |= 1 << k
 
-    def _admissible_faces(self) -> list[int]:
-        """Each vertex's admissible faces of H as a bitmask (rule 3), read
-        off one walk over the kept graph: -1, all faces, where there is no
-        H or a component of kept - V(H) has no attachment.  No mask is 0, as
-        the kept graph is planar, so 0 marks a vertex not yet reached."""
-        h, rotation = self._h_mask, self.rotation
-        reach = h.copy()
-        for s in range(self.n):
-            if reach[s]:
-                continue
-            bound, component, reach[s] = -1, [s], -1
-            for x in component:
-                for w in rotation[x]:
-                    if h[w]:
-                        bound &= h[w]
-                    elif not reach[w]:
-                        reach[w] = -1
-                        component.append(w)
-            for x in component:
-                reach[x] = bound
-        return reach
-
-    def _refresh_h(self) -> None:
-        """Adopt the 3-core as H, with its face masks, if it is 3-connected."""
-        self._grown = False
-        rotation = self.rotation
-        degree = [len(nbrs) for nbrs in rotation]
-        inside = [d >= 3 for d in degree]
-        stack = [x for x in range(self.n) if not inside[x]]
-        while stack:
-            for w in rotation[stack.pop()]:
-                if inside[w]:
-                    degree[w] -= 1
-                    if degree[w] < 3:
-                        inside[w] = False
-                        stack.append(w)
-        core = [
-            [w for w in nbrs if inside[w]] if inside[x] else []
-            for x, nbrs in enumerate(rotation)
-        ]
-        size = (inside.count(True), sum(map(len, core)))
-        if size != self._core_size:  # the core only grows: same size, same core
-            self._core_size = size
-            walks, masks = _face_table(self.n, core)
-            if _is_triconnected(walks, masks):
-                self._h_mask, self._reach = masks, []
-
 
 def build_pmfg(
     sim: SimilarityMatrix, tie_policy: TiePolicy = "lexicographic"
@@ -385,8 +443,9 @@ def build_pmfg(
     1. u and v lie in different components: accept.
     2. u and v share a face of the current rotation: accept, splicing uv
        into that face.
-    3. Both endpoints' admissible faces of a stored 3-connected subgraph H,
-       whose embedding is unique by Whitney's theorem, are disjoint: reject.
+    3. Both endpoints' admissible faces in one triconnected piece of the
+       kept graph, whose embedding is unique by Whitney's theorem, are
+       disjoint: reject.
     4. Otherwise a full LR planarity test decides, and an accept adopts its
        rotation.
 

@@ -29,8 +29,10 @@ from pmfg import (
 )
 from pmfg.builder import (
     _face_table,
-    _is_triconnected,
     _PlanarityGate,
+    _separator,
+    _series_reduced,
+    _triconnected_pieces,
     acceptance_log_csv,
     read_matrix_csv,
     read_returns_csv,
@@ -478,7 +480,7 @@ class TestIncrementalGate:
         sim = sector_similarity(n, seed=1000 + n)
         result = build_pmfg(sim)
         assert result.accepted == plain_lr_greedy(sim)
-        counts = {100: (99, 106, 2757, 349), 200: (199, 197, 10152, 4403)}[n]
+        counts = {100: (99, 106, 3004, 102), 200: (199, 197, 14340, 215)}[n]
         assert astuple(result.gate_counts) == counts
 
     def test_kept_faces_match_a_full_retrace_after_every_pair(self):
@@ -517,7 +519,7 @@ class TestIncrementalGate:
 
     def test_only_lr_accepts_and_h_refreshes_trace_every_face(self, monkeypatch):
         calls = Counter()
-        trace, lr, refresh = trace_faces, pmfg.builder._lr_rotation, _PlanarityGate._refresh_h
+        trace, lr, pieces = trace_faces, pmfg.builder._lr_rotation, _triconnected_pieces
 
         def counting_trace(rotation):
             calls["traces"] += 1
@@ -528,27 +530,38 @@ class TestIncrementalGate:
             calls["lr_accepts"] += found is not None
             return found
 
-        def counting_refresh(gate):
+        def counting_pieces(n, rotation):
             calls["refreshes"] += 1
-            refresh(gate)
+            before = calls["traces"]
+            found = pieces(n, rotation)
+            calls["refresh_traces"] += calls["traces"] - before
+            return found
 
         monkeypatch.setattr(pmfg.builder, "trace_faces", counting_trace)
         monkeypatch.setattr(pmfg.embedding, "trace_faces", counting_trace)
         monkeypatch.setattr(pmfg.builder, "_lr_rotation", counting_lr)
-        monkeypatch.setattr(_PlanarityGate, "_refresh_h", counting_refresh)
+        monkeypatch.setattr(pmfg.builder, "_triconnected_pieces", counting_pieces)
         build_pmfg(sector_similarity(40, seed=6))
-        # The one more is the validated output embedding.
-        assert 0 < calls["traces"] <= calls["lr_accepts"] + calls["refreshes"] + 1, calls
+        # Joins and splices never trace; the one more is the validated
+        # output embedding.
+        outside = calls["traces"] - calls["refresh_traces"]
+        assert calls["refreshes"] > 0 and 0 < outside <= calls["lr_accepts"] + 1, calls
 
     def test_every_decision_is_exact_and_every_rule_fires(self):
         sims = [sector_similarity(20, seed=seed) for seed in (4, 5, 6)]
+        piece_rejects = 0
         for sim in sims + [uniform_similarity(25, seed=1)]:
             n = sim.n
             gate = _PlanarityGate(n)
             kept = []
             fired = Counter()
+            pieces = split = None
             for u, v, _ in weighted_edge_list(sim):
-                off_h = not (gate._h_mask[u] and gate._h_mask[v])
+                if gate._pieces is not pieces:  # refreshed by the last pair
+                    pieces = gate._pieces
+                    reduced = _face_table(n, _series_reduced(gate.rotation))
+                    split = _separator(*reduced) is not None
+                off_pieces = not any(piece[u] and piece[v] for piece in pieces)
                 before = [getattr(gate, rule) for rule in GATE_RULES]
                 decided = gate.add_if_planar(u, v)
                 after = [getattr(gate, rule) for rule in GATE_RULES]
@@ -560,7 +573,8 @@ class TestIncrementalGate:
                     witness = is_planar(n, candidate, want_witness=True).witness
                     assert (u, v) in witness and set(witness) <= set(candidate)
                     assert is_kuratowski_subdivision(witness)
-                    fired["bridge_rejects"] += off_h
+                    fired["bridge_rejects"] += off_pieces
+                    piece_rejects += split
                 if rule in ("component_joins", "face_accepts"):
                     assert decided
                 if decided:
@@ -568,8 +582,12 @@ class TestIncrementalGate:
                     assert_components_are_spherical(gate)
                     if len(kept) == 3 * (n - 2):
                         break
-            # Certified rejects with an endpoint off H come from its bridges.
+            # Certified rejects with no piece holding both endpoints come from
+            # the pieces' bridges.
             assert all(fired[r] > 0 for r in GATE_RULES + ("bridge_rejects",)), fired
+        # Some come while the series-reduced kept graph is not 3-connected,
+        # from a piece that a split made.
+        assert piece_rejects > 0
 
     def test_bridge_of_the_octahedron_reaches_only_the_faces_at_its_attachments(
         self, monkeypatch
@@ -581,8 +599,9 @@ class TestIncrementalGate:
         gate = _PlanarityGate(7)
         for u, v in octahedron:
             assert gate.add_if_planar(u, v)
-        gate._refresh_h()
-        assert all(gate._h_mask[x] for x in range(6))
+        gate._pieces = _triconnected_pieces(7, gate.rotation)
+        (piece,) = gate._pieces
+        assert all(piece[x] for x in range(6))
         assert gate.add_if_planar(6, 0) and gate.add_if_planar(6, 1)
 
         def no_lr(*args):
@@ -599,6 +618,52 @@ class TestIncrementalGate:
         assert gate.whitney_rejects == rejects
         assert_components_are_spherical(gate)
 
+    def test_pieces_of_cubes_glued_at_a_diagonal_certify_rejects_in_each_cube(
+        self, monkeypatch
+    ):
+        # The 3-core is the whole graph, which the glued diagonal separates:
+        # the pieces are the two cubes, each with a virtual edge there.
+        graph = cubes_glued_at_a_diagonal()
+        index = {x: i for i, x in enumerate(sorted(graph, key=str))}
+        gate = _PlanarityGate(len(index))
+        for x, y in graph.edges():
+            assert gate.add_if_planar(index[x], index[y])
+        gate._pieces = _triconnected_pieces(gate.n, gate.rotation)
+        a, b = index[0, 0, 0], index[0, 1, 1]
+        vertices = set(index.values())
+        cube_b = {i for x, i in index.items() if x[0] == "b"}
+        cubes = [vertices - cube_b, cube_b | {a, b}]
+        skeletons = []
+        for piece in gate._pieces:
+            skeleton = {x for x in vertices if piece[x].bit_count() > 2}
+            # The other cube keeps the two faces of the virtual edge ab.
+            faces = piece[a] & piece[b]
+            assert faces.bit_count() == 2
+            assert {x for x in vertices if piece[x] == faces} == vertices - skeleton
+            skeletons.append(skeleton)
+        assert skeletons in (cubes, cubes[::-1])
+
+        def no_lr(*args):
+            raise AssertionError("the gate ran the LR test")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(pmfg.builder, "_lr_rotation", no_lr)
+            rejects = gate.whitney_rejects
+            assert not gate.add_if_planar(index[0, 0, 1], index[1, 1, 0])  # antipodal
+            assert gate.whitney_rejects == rejects + 1
+        # (0, 1, 0) shares a face with one of the other cube's two corners
+        # next to the diagonal, and the other needs that cube flipped.
+        p = index[0, 1, 0]
+        (q,) = [
+            index["b", t]
+            for t in ((0, 1, 0), (0, 0, 1))
+            if not gate._face_mask[p] & gate._face_mask[index["b", t]]
+        ]
+        lr_calls = gate.lr_calls
+        assert gate.add_if_planar(p, q)
+        assert gate.lr_calls == lr_calls + 1
+        assert_components_are_spherical(gate)
+
     def test_counts_cover_every_examined_pair(self):
         sim = sector_similarity(40, seed=6)
         result = build_pmfg(sim)
@@ -606,8 +671,9 @@ class TestIncrementalGate:
         examined = len(result.accepted) + len(result.rejected)
         assert sum(astuple(counts)) == examined
         assert counts.component_joins == sim.n - 1  # one per spanning-forest edge
-        # 49 of 621 pairs since rule 3 reads H's bridges; 116 when it read H alone.
-        assert astuple(counts) == (39, 46, 487, 49)
+        # 36 of 621 pairs since rule 3 reads every triconnected piece; 49 when
+        # it read the 3-core's bridges, 116 when it read the 3-core alone.
+        assert astuple(counts) == (39, 46, 500, 36)
 
     def test_triconnectivity_from_faces_matches_networkx(self):
         rng = np.random.default_rng(8)
@@ -621,7 +687,10 @@ class TestIncrementalGate:
                     rotation[v].remove(u)
             graph = nx.Graph((x, w) for x, nbrs in enumerate(rotation) for w in nbrs)
             expected = nx.node_connectivity(graph) >= 3
-            assert _is_triconnected(*_face_table(tri.n, rotation)) == expected
+            cut = _separator(*_face_table(tri.n, rotation))
+            assert (cut is None) == expected
+            if cut is not None:
+                assert not nx.is_connected(graph.subgraph(set(graph) - set(cut)))
             seen[expected] += 1
         assert min(seen[True], seen[False]) >= 50, seen
 
@@ -648,4 +717,9 @@ class TestIncrementalGate:
         x, y = (index[p] for p in pair)
         assert (masks[x] & masks[y]).bit_count() == shared
         assert (nx.node_connectivity(graph) >= 3) == triconnected
-        assert _is_triconnected(walks, masks) == triconnected
+        cut = _separator(walks, masks)
+        assert (cut is None) == triconnected
+        if cut is not None:
+            # Both ends of the shared edge, the glued diagonal, or no vertex
+            # at all for the disconnected pair.
+            assert set(cut) == (set() if nx.number_connected_components(graph) > 1 else {x, y})

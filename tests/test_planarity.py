@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 from networkx.algorithms.planarity import get_counterexample
 
-import pmfg.builder
 from pmfg import (
     CeilingError,
     InputError,
@@ -20,6 +19,7 @@ from pmfg import (
     kuratowski_oracle,
     random_triangulation,
 )
+from pmfg.builder import _PlanarityGate
 from pmfg.embedding import _canonical_rotation
 from pmfg.planarity import _lr_rotation
 
@@ -210,25 +210,34 @@ def standard_form_edges(n):
 
 
 def gate_lr_graphs(monkeypatch):
-    """Every (n, adjacency) the gate hands to the LR rule in the benchmark's
-    n = 40 sector-model builds at seed 7, tasks 0-3."""
+    """Every (n, adjacency) of kept + uv for a pair uv that reaches the gate's
+    rule 3, whether a triconnected piece or the LR test decides it, in the
+    benchmark's n = 40 sector-model builds at seed 7, tasks 0-3."""
     spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
     workloads = importlib.util.module_from_spec(spec)
     monkeypatch.setitem(sys.modules, spec.name, workloads)  # dataclasses look it up
     spec.loader.exec_module(workloads)
     seen = []
+    add_if_planar = _PlanarityGate.add_if_planar
 
-    def recording(n, adjacency):
-        seen.append((n, [list(nbrs) for nbrs in adjacency]))
-        return _lr_rotation(n, adjacency)
+    def recording(gate, u, v):
+        adjacency = [list(nbrs) for nbrs in gate._adjacency]
+        adjacency[u].append(v)
+        adjacency[v].append(u)
+        decided_before = gate.whitney_rejects + gate.lr_calls
+        found = add_if_planar(gate, u, v)
+        if gate.whitney_rejects + gate.lr_calls > decided_before:
+            seen.append((gate.n, adjacency))
+        return found
 
-    monkeypatch.setattr(pmfg.builder, "_lr_rotation", recording)
-    lr_calls = 0
+    monkeypatch.setattr(_PlanarityGate, "add_if_planar", recording)
+    rule_3 = 0
     for j in range(4):
         table = workloads.sector_returns(np.random.default_rng([7, j]), 40, 500)
         sim = correlation_from_returns(table, [f"E{i:03d}" for i in range(40)])
-        lr_calls += build_pmfg(sim).gate_counts.lr_calls
-    assert len(seen) == lr_calls
+        counts = build_pmfg(sim).gate_counts
+        rule_3 += counts.whitney_rejects + counts.lr_calls
+    assert len(seen) == rule_3
     return seen
 
 
