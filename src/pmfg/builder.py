@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .embedding import PlanarEmbedding, _check_labels, trace_faces
+from .embedding import PlanarEmbedding, _check_labels, face_walk, trace_faces
 from .errors import InputError, VerificationFailure
 from .planarity import _lr_rotation, is_planar
 
@@ -323,8 +323,8 @@ class _PlanarityGate:
        own port of networkx's algorithm) on the adjacency lists plus uv and,
        on accept, adopt its rotation.
 
-    The pieces are refreshed after an LR reject if the graph grew since the
-    last refresh; older pieces stay valid, since the kept graph only grows.
+    The pieces are refreshed after every LR reject; older pieces stay
+    valid, since the kept graph only grows.
     """
 
     def __init__(self, n: int) -> None:
@@ -334,7 +334,6 @@ class _PlanarityGate:
         self._face_mask = [0] * n
         self._pieces: list[list[int]] = []  # as at the last refresh
         self._reach: list[list[int]] = []  # admissible faces of the first pieces
-        self._grown = False  # an edge was accepted since the pieces' last refresh
         self._parent = list(range(n))
         self._adjacency: list[list[int]] = [[] for _ in range(n)]  # in accept order
         self.component_joins = self.face_accepts = 0
@@ -375,27 +374,25 @@ class _PlanarityGate:
             else:
                 self.lr_calls += 1
                 found = _lr_rotation(self.n, adjacency)
-                if found is None and self._grown:
-                    self._grown, self._reach = False, []
-                    self._pieces = _triconnected_pieces(self.n, self.rotation)
+                if found is None:
+                    self._reach, self._pieces = [], _triconnected_pieces(self.n, self.rotation)
             if found is None:
                 adjacency[u].pop()
                 adjacency[v].pop()
                 return False
             self.rotation = found[0]
             self._faces, self._face_mask = _face_table(self.n, self.rotation)
-        self._grown, self._reach = True, []
+        self._reach = []
         return True
 
     def _splice(self, u: int, v: int, shared: int) -> None:
-        """Insert uv into the first face of u and v, in ``trace_faces`` order,
-        that the bitmask ``shared`` holds: the one whose walk's start is least.
+        """Insert uv into the face of u and v with the least id that the
+        bitmask ``shared`` holds, at the first corner of each on its walk.
 
         Arriving at x from a, the walk leaves along the neighbour preceding
         a; inserting y just before a makes the walk turn onto xy there.
         """
-        walks = [self._faces[k] for k in range(shared.bit_length()) if shared >> k & 1]
-        walk = min(walks, key=lambda w: (w[0], self.rotation[w[0]].index(w[1])))
+        walk = self._faces[(shared & -shared).bit_length() - 1]
         ru, rv = self.rotation[u], self.rotation[v]
         i, j = walk.index(u), walk.index(v)
         a, b = walk[i - 1], walk[j - 1]
@@ -403,23 +400,17 @@ class _PlanarityGate:
         rv.insert(rv.index(b), u)
 
     def _retrace(self, u: int, v: int) -> None:
-        """Replace the faces a new edge uv joined or split: the walks through
-        u->v and v->u take the least free ids, and the faces whose darts they
+        """Replace the faces a new edge uv joined or split: the walks of
+        ``face_walk`` from u->v and, unless that walk holds it, from v->u
+        take the least free ids as traced, and the faces whose darts they
         took over are freed."""
         rotation, faces, masks = self.rotation, self._faces, self._face_mask
         darts: set[tuple[int, int]] = set()
         walks = []
         for a, b in ((u, v), (v, u)):
-            walk = []
-            while (a, b) not in darts:
-                darts.add((a, b))
-                walk.append(a)
-                r = rotation[b]
-                a, b = b, r[r.index(a) - 1]
-            if walk:  # trace_faces starts it at its least (vertex, rotation index) dart
-                keys = [(x, rotation[x].index(y)) for x, y in zip(walk, walk[1:] + walk[:1])]
-                i = keys.index(min(keys))
-                walks.append(walk[i:] + walk[:i])
+            if (a, b) not in darts:
+                walks.append(walk := face_walk(rotation, a, b))
+                darts.update(zip(walk, walk[1:] + walk[:1]))
         for k, walk in enumerate(faces):
             if walk and (walk[0], walk[1]) in darts:
                 for x in walk:

@@ -2,9 +2,9 @@
 
 A graph embedded on the sphere is stored as a rotation system: for every
 vertex, the cyclic counter-clockwise order of its neighbors.  Faces are
-recovered by the face-tracing walk of ``trace_faces``, so the structure
-carries no coordinates.  All operations in this package treat embeddings as
-values; nothing here mutates an existing instance.
+recovered by ``face_walk``, the package's one face-walking loop, so the
+structure carries no coordinates.  All operations in this package treat
+embeddings as values; nothing here mutates an existing instance.
 
 Validation happens only at the trust boundaries: the public
 ``PlanarEmbedding`` constructor checks every invariant of user rotations,
@@ -61,30 +61,34 @@ def apex(rotation: Sequence[Sequence[int]], u: int, v: int) -> int:
     return r[r.index(u) - 1]
 
 
-def trace_faces(rotation: Sequence[Sequence[int]]) -> list[list[int]]:
-    """Boundary walks of a rotation system.
+def face_walk(rotation: Sequence[Sequence[int]], u: int, v: int) -> list[int]:
+    """The boundary walk of the face left of the dart u -> v, started at u.
+    The ``apex`` step must permute the darts: the neighbour lists are
+    mutually symmetric and repeat no neighbour."""
+    walk, a, b = [], u, v
+    while True:
+        walk.append(a)
+        # apex(rotation, a, b) inlined: this is the builder's hot loop.
+        r = rotation[b]
+        a, b = b, r[r.index(a) - 1]
+        if a == u and b == v:
+            return walk
 
-    Each walk follows ``apex`` from dart to dart.  It starts at its least
-    vertex, by that vertex's first dart on it in rotation order, since
-    vertices are scanned in ascending order.  The rotation need not be a valid
-    embedding: isolated vertices lie on no walk, and a disconnected rotation
-    gives the walks of each component.
-    """
+
+def trace_faces(rotation: Sequence[Sequence[int]]) -> list[list[int]]:
+    """The ``face_walk`` of every face, on a rotation ``face_walk`` accepts.
+    A walk starts at its least vertex, by that vertex's first dart on it in
+    rotation order, since vertices are scanned in ascending order.  Isolated
+    vertices lie on no walk, and a disconnected rotation gives the walks of
+    each component."""
     walks: list[list[int]] = []
     seen: set[tuple[int, int]] = set()  # darts
     for u, nbrs in enumerate(rotation):
         for v in nbrs:
-            if (u, v) in seen:
-                continue
-            walk = []
-            a, b = u, v
-            while (a, b) not in seen:
-                seen.add((a, b))
-                walk.append(a)
-                # apex(rotation, a, b) inlined: this is the builder's hot loop.
-                r = rotation[b]
-                a, b = b, r[r.index(a) - 1]
-            walks.append(walk)
+            if (u, v) not in seen:
+                walk = face_walk(rotation, u, v)
+                seen.update(zip(walk, walk[1:] + walk[:1]))
+                walks.append(walk)
     return walks
 
 

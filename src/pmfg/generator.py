@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .cliques import count_cliques
-from .embedding import Edge, PlanarEmbedding, _canonical_rotation, apex, degree_sequence
+from .embedding import Edge, PlanarEmbedding, _canonical_rotation, apex, degree_sequence, face_walk
 from .errors import (
     CeilingError,
     FlipForbiddenError,
@@ -392,20 +392,11 @@ def apply_eberhard(emb: PlanarEmbedding, op: EberhardOp) -> PlanarEmbedding:
         rot[v].remove(u)
     # Removing chords between cycle vertices keeps the embedding valid as long
     # as it stays connected, which a face walk through every cycle vertex
-    # guarantees; the hub then fills that face.  A walk of length k on the k
-    # cycle vertices passes each of them exactly once, so it is found exactly
-    # once by walking k steps from each dart leaving any one of them: the
-    # steps meet every cycle vertex and end back on the first dart.  Walking
-    # from the cycle vertex of least degree tries the fewest darts.
+    # guarantees; the hub then fills that face.  It is found once, from its
+    # dart leaving the cycle vertex of least degree.
     v0 = min(verts, key=lambda v: len(rot[v]))
-    matches = []
-    for b in rot[v0]:
-        a, walk = v0, []
-        for _ in range(k):
-            walk.append(a)
-            a, b = b, apex(rot, a, b)
-        if (a, b) == (v0, walk[1]) and set(walk) == cycle_set:
-            matches.append(walk)
+    walks = (face_walk(rot, v0, b) for b in rot[v0])
+    matches = [walk for walk in walks if len(walk) == k and set(walk) == cycle_set]
     if len(matches) != 1:
         raise OperationError(
             f"cycle {verts} with chords {chords} is not a pure chord-cycle"
@@ -445,7 +436,9 @@ def diagonal_flip(emb: PlanarEmbedding, move: FlipMove) -> PlanarEmbedding:
     p, q = _face_apexes(emb, a, c)
     if apex(emb.rotation, c, p) != a or apex(emb.rotation, a, q) != c:
         raise StructuralError(f"faces at edge ({a}, {c}) are not both triangles")
-    if p == q or emb.has_edge(p, q):
+    if p == q:
+        raise FlipForbiddenError(f"both faces at ({a}, {c}) have apex {p}")
+    if emb.has_edge(p, q):
         raise FlipForbiddenError(f"flip of ({a}, {c}) would duplicate edge ({p}, {q})")
     if move.replacement is not None and set(move.replacement) != {p, q}:
         raise OperationError(

@@ -625,6 +625,14 @@ class TestFlipCommand:
         path.write_text(k4().to_json())
         assert main(["flip", str(path), "0", "1"]) == 2
 
+    def test_flip_on_a_triangle_names_the_apex_both_faces_share(self, tmp_path, capsys):
+        path = tmp_path / "k3.json"
+        path.write_text(PlanarEmbedding([[1, 2], [0, 2], [0, 1]]).to_json())
+        assert main(["flip", str(path), "0", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: both faces at (0, 1) have apex 2\n"
+
 
 class TestVerifyCommand:
     def test_table_output_and_exit_zero(self, capsys):

@@ -19,7 +19,7 @@ from pmfg import (
     random_triangulation,
     standard_form,
 )
-from pmfg.embedding import apex, trace_faces
+from pmfg.embedding import apex, face_walk, trace_faces
 
 
 class TestFaceTracing:
@@ -116,25 +116,29 @@ def pruned(emb: PlanarEmbedding, rng: random.Random, share: float) -> PlanarEmbe
 class TestApex:
     def test_apex_is_the_step_of_trace_faces(self):
         # For every dart u -> v, apex gives the vertex after v on the walk
-        # through u -> v, on triangulations and on connected embeddings
-        # pruned from them, whose walks repeat vertices.
+        # through u -> v, and face_walk gives that walk started at u, on
+        # triangulations and on connected embeddings pruned from them, whose
+        # walks repeat vertices.
         rng = random.Random(12)
         for n in range(4, 61):
             tri = random_triangulation(n, seed=n)
             tree = pruned(tri, rng, 1.0)
             assert tree.e == n - 1
             for emb in (tri, pruned(tri, rng, 0.4), tree):
-                after = {}
+                after, through = {}, {}
                 for walk in trace_faces(emb.rotation):
                     k = len(walk)
                     for i in range(k):
                         after[walk[i], walk[(i + 1) % k]] = walk[(i + 2) % k]
+                        through[walk[i], walk[(i + 1) % k]] = walk[i:] + walk[:i]
                 want = {
                     (u, v): apex(emb.rotation, u, v)
                     for u, nbrs in enumerate(emb.rotation)
                     for v in nbrs
                 }
                 assert after == want, (n, emb.rotation)
+                for (u, v), walk in through.items():
+                    assert face_walk(emb.rotation, u, v) == walk, (n, u, v)
 
 
 class TestEulerCheck:
