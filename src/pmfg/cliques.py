@@ -14,6 +14,7 @@ from typing import NamedTuple
 
 from .embedding import PlanarEmbedding
 from .errors import CeilingError, InputError, StructuralError
+from .planarity import _check_graph
 
 BRUTE_FORCE_CEILING = 16
 
@@ -130,9 +131,7 @@ def brute_force_cliques(n: int, edges) -> tuple[int, int]:
     if n > BRUTE_FORCE_CEILING:
         raise CeilingError(f"refusing brute-force census for n={n} > {BRUTE_FORCE_CEILING}")
     adj = [[False] * n for _ in range(n)]
-    for u, v in edges:
-        if u == v or not (0 <= u < n and 0 <= v < n):
-            raise InputError(f"bad edge ({u}, {v})")
+    for u, v in _check_graph(n, edges):
         adj[u][v] = adj[v][u] = True
     c3 = sum(
         1

@@ -38,6 +38,7 @@ from pmfg.builder import (
     read_returns_csv,
 )
 from pmfg.embedding import trace_faces
+from pmfg.planarity import _lr_rotation
 
 GATE_RULES = ("component_joins", "face_accepts", "whitney_rejects", "lr_calls")
 
@@ -88,6 +89,40 @@ def uniform_similarity(n, seed):
     return SimilarityMatrix(
         tuple(f"U{i:03d}" for i in range(n)), upper + upper.T + np.eye(n)
     )
+
+
+def planted_similarity(seed, size=60):
+    """A matrix whose top weights, in random order, are the edges of blocks
+    glued at a vertex or along an edge until there are at least ``size``
+    vertices, with noise below 0.1 on every other pair.  A block is K4, the
+    cube, the octahedron or a random triangulation on 5 to 9 vertices, less
+    up to two edges; gluing keeps the planted graph planar."""
+    rng = np.random.default_rng(seed)
+    shapes = [nx.complete_graph(4), nx.hypercube_graph(3), nx.octahedral_graph()]
+    shapes = [list(nx.convert_node_labels_to_integers(g).edges()) for g in shapes]
+    planted, n = set(), 0
+    while n < size:
+        k = int(rng.integers(len(shapes) + 5))
+        if k < len(shapes):
+            block = list(shapes[k])
+        else:
+            block = list(random_triangulation(k - len(shapes) + 5, seed=seed * 100 + n).edges())
+        for i in sorted(rng.choice(len(block), int(rng.integers(3)), replace=False))[::-1]:
+            del block[i]
+        ids = {}
+        if planted and rng.random() < 0.5:
+            a, b = sorted(planted)[rng.integers(len(planted))]
+            p, q = block[rng.integers(len(block))]
+            ids = {p: a, q: b}
+        elif planted:
+            ids = {block[0][0]: int(rng.integers(n))}
+        for x in sorted({x for edge in block for x in edge} - set(ids)):
+            ids[x], n = n, n + 1
+        planted |= {tuple(sorted((ids[x], ids[y]))) for x, y in block}
+    values = np.triu(rng.uniform(0.0, 0.1, (n, n)), 1)
+    for (x, y), rank in zip(sorted(planted), rng.permutation(len(planted))):
+        values[x, y] = 0.5 + rank / (2 * len(planted))
+    return SimilarityMatrix(tuple(f"P{i:03d}" for i in range(n)), values + values.T)
 
 
 def plain_lr_greedy(sim, tie_policy="lexicographic"):
@@ -146,6 +181,23 @@ def assert_components_are_spherical(gate):
         )
         report = euler_check(emb)
         assert report.n - report.e + report.f == 2
+
+
+def components_of(rotation):
+    """The vertex sets of the connected components of a rotation's graph,
+    found by breadth-first search."""
+    seen, components = set(), set()
+    for s in range(len(rotation)):
+        if s not in seen:
+            seen.add(s)
+            queue = [s]
+            for x in queue:
+                for w in rotation[x]:
+                    if w not in seen:
+                        seen.add(w)
+                        queue.append(w)
+            components.add(frozenset(queue))
+    return components
 
 
 def trace_start(rotation, walk):
@@ -492,6 +544,8 @@ class TestIncrementalGate:
         sims = [sector_similarity(n, seed=100 + n) for n in (15, 30, 45, 60)]
         sims += [uniform_similarity(n, seed) for n, seed in ((12, 1), (25, 2), (40, 3))]
         sims += [SimilarityMatrix(base.labels, np.round(base.values, 1))]
+        # A reject leaves all of this as it was.
+        state = ("rotation", "_adjacency", "_faces", "_face_mask", "_component")
         ties = repeats = 0
         for sim in sims:
             gate, reference = _PlanarityGate(sim.n), RetracingGate(sim.n)
@@ -499,8 +553,15 @@ class TestIncrementalGate:
                 shared = gate._face_mask[u] & gate._face_mask[v]
                 walk = gate._faces[(shared & -shared).bit_length() - 1] if shared else []
                 splices = gate.face_accepts
+                before = repr([getattr(gate, name) for name in state])
                 decided = gate.add_if_planar(u, v)
                 assert decided == reference.add_if_planar(u, v)
+                if not decided:
+                    assert repr([getattr(gate, name) for name in state]) == before
+                labels = {}
+                for x, c in enumerate(gate._component):
+                    labels.setdefault(c, set()).add(x)
+                assert set(map(frozenset, labels.values())) == components_of(gate.rotation)
                 if gate.face_accepts > splices:
                     ties += shared.bit_count() > 1
                     repeats += walk.count(u) > 1 or walk.count(v) > 1
@@ -593,6 +654,38 @@ class TestIncrementalGate:
         # Some come while the series-reduced kept graph is not 3-connected,
         # from a piece that a split made.
         assert piece_rejects > 0
+
+    def test_every_decision_on_planted_blocks_matches_lr(self):
+        fired = Counter()
+        for seed in range(8):
+            sim = planted_similarity(seed)
+            n = sim.n
+            gate = _PlanarityGate(n)
+            adjacency = [[] for _ in range(n)]
+            accepted = 0
+            pieces = split = None
+            for u, v, _ in weighted_edge_list(sim):
+                if gate._pieces is not pieces:  # refreshed by the last pair
+                    pieces = gate._pieces
+                    split = _separator(*_face_table(n, _series_reduced(gate.rotation))) is not None
+                before = [getattr(gate, rule) for rule in GATE_RULES]
+                adjacency[u].append(v)
+                adjacency[v].append(u)
+                planar = _lr_rotation(n, adjacency) is not None
+                if not planar:
+                    adjacency[u].pop()
+                    adjacency[v].pop()
+                assert gate.add_if_planar(u, v) == planar, (seed, u, v)
+                after = [getattr(gate, rule) for rule in GATE_RULES]
+                (rule,) = [r for r, b, a in zip(GATE_RULES, before, after) if a == b + 1]
+                fired[rule] += 1
+                fired["split_rejects"] += split and rule == "whitney_rejects"
+                accepted += planar
+                if accepted == 3 * (n - 2):
+                    break
+        # 487 joins, 722 splices, 11,116 certified rejects (6,387 of them
+        # while the series-reduced kept graph was split) and 280 LR calls.
+        assert all(fired[r] > 0 for r in GATE_RULES) and fired["split_rejects"] >= 1000, fired
 
     def test_bridge_of_the_octahedron_reaches_only_the_faces_at_its_attachments(
         self, monkeypatch

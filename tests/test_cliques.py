@@ -116,8 +116,16 @@ class TestBruteForce:
             brute_force_cliques(17, [])
 
     def test_self_loop_rejected(self):
-        with pytest.raises(InputError, match="bad edge"):
+        with pytest.raises(InputError, match="self-loop at vertex 0"):
             brute_force_cliques(4, [(0, 0)])
+
+    @pytest.mark.parametrize(
+        "n, edges, message",
+        [(4, [(0, 1), (1, 0)], "duplicate edge"), (-1, [], "non-negative")],
+    )
+    def test_duplicate_edge_and_negative_vertex_count_rejected(self, n, edges, message):
+        with pytest.raises(InputError, match=message):
+            brute_force_cliques(n, edges)
 
 
 class TestReport:
