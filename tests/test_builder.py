@@ -40,7 +40,7 @@ from pmfg.builder import (
 from pmfg.embedding import trace_faces
 from pmfg.planarity import _lr_rotation
 
-GATE_RULES = ("component_joins", "face_accepts", "whitney_rejects", "lr_calls")
+GATE_RULES = ("component_joins", "face_accepts", "whitney_rejects", "lr_calls", "block_joins")
 
 
 def cubes_glued_at_a_diagonal():
@@ -212,7 +212,7 @@ class RetracingGate(_PlanarityGate):
     """The reference gate: every accept re-traces the whole face table, so
     face ids follow ``trace_faces`` order."""
 
-    def _retrace(self, u, v):
+    def _retrace(self, starts):
         self._faces, self._face_mask = _face_table(self.n, self.rotation)
 
 
@@ -536,7 +536,7 @@ class TestIncrementalGate:
         sim = sector_similarity(n, seed=1000 + n)
         result = build_pmfg(sim)
         assert result.accepted == plain_lr_greedy(sim)
-        counts = {100: (99, 106, 3004, 102), 200: (199, 196, 14340, 216)}[n]
+        counts = {100: (99, 107, 3004, 60, 41), 200: (199, 199, 14340, 109, 104)}[n]
         assert astuple(result.gate_counts) == counts
 
     def test_kept_faces_match_a_full_retrace_after_every_pair(self):
@@ -607,11 +607,12 @@ class TestIncrementalGate:
         monkeypatch.setattr(pmfg.embedding, "trace_faces", counting_trace)
         monkeypatch.setattr(pmfg.builder, "_lr_rotation", counting_lr)
         monkeypatch.setattr(pmfg.builder, "_triconnected_pieces", counting_pieces)
-        build_pmfg(sector_similarity(40, seed=6))
-        # Joins and splices never trace; the one more is the validated
-        # output embedding.
+        counts = build_pmfg(sector_similarity(40, seed=6)).gate_counts
+        # Joins, splices and block joins never trace; the one more is the
+        # validated output embedding.
         outside = calls["traces"] - calls["refresh_traces"]
         assert calls["refreshes"] > 0 and 0 < outside <= calls["lr_accepts"] + 1, calls
+        assert counts.block_joins > 0, counts
 
     def test_every_decision_is_exact_and_every_rule_fires(self):
         sims = [sector_similarity(20, seed=seed) for seed in (4, 5, 6)]
@@ -641,7 +642,7 @@ class TestIncrementalGate:
                     assert is_kuratowski_subdivision(witness)
                     fired["bridge_rejects"] += off_pieces
                     piece_rejects += split
-                if rule in ("component_joins", "face_accepts"):
+                if rule in ("component_joins", "face_accepts", "block_joins"):
                     assert decided
                 if decided:
                     kept = candidate
@@ -683,9 +684,11 @@ class TestIncrementalGate:
                 accepted += planar
                 if accepted == 3 * (n - 2):
                     break
-        # 487 joins, 722 splices, 11,116 certified rejects (6,387 of them
-        # while the series-reduced kept graph was split) and 280 LR calls.
+        # 487 joins, 717 splices, 11,116 certified rejects (6,387 of them
+        # while the series-reduced kept graph was split), 106 block joins and
+        # 179 LR calls (280 before block joins).
         assert all(fired[r] > 0 for r in GATE_RULES) and fired["split_rejects"] >= 1000, fired
+        assert fired["block_joins"] >= 50, fired
 
     def test_bridge_of_the_octahedron_reaches_only_the_faces_at_its_attachments(
         self, monkeypatch
@@ -762,6 +765,60 @@ class TestIncrementalGate:
         assert gate.lr_calls == lr_calls + 1
         assert_components_are_spherical(gate)
 
+    def test_chain_of_blocks_is_joined_without_lr(self, monkeypatch):
+        # K4 0123 - cube at 3 - K4 at the cube's (1, 1, 0) - cube at 13 - K4
+        # at that cube's (1, 0, 0), and a K4 hung at 3 beside the chain.
+        def cube_at(at, first):
+            ids = {t: first + k for k, t in enumerate(sorted(nx.hypercube_graph(3))[1:])}
+            ids[0, 0, 0] = at
+            return [(ids[a], ids[b]) for a, b in nx.hypercube_graph(3).edges()], ids
+
+        def k4(*vs):
+            return [(a, b) for i, a in enumerate(vs) for b in vs[i + 1:]]
+
+        cube1, first = cube_at(3, 4)
+        cube2, second = cube_at(13, 14)
+        blocks = k4(0, 1, 2, 3) + cube1 + k4(first[1, 1, 0], 11, 12, 13) + cube2
+        blocks += k4(second[1, 0, 0], 21, 22, 23) + k4(3, 24, 25, 26)
+
+        def no_lr(*args):
+            raise AssertionError("the gate ran the LR test")
+
+        monkeypatch.setattr(pmfg.builder, "_lr_rotation", no_lr)
+        gate = _PlanarityGate(27)
+        for x, y in blocks:
+            assert gate.add_if_planar(x, y)
+        # Through the first cube, with the hung K4 at a re-hung cut vertex;
+        # from the second cube into its K4; between the two merged blocks;
+        # and from the hung K4 back into the first.
+        for x, y in [(0, 11), (second[1, 1, 1], 21), (12, second[0, 1, 0]), (24, 1)]:
+            joins = gate.block_joins
+            kept = nx.Graph((a, w) for a, nbrs in enumerate(gate.rotation) for w in nbrs)
+            assert not any({x, y} <= block for block in nx.biconnected_components(kept))
+            assert gate.add_if_planar(x, y)
+            assert gate.block_joins == joins + 1, (x, y)
+            assert_components_are_spherical(gate)
+        monkeypatch.undo()
+        # (0, 1, 0) and a corner next to the glued diagonal share a face
+        # only once that cube flips, so a K4 hung there joins through LR.
+        graph = cubes_glued_at_a_diagonal()
+        index = {x: i for i, x in enumerate(sorted(graph, key=str))}
+        gate = _PlanarityGate(len(index) + 3)
+        for x, y in graph.edges():
+            assert gate.add_if_planar(index[x], index[y])
+        p = index[0, 1, 0]
+        (q,) = [
+            index["b", t]
+            for t in ((0, 1, 0), (0, 0, 1))
+            if not gate._face_mask[p] & gate._face_mask[index["b", t]]
+        ]
+        for x, y in k4(q, *range(len(index), len(index) + 3)):
+            assert gate.add_if_planar(x, y)
+        lr_calls, joins = gate.lr_calls, gate.block_joins
+        assert gate.add_if_planar(p, len(index))
+        assert (gate.lr_calls, gate.block_joins) == (lr_calls + 1, joins)
+        assert_components_are_spherical(gate)
+
     def test_counts_cover_every_examined_pair(self):
         sim = sector_similarity(40, seed=6)
         result = build_pmfg(sim)
@@ -769,9 +826,10 @@ class TestIncrementalGate:
         examined = len(result.accepted) + len(result.rejected)
         assert sum(astuple(counts)) == examined
         assert counts.component_joins == sim.n - 1  # one per spanning-forest edge
-        # 36 of 621 pairs since rule 3 reads every triconnected piece; 49 when
-        # it read the 3-core's bridges, 116 when it read the 3-core alone.
-        assert astuple(counts) == (39, 46, 500, 36)
+        # 24 LR calls of 621 pairs since block joins skip LR; 36 when rule 3
+        # first read every triconnected piece, 49 when it read the 3-core's
+        # bridges, 116 when it read the 3-core alone.
+        assert astuple(counts) == (39, 45, 500, 24, 13)
 
     def test_triconnectivity_from_faces_matches_networkx(self):
         rng = np.random.default_rng(8)
@@ -791,6 +849,11 @@ class TestIncrementalGate:
                 assert not nx.is_connected(graph.subgraph(set(graph) - set(cut)))
             seen[expected] += 1
         assert min(seen[True], seen[False]) >= 50, seen
+
+    def test_pieces_of_a_connected_rotation_off_the_sphere_raise(self):
+        # K4 on the torus: 4 - 6 + 2 faces = 0, and no cut vertex to split at.
+        with pytest.raises(VerificationFailure, match="Euler"):
+            _triconnected_pieces(4, [[1, 2, 3], [0, 3, 2], [0, 1, 3], [0, 1, 2]])
 
     @pytest.mark.parametrize(
         "graph, pair, shared, triconnected",

@@ -211,8 +211,9 @@ def standard_form_edges(n):
 
 def gate_lr_graphs(monkeypatch):
     """Every (n, adjacency) of kept + uv for a pair uv that reaches the gate's
-    rule 3, whether a triconnected piece or the LR test decides it, in the
-    benchmark's n = 40 sector-model builds at seed 7, tasks 0-3."""
+    rule 3, whether a triconnected piece, a block join or the LR test
+    decides it, in the benchmark's n = 40 sector-model builds at seed 7,
+    tasks 0-3."""
     spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
     workloads = importlib.util.module_from_spec(spec)
     monkeypatch.setitem(sys.modules, spec.name, workloads)  # dataclasses look it up
@@ -224,9 +225,9 @@ def gate_lr_graphs(monkeypatch):
         adjacency = [list(nbrs) for nbrs in gate._adjacency]
         adjacency[u].append(v)
         adjacency[v].append(u)
-        decided_before = gate.whitney_rejects + gate.lr_calls
+        decided_before = gate.whitney_rejects + gate.block_joins + gate.lr_calls
         found = add_if_planar(gate, u, v)
-        if gate.whitney_rejects + gate.lr_calls > decided_before:
+        if gate.whitney_rejects + gate.block_joins + gate.lr_calls > decided_before:
             seen.append((gate.n, adjacency))
         return found
 
@@ -236,7 +237,7 @@ def gate_lr_graphs(monkeypatch):
         table = workloads.sector_returns(np.random.default_rng([7, j]), 40, 500)
         sim = correlation_from_returns(table, [f"E{i:03d}" for i in range(40)])
         counts = build_pmfg(sim).gate_counts
-        rule_3 += counts.whitney_rejects + counts.lr_calls
+        rule_3 += counts.whitney_rejects + counts.block_joins + counts.lr_calls
     assert len(seen) == rule_3
     return seen
 
