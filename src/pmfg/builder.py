@@ -7,17 +7,16 @@ point the kept graph is a maximal planar graph (a sphere triangulation) and
 no later edge could ever be accepted.
 
 Planarity is decided incrementally, after the on-line planarity idea of
-Di Battista & Tamassia (SIAM J. Comput. 25 (1996)): the gate keeps a
-rotation system of the kept graph between candidates and settles most of
-them by a certificate read off that embedding, running a full LR planarity
-test only when no certificate applies.
+Di Battista & Tamassia (SIAM J. Comput. 25 (1996)), by ``_PlanarityGate``,
+whose docstring lists its rules.  Every rule is exact, so the accepted list
+is the one a fresh planarity test per pair gives.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -69,13 +68,9 @@ class SimilarityMatrix:
 
 @dataclass(frozen=True)
 class GateCounts:
-    """How many examined pairs each rule of the planarity gate decided.
-
-    All but ``lr_calls`` are certified decisions (``whitney_rejects``: both
-    endpoints' admissible faces in one triconnected piece of the kept graph
-    are disjoint); ``lr_calls`` counts the pairs that fell through to a full
-    LR planarity test, accepted or rejected.
-    """
+    """How many examined pairs each rule of ``_PlanarityGate`` decided, one
+    field per rule; its docstring lists the rules.  Every rule is exact, so
+    the accepted list is the one a fresh planarity test per pair gives."""
 
     component_joins: int = 0
     face_accepts: int = 0
@@ -212,10 +207,7 @@ def _series_reduced(rotation: list[list[int]]) -> list[list[int]]:
     stack = [x for x, nbrs in enumerate(rot) if len(nbrs) <= 2]
     while stack:
         x = stack.pop()
-        nbrs = rot[x]
-        if len(nbrs) > 2:
-            continue
-        rot[x] = []
+        nbrs, rot[x] = rot[x], []
         if len(nbrs) == 2 and nbrs[1] not in rot[nbrs[0]]:
             a, b = nbrs
             rot[a][rot[a].index(x)] = b
@@ -308,13 +300,16 @@ class _PlanarityGate:
     """The kept graph of a PMFG scan, growing one planar edge at a time.
 
     The gate holds a rotation system of the kept graph, a component label
-    per vertex, the rotation's face table (walks by face id and per-vertex
-    face bitmasks; only an LR accept re-traces it whole), the face bitmasks
-    of the kept graph's triconnected pieces (``_triconnected_pieces``), and
-    adjacency lists in accept order for LR, which, fed the rotation's own
-    lists, accepts the same pairs but runs 0.5-1.4 % more often.  Every face
-    question is an AND of bitmasks.  ``add_if_planar`` applies the first
-    rule that decides:
+    per vertex (finding components by ``_join_blocks``' DFS instead costs
+    2-6 % at n = 150), the rotation's face table (walks by face id and
+    per-vertex face bitmasks; only an LR accept re-traces it whole), the face
+    bitmasks of the kept graph's triconnected pieces (``_triconnected_pieces``),
+    and adjacency lists in accept order for LR, which, fed the rotation's own
+    lists with uv first, accepts the same pairs but builds 2-9 % slower at
+    n = 150 (965 LR calls against 949 over seeds 7 and 1009, tasks 0-5).
+    Every face question is an AND of bitmasks.  ``counts`` holds how many
+    pairs each rule decided, keyed by the fields of ``GateCounts``.
+    ``add_if_planar`` applies the first rule that decides:
 
     1. endpoints in different components: accept, joining them at any corner;
     2. endpoints on a common face: accept, splicing the edge into that face;
@@ -332,8 +327,9 @@ class _PlanarityGate:
        own port of networkx's algorithm) on the adjacency lists plus uv and,
        on accept, adopt its rotation.
 
-    The pieces are refreshed after every LR reject; older pieces stay
-    valid, since the kept graph only grows.
+    Every rule is exact, so the accepted list is the one a fresh planarity
+    test per pair gives.  The pieces are refreshed after every LR reject;
+    older pieces stay valid, since the kept graph only grows.
     """
 
     def __init__(self, n: int) -> None:
@@ -345,8 +341,7 @@ class _PlanarityGate:
         self._reach: list[list[int]] = []  # admissible faces of the first pieces
         self._component = list(range(n))
         self._adjacency: list[list[int]] = [[] for _ in range(n)]  # in accept order
-        self.component_joins = self.face_accepts = 0
-        self.whitney_rejects = self.lr_calls = self.block_joins = 0
+        self.counts = {field.name: 0 for field in fields(GateCounts)}
 
     def add_if_planar(self, u: int, v: int) -> bool:
         """Add uv (not yet an edge) if the kept graph stays planar."""
@@ -358,7 +353,7 @@ class _PlanarityGate:
                 if k == len(reaches):
                     reaches.append(_admissible_faces(self.rotation, piece))
                 if not reaches[k][u] & reaches[k][v]:
-                    self.whitney_rejects += 1
+                    self.counts["whitney_rejects"] += 1
                     return False
         self._adjacency[u].append(v)
         self._adjacency[v].append(u)
@@ -366,18 +361,18 @@ class _PlanarityGate:
             self._component = [cv if c == cu else c for c in self._component]
             self.rotation[u].append(v)
             self.rotation[v].append(u)
-            self.component_joins += 1
+            self.counts["component_joins"] += 1
             self._retrace([(u, v), (v, u)])
         elif shared:  # the face with the least id, at u's and v's first corners
             walk = self._faces[(shared & -shared).bit_length() - 1]
             self._splice(u, v, walk[walk.index(u) - 1], walk[walk.index(v) - 1])
-            self.face_accepts += 1
+            self.counts["face_accepts"] += 1
             self._retrace([(u, v), (v, u)])
         elif (cuts := self._join_blocks(u, v)) is not None:
-            self.block_joins += 1
+            self.counts["block_joins"] += 1
             self._retrace([(u, v), (v, u)] + [(c, w) for c in cuts for w in self.rotation[c]])
         else:
-            self.lr_calls += 1
+            self.counts["lr_calls"] += 1
             found = _lr_rotation(self.n, self._adjacency)
             if found is None:
                 self._adjacency[u].pop()
@@ -436,7 +431,7 @@ class _PlanarityGate:
         on u's side from the neighbour its face arrives from, the block on
         v's side likewise, then every other neighbour in order: the former
         face leaves c into the latter and comes back.  The merged face holds
-        u and v (Di Battista & Tamassia, 1996).
+        u and v (Di Battista & Tamassia, 1996; Holm & Rotenberg, STOC 2020).
         """
         rotation, n = self.rotation, self.n
         parent, block, index, low, order = [-1] * n, [-1] * n, [-1] * n, [0] * n, [u]
@@ -491,27 +486,12 @@ def build_pmfg(
 ) -> PmfgResult:
     """Greedy descending-weight construction gated by planarity.
 
-    Each candidate uv is decided by the first rule that applies, against a
-    rotation system of the kept graph held between candidates:
-
-    1. u and v lie in different components: accept.
-    2. u and v share a face of the current rotation: accept, splicing uv
-       into that face.
-    3. Both endpoints' admissible faces in one triconnected piece of the
-       kept graph, whose embedding is unique by Whitney's theorem, are
-       disjoint: reject.
-    4. u and v lie in different blocks, and each block on the block-cut
-       path between them has its two attachments on one of its faces:
-       accept, re-hanging the blocks at the cut vertices and splicing uv.
-    5. Otherwise a full LR planarity test decides, and an accept adopts its
-       rotation.
-
-    This is the on-line planarity idea of Di Battista & Tamassia (SIAM J.
-    Comput. 25 (1996)); every rule is exact, so the accepted list is the one
-    a fresh planarity test per candidate gives.  ``gate_counts`` records
-    how many pairs each rule decided.  The output embedding is extracted
-    from the final kept graph by one more planarity test.  Identical input
-    and tie policy give an identical accepted list.
+    ``_PlanarityGate`` decides each candidate pair; its docstring lists the
+    rules.  Every rule is exact, so the accepted list is the one a fresh
+    planarity test per pair gives, and ``gate_counts`` records how many
+    pairs each rule decided.  The output embedding is extracted from the
+    final kept graph by one more planarity test.  Identical input and tie
+    policy give an identical accepted list.
     """
     n = sim.n
     if n < 3:
@@ -537,10 +517,7 @@ def build_pmfg(
         accepted=tuple(accepted),
         rejected=tuple(rejected),
         total_weight=float(sum(w for _, _, w in accepted)),
-        gate_counts=GateCounts(
-            gate.component_joins, gate.face_accepts, gate.whitney_rejects, gate.lr_calls,
-            gate.block_joins,
-        ),
+        gate_counts=GateCounts(**gate.counts),
     )
 
 

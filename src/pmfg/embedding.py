@@ -38,7 +38,8 @@ class EulerReport(NamedTuple):
 
 
 def _is_vertex(x: object) -> bool:
-    """True for a JSON integer; bool is an int subclass but not a vertex id."""
+    """True for a vertex id: an int that is not a bool (an int subclass, so
+    ``True`` would pass as vertex 1 and serialize as JSON ``true``)."""
     return isinstance(x, int) and not isinstance(x, bool)
 
 
@@ -203,8 +204,8 @@ class PlanarEmbedding:
         for v, nbrs in enumerate(self.rotation):
             seen_here: set[int] = set()
             for w in nbrs:
-                if not 0 <= w < n:
-                    raise StructuralError(f"vertex {v} lists unknown neighbor {w}")
+                if not _is_vertex(w) or not 0 <= w < n:
+                    raise StructuralError(f"vertex {v} lists unknown neighbor {w!r}")
                 if w == v:
                     raise StructuralError(f"self-loop at vertex {v}")
                 if w in seen_here:
@@ -258,7 +259,7 @@ class PlanarEmbedding:
 
     def relabel(self, perm: Sequence[int]) -> "PlanarEmbedding":
         """Rename vertex v to perm[v], preserving the cyclic orders."""
-        if sorted(perm) != list(range(self.n)):
+        if not all(map(_is_vertex, perm)) or sorted(perm) != list(range(self.n)):
             raise InputError("perm must be a permutation of the vertex ids")
         old = sorted(range(self.n), key=perm.__getitem__)  # perm[old[x]] == x
         rotation = tuple(

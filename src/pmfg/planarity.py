@@ -10,6 +10,7 @@ exists so the two routes can be checked against each other.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -40,6 +41,10 @@ def _check_graph(n: int, edges) -> list[Edge]:
     seen: set[Edge] = set()
     out: list[Edge] = []
     for u, v in edges:
+        try:  # numpy integers become ints; floats and strings are refused
+            u, v = operator.index(u), operator.index(v)
+        except TypeError:
+            raise InputError(f"edge ({u}, {v}) has a vertex id that is not an integer") from None
         if not (0 <= u < n and 0 <= v < n):
             raise InputError(f"edge ({u}, {v}) references a vertex outside 0..{n - 1}")
         if u == v:

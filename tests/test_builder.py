@@ -2,7 +2,7 @@ import csv
 import io
 import math
 from collections import Counter
-from dataclasses import astuple
+from dataclasses import astuple, fields
 
 import networkx as nx
 import numpy as np
@@ -28,6 +28,7 @@ from pmfg import (
     weighted_edge_list,
 )
 from pmfg.builder import (
+    GateCounts,
     _face_table,
     _PlanarityGate,
     _separator,
@@ -40,7 +41,7 @@ from pmfg.builder import (
 from pmfg.embedding import trace_faces
 from pmfg.planarity import _lr_rotation
 
-GATE_RULES = ("component_joins", "face_accepts", "whitney_rejects", "lr_calls", "block_joins")
+GATE_RULES = tuple(field.name for field in fields(GateCounts))
 
 
 def cubes_glued_at_a_diagonal():
@@ -552,7 +553,7 @@ class TestIncrementalGate:
             for u, v, _ in weighted_edge_list(sim):
                 shared = gate._face_mask[u] & gate._face_mask[v]
                 walk = gate._faces[(shared & -shared).bit_length() - 1] if shared else []
-                splices = gate.face_accepts
+                splices = gate.counts["face_accepts"]
                 before = repr([getattr(gate, name) for name in state])
                 decided = gate.add_if_planar(u, v)
                 assert decided == reference.add_if_planar(u, v)
@@ -562,7 +563,7 @@ class TestIncrementalGate:
                 for x, c in enumerate(gate._component):
                     labels.setdefault(c, set()).add(x)
                 assert set(map(frozenset, labels.values())) == components_of(gate.rotation)
-                if gate.face_accepts > splices:
+                if gate.counts["face_accepts"] > splices:
                     ties += shared.bit_count() > 1
                     repeats += walk.count(u) > 1 or walk.count(v) > 1
                 rotation = gate.rotation
@@ -629,9 +630,9 @@ class TestIncrementalGate:
                     reduced = _face_table(n, _series_reduced(gate.rotation))
                     split = _separator(*reduced) is not None
                 off_pieces = not any(piece[u] and piece[v] for piece in pieces)
-                before = [getattr(gate, rule) for rule in GATE_RULES]
+                before = [gate.counts[rule] for rule in GATE_RULES]
                 decided = gate.add_if_planar(u, v)
-                after = [getattr(gate, rule) for rule in GATE_RULES]
+                after = [gate.counts[rule] for rule in GATE_RULES]
                 (rule,) = [r for r, b, a in zip(GATE_RULES, before, after) if a == b + 1]
                 fired[rule] += 1
                 candidate = kept + [(u, v)]
@@ -669,7 +670,7 @@ class TestIncrementalGate:
                 if gate._pieces is not pieces:  # refreshed by the last pair
                     pieces = gate._pieces
                     split = _separator(*_face_table(n, _series_reduced(gate.rotation))) is not None
-                before = [getattr(gate, rule) for rule in GATE_RULES]
+                before = [gate.counts[rule] for rule in GATE_RULES]
                 adjacency[u].append(v)
                 adjacency[v].append(u)
                 planar = _lr_rotation(n, adjacency) is not None
@@ -677,7 +678,7 @@ class TestIncrementalGate:
                     adjacency[u].pop()
                     adjacency[v].pop()
                 assert gate.add_if_planar(u, v) == planar, (seed, u, v)
-                after = [getattr(gate, rule) for rule in GATE_RULES]
+                after = [gate.counts[rule] for rule in GATE_RULES]
                 (rule,) = [r for r, b, a in zip(GATE_RULES, before, after) if a == b + 1]
                 fired[rule] += 1
                 fired["split_rejects"] += split and rule == "whitney_rejects"
@@ -711,12 +712,12 @@ class TestIncrementalGate:
         with monkeypatch.context() as patch:
             patch.setattr(pmfg.builder, "_lr_rotation", no_lr)
             for d in (3, 5):  # on neither face at 0-1
-                rejects = gate.whitney_rejects
+                rejects = gate.counts["whitney_rejects"]
                 assert not gate.add_if_planar(6, d)
-                assert gate.whitney_rejects == rejects + 1
-        rejects = gate.whitney_rejects
+                assert gate.counts["whitney_rejects"] == rejects + 1
+        rejects = gate.counts["whitney_rejects"]
         assert gate.add_if_planar(6, 2)
-        assert gate.whitney_rejects == rejects
+        assert gate.counts["whitney_rejects"] == rejects
         assert_components_are_spherical(gate)
 
     def test_pieces_of_cubes_glued_at_a_diagonal_certify_rejects_in_each_cube(
@@ -749,9 +750,9 @@ class TestIncrementalGate:
 
         with monkeypatch.context() as patch:
             patch.setattr(pmfg.builder, "_lr_rotation", no_lr)
-            rejects = gate.whitney_rejects
+            rejects = gate.counts["whitney_rejects"]
             assert not gate.add_if_planar(index[0, 0, 1], index[1, 1, 0])  # antipodal
-            assert gate.whitney_rejects == rejects + 1
+            assert gate.counts["whitney_rejects"] == rejects + 1
         # (0, 1, 0) shares a face with one of the other cube's two corners
         # next to the diagonal, and the other needs that cube flipped.
         p = index[0, 1, 0]
@@ -760,9 +761,9 @@ class TestIncrementalGate:
             for t in ((0, 1, 0), (0, 0, 1))
             if not gate._face_mask[p] & gate._face_mask[index["b", t]]
         ]
-        lr_calls = gate.lr_calls
+        lr_calls = gate.counts["lr_calls"]
         assert gate.add_if_planar(p, q)
-        assert gate.lr_calls == lr_calls + 1
+        assert gate.counts["lr_calls"] == lr_calls + 1
         assert_components_are_spherical(gate)
 
     def test_chain_of_blocks_is_joined_without_lr(self, monkeypatch):
@@ -792,11 +793,11 @@ class TestIncrementalGate:
         # from the second cube into its K4; between the two merged blocks;
         # and from the hung K4 back into the first.
         for x, y in [(0, 11), (second[1, 1, 1], 21), (12, second[0, 1, 0]), (24, 1)]:
-            joins = gate.block_joins
+            joins = gate.counts["block_joins"]
             kept = nx.Graph((a, w) for a, nbrs in enumerate(gate.rotation) for w in nbrs)
             assert not any({x, y} <= block for block in nx.biconnected_components(kept))
             assert gate.add_if_planar(x, y)
-            assert gate.block_joins == joins + 1, (x, y)
+            assert gate.counts["block_joins"] == joins + 1, (x, y)
             assert_components_are_spherical(gate)
         monkeypatch.undo()
         # (0, 1, 0) and a corner next to the glued diagonal share a face
@@ -814,9 +815,9 @@ class TestIncrementalGate:
         ]
         for x, y in k4(q, *range(len(index), len(index) + 3)):
             assert gate.add_if_planar(x, y)
-        lr_calls, joins = gate.lr_calls, gate.block_joins
+        lr_calls, joins = gate.counts["lr_calls"], gate.counts["block_joins"]
         assert gate.add_if_planar(p, len(index))
-        assert (gate.lr_calls, gate.block_joins) == (lr_calls + 1, joins)
+        assert (gate.counts["lr_calls"], gate.counts["block_joins"]) == (lr_calls + 1, joins)
         assert_components_are_spherical(gate)
 
     def test_counts_cover_every_examined_pair(self):
@@ -849,6 +850,30 @@ class TestIncrementalGate:
                 assert not nx.is_connected(graph.subgraph(set(graph) - set(cut)))
             seen[expected] += 1
         assert min(seen[True], seen[False]) >= 50, seen
+
+    def test_series_reduction_of_pruned_triangulations(self):
+        rng = np.random.default_rng(9)
+        removed = kept = 0
+        for trial in range(100):
+            tri = random_triangulation(6 + trial % 35, seed=trial)
+            rotation = [list(nbrs) for nbrs in tri.rotation]
+            for u, v in tri.edges():
+                if rng.random() < 0.5:
+                    rotation[u].remove(v)
+                    rotation[v].remove(u)
+            reduced = _series_reduced(rotation)
+            for x, nbrs in enumerate(reduced):
+                assert len(nbrs) == 0 or len(nbrs) >= 3, (trial, x, nbrs)
+                assert len(set(nbrs)) == len(nbrs) and x not in nbrs
+                assert all(x in reduced[w] for w in nbrs)
+            assert _series_reduced(reduced) == reduced
+            # Still plane: Euler's formula holds on each component.
+            sizes = [len(c) for c in components_of(reduced) if len(c) > 1]
+            edges = sum(map(len, reduced)) // 2
+            assert sum(sizes) - edges + len(trace_faces(reduced)) == 2 * len(sizes)
+            removed += sum(1 for a, b in zip(rotation, reduced) if a and not b)
+            kept += len([nbrs for nbrs in reduced if nbrs])
+        assert min(removed, kept) >= 500, (removed, kept)
 
     def test_pieces_of_a_connected_rotation_off_the_sphere_raise(self):
         # K4 on the torus: 4 - 6 + 2 faces = 0, and no cut vertex to split at.

@@ -209,8 +209,14 @@ class TestValidation:
             PlanarEmbedding(((1, 3, 2), (2, 3, 0), (0, 3, 1), (0, 2, 1)))
 
     def test_unknown_neighbor_rejected(self):
-        with pytest.raises(StructuralError, match="unknown neighbor"):
-            PlanarEmbedding(((1, 7), (0,)))
+        # Out of range; K4 with vertex 1 written as True; K4 with a float id.
+        for rotation in [
+            ((1, 7), (0,)),
+            ([True, 3, 2], [2, 3, 0], [0, 3, True], [0, True, 2]),
+            ([1, 3, 2.0], [2, 3, 0], [0, 3, 1], [0, 1, 2]),
+        ]:
+            with pytest.raises(StructuralError, match="unknown neighbor"):
+                PlanarEmbedding(rotation)
 
     def test_label_count_must_match(self):
         with pytest.raises(StructuralError, match="labels"):
@@ -278,8 +284,9 @@ class TestTransforms:
         assert out.has_edge(3, 2)
 
     def test_relabel_requires_permutation(self):
-        with pytest.raises(InputError):
-            k4().relabel((0, 0, 1, 2))
+        for perm in [(0, 0, 1, 2), (1.0, 0.0, 2.0, 3.0), (True, 0, 2, 3)]:
+            with pytest.raises(InputError, match="permutation"):
+                k4().relabel(perm)
 
     def test_mirror_is_involution(self):
         emb = standard_form(8)

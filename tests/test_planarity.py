@@ -62,6 +62,13 @@ class TestIsPlanar:
             is_planar(3, [(0, 1), (1, 0)])
         with pytest.raises(InputError, match="outside"):
             is_planar(3, [(0, 5)])
+        with pytest.raises(InputError, match="not an integer"):
+            is_planar(3, [(0, 1), (1, 2.0)])
+
+    def test_numpy_integer_edges_give_an_embedding_of_ints(self):
+        verdict = is_planar(4, np.array(complete_graph(4)))
+        assert verdict.embedding == is_planar(4, complete_graph(4)).embedding
+        assert all(type(w) is int for nbrs in verdict.embedding.rotation for w in nbrs)
 
     def test_negative_vertex_count_rejected(self):
         with pytest.raises(InputError, match="non-negative"):
@@ -220,14 +227,15 @@ def gate_lr_graphs(monkeypatch):
     spec.loader.exec_module(workloads)
     seen = []
     add_if_planar = _PlanarityGate.add_if_planar
+    late_rules = ("whitney_rejects", "block_joins", "lr_calls")
 
     def recording(gate, u, v):
         adjacency = [list(nbrs) for nbrs in gate._adjacency]
         adjacency[u].append(v)
         adjacency[v].append(u)
-        decided_before = gate.whitney_rejects + gate.block_joins + gate.lr_calls
+        decided_before = sum(gate.counts[rule] for rule in late_rules)
         found = add_if_planar(gate, u, v)
-        if gate.whitney_rejects + gate.block_joins + gate.lr_calls > decided_before:
+        if sum(gate.counts[rule] for rule in late_rules) > decided_before:
             seen.append((gate.n, adjacency))
         return found
 
@@ -237,7 +245,7 @@ def gate_lr_graphs(monkeypatch):
         table = workloads.sector_returns(np.random.default_rng([7, j]), 40, 500)
         sim = correlation_from_returns(table, [f"E{i:03d}" for i in range(40)])
         counts = build_pmfg(sim).gate_counts
-        rule_3 += counts.whitney_rejects + counts.block_joins + counts.lr_calls
+        rule_3 += sum(getattr(counts, rule) for rule in late_rules)
     assert len(seen) == rule_3
     return seen
 
