@@ -128,10 +128,11 @@ def standard_form_expected(n: int) -> StandardFormCensus:
 
 def brute_force_cliques(n: int, edges) -> tuple[int, int]:
     """Count 3- and 4-cliques of an abstract graph by exhaustive subsets."""
+    n, edge_list = _check_graph(n, edges)
     if n > BRUTE_FORCE_CEILING:
         raise CeilingError(f"refusing brute-force census for n={n} > {BRUTE_FORCE_CEILING}")
     adj = [[False] * n for _ in range(n)]
-    for u, v in _check_graph(n, edges):
+    for u, v in edge_list:
         adj[u][v] = adj[v][u] = True
     c3 = sum(
         1

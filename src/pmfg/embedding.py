@@ -37,16 +37,12 @@ class EulerReport(NamedTuple):
     is_triangulation: bool
 
 
-def _is_vertex(x: object) -> bool:
-    """True for a vertex id: an int that is not a bool (an int subclass, so
-    ``True`` would pass as vertex 1 and serialize as JSON ``true``)."""
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
 def _check_labels(labels: Sequence[str]) -> None:
-    """Entity labels must be non-empty and distinct; positions count from 1."""
+    """Entity labels must be non-empty, distinct strings; positions count from 1."""
     seen: set[str] = set()
     for i, label in enumerate(labels, start=1):
+        if not isinstance(label, str):
+            raise InputError(f"label {i} is not a string: {label!r}")
         if not label:
             raise InputError(f"label {i} is empty")
         if label in seen:
@@ -129,11 +125,8 @@ class PlanarEmbedding:
         rotation: Sequence[Sequence[int]],
         labels: Sequence[str] | None = None,
     ) -> None:
-        self.rotation: tuple[tuple[int, ...], ...] = tuple(
-            map(_canonical_rotation, rotation)
-        )
         self.labels: tuple[str, ...] | None = None if labels is None else tuple(labels)
-        self._validate()
+        self._validate(rotation)
 
     @classmethod
     def _trusted(
@@ -197,14 +190,16 @@ class PlanarEmbedding:
     # Validation
     # ------------------------------------------------------------------
 
-    def _validate(self) -> None:
-        n = len(self.rotation)
+    def _validate(self, rotation: Sequence[Sequence[int]]) -> None:
+        """Check ``rotation`` as given in one pass, then store it canonical."""
+        n = len(rotation)
         if n < 2:
             raise StructuralError("an embedding needs at least two vertices")
-        for v, nbrs in enumerate(self.rotation):
+        for v, nbrs in enumerate(rotation):
             seen_here: set[int] = set()
             for w in nbrs:
-                if not _is_vertex(w) or not 0 <= w < n:
+                # Exact ints: a bool would pass as vertex 1 and serialize as JSON true.
+                if type(w) is not int or not 0 <= w < n:
                     raise StructuralError(f"vertex {v} lists unknown neighbor {w!r}")
                 if w == v:
                     raise StructuralError(f"self-loop at vertex {v}")
@@ -212,14 +207,13 @@ class PlanarEmbedding:
                     raise StructuralError(
                         f"multiple edge: {w} repeats in the rotation of {v}"
                     )
-                seen_here.add(w)
-        for v, nbrs in enumerate(self.rotation):
-            for w in nbrs:
-                if v not in self.rotation[w]:
+                if v not in rotation[w]:
                     raise StructuralError(
                         f"asymmetric adjacency: {w} in rotation of {v} "
                         f"but not conversely"
                     )
+                seen_here.add(w)
+        self.rotation = tuple(map(_canonical_rotation, rotation))
         # Connectivity, then Euler's formula to pin genus 0.
         stack = [0]
         reached = {0}
@@ -231,11 +225,9 @@ class PlanarEmbedding:
                     stack.append(w)
         if len(reached) != n:
             raise StructuralError("embedding is disconnected")
-        f = len(self.faces)
-        if n - self.e + f != 2:
-            raise StructuralError(
-                f"rotation system has genus > 0: n={n} e={self.e} f={f}"
-            )
+        e, f = self.e, len(self.faces)
+        if n - e + f != 2:
+            raise StructuralError(f"rotation system has genus > 0: n={n} e={e} f={f}")
         if self.labels is not None:
             if len(self.labels) != n:
                 raise StructuralError("labels must cover every vertex")
@@ -259,7 +251,7 @@ class PlanarEmbedding:
 
     def relabel(self, perm: Sequence[int]) -> "PlanarEmbedding":
         """Rename vertex v to perm[v], preserving the cyclic orders."""
-        if not all(map(_is_vertex, perm)) or sorted(perm) != list(range(self.n)):
+        if any(type(x) is not int for x in perm) or sorted(perm) != list(range(self.n)):
             raise InputError("perm must be a permutation of the vertex ids")
         old = sorted(range(self.n), key=perm.__getitem__)  # perm[old[x]] == x
         rotation = tuple(
@@ -299,10 +291,11 @@ class PlanarEmbedding:
         except KeyError as exc:
             raise InputError(f"graph document lacks required key: {exc}") from exc
         if not isinstance(rotation, list) or not all(
-            isinstance(nbrs, list) and all(map(_is_vertex, nbrs)) for nbrs in rotation
+            isinstance(nbrs, list) and all(type(w) is int for w in nbrs)
+            for nbrs in rotation
         ):
             raise InputError("graph document: rotation must be a list of integer lists")
-        if not _is_vertex(n) or len(rotation) != n:
+        if type(n) is not int or len(rotation) != n:
             raise InputError("graph document: rotation length must equal n")
         labels = doc.get("labels")
         if labels is not None and not (

@@ -367,12 +367,12 @@ def apply_eberhard(emb: PlanarEmbedding, op: EberhardOp) -> PlanarEmbedding:
     the cycle; the edge count rises by exactly 3 for each of phi1/phi2/phi3.
     """
     verts, chords = op.cycle, op.chords
+    for v in verts:
+        if type(v) is not int or not 0 <= v < emb.n:
+            raise OperationError(f"cycle vertex {v!r} is outside 0..{emb.n - 1}")
     k = len(verts)
     if not 3 <= k <= 5 or len(set(verts)) != k:
         raise OperationError(f"cycle {verts} is not 3 to 5 distinct vertices")
-    for v in verts:
-        if not 0 <= v < emb.n:
-            raise OperationError(f"cycle vertex {v} is outside 0..{emb.n - 1}")
     if len(chords) != k - 3:
         raise OperationError(f"{op.kind} needs exactly {k - 3} chords")
     for u, v in zip(verts, verts[1:] + verts[:1]):
@@ -384,7 +384,7 @@ def apply_eberhard(emb: PlanarEmbedding, op: EberhardOp) -> PlanarEmbedding:
     for v in verts:
         rot[v] = list(rot[v])
     for u, v in chords:
-        if not {u, v} <= cycle_set or not emb.has_edge(u, v):
+        if not (type(u) is type(v) is int and {u, v} <= cycle_set and emb.has_edge(u, v)):
             raise OperationError(f"chord ({u}, {v}) is not an interior edge")
         if v not in rot[u]:
             raise OperationError(f"chord ({u}, {v}) is repeated")
@@ -431,8 +431,9 @@ def diagonal_flip(emb: PlanarEmbedding, move: FlipMove) -> PlanarEmbedding:
     restores the original embedding exactly.
     """
     a, c = move.shared_edge
-    if not (0 <= a < emb.n and 0 <= c < emb.n) or not emb.has_edge(a, c):
-        raise OperationError(f"({a}, {c}) is not an edge")
+    # rotation[a] holds vertex ids only, so c needs no range check of its own.
+    if not (type(a) is type(c) is int and 0 <= a < emb.n and emb.has_edge(a, c)):
+        raise OperationError(f"({a!r}, {c!r}) is not an edge")
     p, q = _face_apexes(emb, a, c)
     if apex(emb.rotation, c, p) != a or apex(emb.rotation, a, q) != c:
         raise StructuralError(f"faces at edge ({a}, {c}) are not both triangles")
@@ -758,8 +759,7 @@ def _degree_raising_flip(emb: PlanarEmbedding, p: int, start: int = 0) -> FlipMo
         w1, w2 = _face_apexes(emb, x, y)
         if p in (w1, w2):
             continue  # link edge, already handled
-        if w1 == w2 or emb.has_edge(w1, w2):
-            continue
+        # Else pxy separates w1 from w2, so they are distinct and not adjacent.
         if w1 not in nbrs or w2 not in nbrs:
             return FlipMove((x, y), (w1, w2) if w1 < w2 else (w2, w1))
     raise StructuralError(f"no degree-raising flip available for vertex {p}")
@@ -821,7 +821,7 @@ def normalize_to_standard(
     ring = cur.rotation[q]
     for x, y in zip(ring, ring[1:] + ring[:1]):
         push_chord(x, y)
-    while cur.degree(q) < n - 1:
+    while cur.degree(q) < n - 1:  # each flip adds an edge at q, so no guard
         if not chords:
             raise StructuralError(f"no fan flip available toward vertex {q}")
         x, y, w = heapq.heappop(chords)  # w becomes a neighbor of q
@@ -830,9 +830,6 @@ def normalize_to_standard(
         trace.append(move)
         push_chord(x, w)
         push_chord(w, y)
-        guard -= 1
-        if guard <= 0:
-            raise StructuralError("normalization did not converge")
     expected = [n - 1, n - 1] + [4] * (n - 4) + [3, 3]
     got = degree_sequence(cur)
     if got != expected:

@@ -10,9 +10,9 @@ exists so the two routes can be checked against each other.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from itertools import combinations
+from numbers import Integral
 
 from .embedding import Edge, PlanarEmbedding
 from .errors import CeilingError, InputError
@@ -35,16 +35,22 @@ class PlanarityVerdict:
     witness: tuple[Edge, ...] | None = None
 
 
-def _check_graph(n: int, edges) -> list[Edge]:
+def _is_id(x: object) -> bool:
+    # An int or numpy integer; a bool would pass as vertex 0 or 1.
+    return type(x) is int or isinstance(x, Integral) and not isinstance(x, bool)
+
+
+def _check_graph(n: int, edges) -> tuple[int, list[Edge]]:
+    if not _is_id(n):
+        raise InputError(f"vertex count {n!r} is not an integer")
     if n < 0:
         raise InputError("vertex count must be non-negative")
     seen: set[Edge] = set()
     out: list[Edge] = []
     for u, v in edges:
-        try:  # numpy integers become ints; floats and strings are refused
-            u, v = operator.index(u), operator.index(v)
-        except TypeError:
-            raise InputError(f"edge ({u}, {v}) has a vertex id that is not an integer") from None
+        if not (_is_id(u) and _is_id(v)):
+            raise InputError(f"edge ({u}, {v}) has a vertex id that is not an integer")
+        u, v = int(u), int(v)
         if not (0 <= u < n and 0 <= v < n):
             raise InputError(f"edge ({u}, {v}) references a vertex outside 0..{n - 1}")
         if u == v:
@@ -54,7 +60,7 @@ def _check_graph(n: int, edges) -> list[Edge]:
             raise InputError(f"duplicate edge ({key[0]}, {key[1]})")
         seen.add(key)
         out.append(key)
-    return out
+    return int(n), out
 
 
 def is_planar(n: int, edges, *, want_witness: bool = False) -> PlanarityVerdict:
@@ -66,8 +72,9 @@ def is_planar(n: int, edges, *, want_witness: bool = False) -> PlanarityVerdict:
     and each neighbour v in adjacency order, every edge uv whose removal
     keeps the graph non-planar.
     """
+    n, edge_list = _check_graph(n, edges)
     adjacency: list[list[int]] = [[] for _ in range(n)]
-    for u, v in _check_graph(n, edges):
+    for u, v in edge_list:
         adjacency[u].append(v)
         adjacency[v].append(u)
     found = _lr_rotation(n, adjacency)
@@ -396,7 +403,7 @@ def kuratowski_oracle(n: int, edges) -> bool:
     by brute force: try every candidate set of branch vertices and search for
     internally disjoint connecting paths among the remaining vertices.
     """
-    edge_list = _check_graph(n, edges)
+    n, edge_list = _check_graph(n, edges)
     if n > ORACLE_CEILING:
         raise CeilingError(
             f"oracle is exponential; refusing n={n} > ceiling={ORACLE_CEILING}"

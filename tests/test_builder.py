@@ -328,6 +328,13 @@ class TestSimilarityMatrix:
         with pytest.raises(InputError, match="^label 2 is empty$"):
             SimilarityMatrix(("a", "", "c"), np.eye(3))
 
+    def test_non_string_label_rejected_by_position(self):
+        # The graph-JSON rule: an int label would break to_dot and to_json.
+        with pytest.raises(InputError, match="^label 1 is not a string: 1$"):
+            SimilarityMatrix((1, 2, 3, 4), np.eye(4))
+        with pytest.raises(InputError, match="^label 3 is not a string: None$"):
+            SimilarityMatrix(("a", "b", None), np.eye(3))
+
 
 class TestWeightedEdgeList:
     def test_descending_order(self):

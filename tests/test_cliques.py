@@ -119,6 +119,12 @@ class TestBruteForce:
         with pytest.raises(InputError, match="self-loop at vertex 0"):
             brute_force_cliques(4, [(0, 0)])
 
+    @pytest.mark.parametrize("n", [4.0, 17.0, "17", False])
+    def test_vertex_count_must_be_an_integer(self, n):
+        # Checked before the ceiling compares it: 17.0 is no CeilingError.
+        with pytest.raises(InputError, match=f"vertex count {n!r} is not an integer"):
+            brute_force_cliques(n, [])
+
     @pytest.mark.parametrize(
         "n, edges, message",
         [(4, [(0, 1), (1, 0)], "duplicate edge"), (-1, [], "non-negative")],

@@ -1,3 +1,4 @@
+import enum
 import json
 import random
 
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from pmfg import (
     InputError,
     PlanarEmbedding,
+    PmfgError,
     StructuralError,
     VerificationFailure,
     apply_eberhard,
@@ -218,18 +220,78 @@ class TestValidation:
             with pytest.raises(StructuralError, match="unknown neighbor"):
                 PlanarEmbedding(rotation)
 
+    def test_neighbor_that_is_not_an_int_is_a_structural_error(self):
+        # Read before the rotation is canonicalized, whose min() would raise
+        # a bare TypeError on a string beside ints.
+        with pytest.raises(StructuralError, match="vertex 0 lists unknown neighbor 'x'"):
+            PlanarEmbedding([[1, "x"], [0]])
+        with pytest.raises(StructuralError, match=r"vertex 0 lists unknown neighbor \[0\]"):
+            PlanarEmbedding([[1, [0]], [0]])
+        # An int subclass other than bool is refused too.
+        one = enum.IntEnum("One", {"ONE": 1}).ONE
+        with pytest.raises(StructuralError, match="unknown neighbor <One.ONE: 1>"):
+            PlanarEmbedding([[one], [0]])
+
     def test_label_count_must_match(self):
         with pytest.raises(StructuralError, match="labels"):
             PlanarEmbedding(k4().rotation, labels=("a", "b"))
 
     @pytest.mark.parametrize(
         "labels, message",
-        [(("a", "b", "", "d"), "label 3 is empty"), (("a", "b", "a", "d"), "'a' repeats")],
+        [
+            (("a", "b", "", "d"), "label 3 is empty"),
+            (("a", "b", "a", "d"), "'a' repeats"),
+            ((1, 2, 3, 4), "label 1 is not a string: 1"),
+        ],
     )
     def test_labels_must_be_non_empty_and_distinct(self, labels, message):
         # The rule the matrix readers apply to entity labels.
         with pytest.raises(InputError, match=message):
             PlanarEmbedding(k4().rotation, labels=labels)
+
+
+# Rotation entries: in-range and out-of-range ints, and what is no vertex id.
+_entries = st.one_of(
+    st.integers(min_value=-1, max_value=6),
+    st.booleans(),
+    st.floats(allow_nan=False, min_value=0, max_value=5),
+    st.text(max_size=2),
+    st.none(),
+    st.lists(st.integers(min_value=0, max_value=5), max_size=2),
+)
+
+
+@st.composite
+def _rotations(draw) -> list[list]:
+    """Rotations of 2 to 6 rows: drawn entry by entry, or a valid embedding
+    with up to two entries replaced or appended, so some stay valid."""
+    if draw(st.booleans()):
+        return draw(st.lists(st.lists(_entries, max_size=4), min_size=2, max_size=6))
+    valid = [((1,), (0,)), ((1,), (0, 2), (1,)), k4().rotation, standard_form(6).rotation]
+    rows = [list(nbrs) for nbrs in draw(st.sampled_from(valid))]
+    for _ in range(draw(st.sampled_from((0, 0, 1, 2)))):
+        row = rows[draw(st.integers(min_value=0, max_value=len(rows) - 1))]
+        i = draw(st.integers(min_value=0, max_value=len(row)))
+        row[i : i + 1] = [draw(_entries)]
+    return rows
+
+
+class TestConstructorBoundary:
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_refuses_or_round_trips(self, data):
+        # Either a package error, or an embedding that graph JSON and DOT carry.
+        rotation = data.draw(_rotations())
+        n = len(rotation)
+        label = st.text(max_size=2) | st.integers()
+        labels = data.draw(st.none() | st.lists(label, min_size=n, max_size=n, unique=True))
+        try:
+            emb = PlanarEmbedding(rotation, labels=labels)
+        except PmfgError:
+            return
+        again = PlanarEmbedding.from_json(emb.to_json())
+        assert again == emb and again.labels == emb.labels
+        emb.to_dot()
 
 
 class TestSerialization:

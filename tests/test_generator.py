@@ -699,6 +699,22 @@ class TestApplyEberhard:
         with pytest.raises(OperationError, match="cycle vertex -1 is outside"):
             apply_eberhard(k4(), EberhardOp((-1, 0, 1)))
 
+    @pytest.mark.parametrize("cycle", [("a", 1, 2), (0, 1, 2.0), (0, True, 2), ([0], 1, 2)])
+    def test_cycle_vertex_that_is_not_an_int_rejected(self, cycle):
+        # Named before the cycle's vertices are hashed or looked up.
+        with pytest.raises(OperationError, match="cycle vertex .* is outside 0..3"):
+            apply_eberhard(k4(), EberhardOp(cycle))
+        with pytest.raises(OperationError, match="is outside"):
+            apply_trace(k4(), [EberhardOp(cycle)])
+
+    @pytest.mark.parametrize("kind", [float, bool, str])
+    def test_chord_vertex_that_is_not_an_int_rejected(self, p5, kind):
+        # 1.0 and True equal the cycle vertex 1, so only their type refuses them.
+        quad = next(op for op in cycles_of_length(p5, 4) if 1 in op.chords[0])
+        chord = tuple(kind(x) if x == 1 else x for x in quad.chords[0])
+        with pytest.raises(OperationError, match="is not an interior edge"):
+            apply_eberhard(p5, EberhardOp(quad.cycle, (chord,)))
+
     def test_cycle_bounding_two_faces_rejected(self):
         # Both sides of a lone triangle are faces, so the cycle fixes no region.
         triangle = PlanarEmbedding(((1, 2), (0, 2), (0, 1)))
@@ -912,6 +928,13 @@ class TestDiagonalFlip:
         ]
         with pytest.raises(OperationError):
             diagonal_flip(octahedron, FlipMove(non_edges[0]))
+
+    @pytest.mark.parametrize("edge", [("a", 1), (0, 1.0), (True, 2), (0, -3)])
+    def test_flip_of_a_non_integer_pair_rejected(self, edge):
+        with pytest.raises(OperationError, match="is not an edge"):
+            diagonal_flip(k4(), FlipMove(edge))
+        with pytest.raises(OperationError, match="is not an edge"):
+            apply_trace(k4(), [FlipMove(edge)])
 
     def test_replacement_mismatch_rejected(self, p5):
         move = legal_flips(p5)[0]

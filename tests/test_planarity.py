@@ -64,6 +64,14 @@ class TestIsPlanar:
             is_planar(3, [(0, 5)])
         with pytest.raises(InputError, match="not an integer"):
             is_planar(3, [(0, 1), (1, 2.0)])
+        # A bool would pass as vertex 0 or 1; n follows the rule of the ids.
+        with pytest.raises(InputError, match=r"edge \(True, 2\) has a vertex id that is not"):
+            is_planar(3, [(True, 2), (0, 2)])
+        for n in (True, 3.0, "3"):
+            with pytest.raises(InputError, match=f"vertex count {n!r} is not an integer"):
+                is_planar(n, [])
+        with pytest.raises(InputError, match="vertex count 3.0 is not an integer"):
+            kuratowski_oracle(3.0, [(0, 1)])
 
     def test_numpy_integer_edges_give_an_embedding_of_ints(self):
         verdict = is_planar(4, np.array(complete_graph(4)))
