@@ -14,6 +14,7 @@ is the one a fresh planarity test per pair gives.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 from dataclasses import dataclass, fields
@@ -81,11 +82,16 @@ class GateCounts:
 
 @dataclass(frozen=True)
 class PmfgResult:
+    """A PMFG scan's outcome.  ``decisions`` holds one entry per examined
+    pair in scan order, True where it was accepted; ``accepted`` and
+    ``rejected`` are the two subsequences of the examined pairs."""
+
     embedding: PlanarEmbedding
     accepted: tuple[tuple[int, int, float], ...]
     rejected: tuple[tuple[int, int, float], ...]
     total_weight: float
     gate_counts: GateCounts = GateCounts()
+    decisions: tuple[bool, ...] = ()
 
     @property
     def labels(self) -> tuple[str, ...] | None:
@@ -122,13 +128,6 @@ def correlation_from_returns(
     return SimilarityMatrix(tuple(labels), corr, correlation=True)
 
 
-def _rank_key(labels: tuple[str, ...], entry: tuple[int, int, float]) -> tuple:
-    """Scan position of a weighted pair: descending weight, then the
-    (min label, max label) pair.  Labels are unique, so no two pairs tie."""
-    u, v, w = entry
-    return (-w, *sorted((labels[u], labels[v])))
-
-
 def weighted_edge_list(
     sim: SimilarityMatrix, tie_policy: TiePolicy = "lexicographic"
 ) -> tuple[tuple[int, int, float], ...]:
@@ -136,25 +135,27 @@ def weighted_edge_list(
 
     Equal weights are ordered by the (min label, max label) pair so that runs
     are reproducible across platforms; the "strict" policy refuses them
-    instead, listing every tied pair.
+    instead, listing every tied pair.  Labels are unique, so no two pairs tie
+    on the whole key, and one lexsort over the label ranks gives the order.
     """
     if tie_policy not in ("lexicographic", "strict"):
         raise InputError(f"unknown tie policy {tie_policy!r}")
     n, labels = sim.n, sim.labels
-    pairs = [
-        (i, j, float(sim.values[i, j])) for i in range(n) for j in range(i + 1, n)
-    ]
-    pairs.sort(key=lambda entry: _rank_key(labels, entry))
+    rank = np.empty(n, dtype=np.intp)
+    rank[sorted(range(n), key=labels.__getitem__)] = np.arange(n)
+    i, j = np.triu_indices(n, 1)
+    w = np.asarray(sim.values[i, j], dtype=float)
+    lo, hi = np.minimum(rank[i], rank[j]), np.maximum(rank[i], rank[j])
+    order = np.lexsort((hi, lo, -w))
+    i, j, w = i[order].tolist(), j[order].tolist(), w[order].tolist()
     if tie_policy == "strict":
-        names = [", ".join(_rank_key(labels, entry)[1:]) for entry in pairs]
+        names = [", ".join(sorted((labels[u], labels[v]))) for u, v in zip(i, j)]
         tied = [
-            f"({names[k]}) ~ ({names[k + 1]})"
-            for k in range(len(pairs) - 1)
-            if pairs[k][2] == pairs[k + 1][2]
+            f"({names[k]}) ~ ({names[k + 1]})" for k in range(len(w) - 1) if w[k] == w[k + 1]
         ]
         if tied:
             raise InputError(f"tied weights under strict policy: {'; '.join(tied)}")
-    return tuple(pairs)
+    return tuple(zip(i, j, w))
 
 
 def _face_table(n: int, rotation: list[list[int]]) -> tuple[list[list[int]], list[int]]:
@@ -368,7 +369,7 @@ class _PlanarityGate:
             self._splice(u, v, walk[walk.index(u) - 1], walk[walk.index(v) - 1])
             self.counts["face_accepts"] += 1
             self._retrace([(u, v), (v, u)])
-        elif (cuts := self._join_blocks(u, v)) is not None:
+        elif not self._one_piece(u, v) and (cuts := self._join_blocks(u, v)) is not None:
             self.counts["block_joins"] += 1
             self._retrace([(u, v), (v, u)] + [(c, w) for c in cuts for w in self.rotation[c]])
         else:
@@ -417,6 +418,12 @@ class _PlanarityGate:
             faces[k : k + 1] = [walk]
             for x in walk:
                 masks[x] |= 1 << k
+
+    def _one_piece(self, u: int, v: int) -> bool:
+        """Whether u and v both lie on one piece (more than two of its face
+        bits): a piece is 2-connected, so they are in one block, where rule 4
+        would only run its DFS to return None."""
+        return any(p[u].bit_count() > 2 and p[v].bit_count() > 2 for p in self._pieces)
 
     def _join_blocks(self, u: int, v: int) -> list[int] | None:
         """Splice uv after re-hanging blocks at cut vertices, and return
@@ -500,14 +507,13 @@ def build_pmfg(
     ranked = weighted_edge_list(sim, tie_policy)
     accepted: list[tuple[int, int, float]] = []
     rejected: list[tuple[int, int, float]] = []
+    decisions: list[bool] = []
     gate = _PlanarityGate(n)
-    for u, v, w in ranked:
-        if gate.add_if_planar(u, v):
-            accepted.append((u, v, w))
-            if len(accepted) == target:
-                break
-        else:
-            rejected.append((u, v, w))
+    for pair in ranked:
+        decisions.append(kept := gate.add_if_planar(pair[0], pair[1]))
+        (accepted if kept else rejected).append(pair)
+        if len(accepted) == target:
+            break
     verdict = is_planar(n, [(u, v) for u, v, _ in accepted])
     if not verdict.planar or verdict.embedding is None:
         raise VerificationFailure("the accepted edges fail the final planarity test")
@@ -518,6 +524,7 @@ def build_pmfg(
         rejected=tuple(rejected),
         total_weight=float(sum(w for _, _, w in accepted)),
         gate_counts=GateCounts(**gate.counts),
+        decisions=tuple(decisions),
     )
 
 
@@ -526,19 +533,53 @@ def build_pmfg(
 # ----------------------------------------------------------------------
 
 
-def _read_rows(path: str | Path) -> list[list[str]]:
-    """The rows of a CSV file.  A file that cannot be opened or decoded, or
-    that holds a field over the csv module's size limit, is an InputError."""
+def _read_lines(path: str | Path) -> list[str]:
+    """A file's lines, split where csv splits rows (each keeps its \\r, \\n
+    or \\r\\n).  A file that cannot be opened or decoded is an InputError."""
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
-            return list(csv.reader(fh))
-    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+            return fh.readlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InputError(f"cannot read {path}: {exc}") from exc
+
+
+def _read_rows(path: str | Path, lines: list[str] | None = None) -> list[list[str]]:
+    """The rows of a CSV file, or of its ``lines`` when given.  A file that
+    cannot be read, or that holds a field over the csv module's size limit,
+    is an InputError."""
+    try:
+        return list(csv.reader(_read_lines(path) if lines is None else lines))
+    except csv.Error as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
 
 
 def read_returns_csv(path: str | Path) -> tuple[list[str], np.ndarray]:
-    """Returns table: header row of entity names, one row per observation."""
-    rows = _read_rows(path)
+    """Returns table: header row of entity names, one row per observation.
+
+    numpy reads the data lines in one call where that gives what the row
+    loop gives.  It refuses what float reads in other syntax ("1_0",
+    non-ASCII digits, quoted cells) and skips blank lines, which the row
+    count catches.  Of what it reads, float refuses only \\x1c-\\x1f, which
+    numpy strips as whitespace, and csv only a field over its size limit.
+    Every other file takes the row loop, which names the first bad line.
+    """
+    lines = _read_lines(path)
+    reader = csv.reader(lines)
+    with contextlib.suppress(csv.Error, ValueError):  # the row loop reports both
+        labels = [c.strip() for c in next(reader, [])]
+        body = lines[reader.line_num :]
+        text = "".join(body)
+        if (
+            len(body) >= 2
+            and body[0].strip()  # numpy warns on a table with no row
+            and max(map(len, body)) <= csv.field_size_limit()
+            and not any(c in text for c in "\x1c\x1d\x1e\x1f")
+        ):
+            table = np.loadtxt(body, delimiter=",", comments=None, ndmin=2)
+            if table.shape == (len(body), len(labels)):
+                _check_labels(labels)
+                return labels, table
+    rows = _read_rows(path, lines)
     if not rows or len(rows) < 3:
         raise InputError(f"{path}: need a header and at least two observations")
     labels = [c.strip() for c in rows[0]]
@@ -585,15 +626,24 @@ def acceptance_log_csv(result: PmfgResult) -> str:
     """Scan log as CSV: rank, labels, weight and the accept/reject decision.
 
     Ranks are positions in the descending-weight scan; pairs past the early
-    stop were never examined and do not appear.
+    stop were never examined and do not appear.  The rows follow
+    ``result.decisions``; a result whose decisions do not split its examined
+    pairs into its accepted and rejected lists is an InputError.
     """
-    labels = result.labels
-    merged = [(t, "accepted") for t in result.accepted]
-    merged += [(t, "rejected") for t in result.rejected]
-    merged.sort(key=lambda item: _rank_key(labels, item[0]))
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["rank", "u", "v", "weight", "status"])
-    for rank, ((u, v, w), status) in enumerate(merged, start=1):
-        writer.writerow([rank, labels[u], labels[v], repr(w), status])
-    return buf.getvalue()
+    labels, decisions = result.labels, result.decisions
+    accepted, rejected = result.accepted, result.rejected
+    if len(decisions) != len(accepted) + len(rejected) or sum(decisions) != len(accepted):
+        raise InputError("the result's decisions do not match its accepted and rejected pairs")
+    # Only a label can need quoting, so csv quotes each label once.
+    cells = []
+    for label in labels:
+        buf = io.StringIO()
+        csv.writer(buf).writerow([label])
+        cells.append(buf.getvalue()[:-2])  # less the row's \r\n
+    lines = ["rank,u,v,weight,status\r\n"]
+    pairs = (iter(rejected), iter(accepted))
+    status = ("rejected", "accepted")
+    for rank, kept in enumerate(decisions, start=1):
+        u, v, w = next(pairs[kept])
+        lines.append(f"{rank},{cells[u]},{cells[v]},{w!r},{status[kept]}\r\n")
+    return "".join(lines)

@@ -192,27 +192,30 @@ class PlanarEmbedding:
 
     def _validate(self, rotation: Sequence[Sequence[int]]) -> None:
         """Check ``rotation`` as given in one pass, then store it canonical."""
-        n = len(rotation)
-        if n < 2:
-            raise StructuralError("an embedding needs at least two vertices")
-        for v, nbrs in enumerate(rotation):
-            seen_here: set[int] = set()
-            for w in nbrs:
-                # Exact ints: a bool would pass as vertex 1 and serialize as JSON true.
-                if type(w) is not int or not 0 <= w < n:
-                    raise StructuralError(f"vertex {v} lists unknown neighbor {w!r}")
-                if w == v:
-                    raise StructuralError(f"self-loop at vertex {v}")
-                if w in seen_here:
-                    raise StructuralError(
-                        f"multiple edge: {w} repeats in the rotation of {v}"
-                    )
-                if v not in rotation[w]:
-                    raise StructuralError(
-                        f"asymmetric adjacency: {w} in rotation of {v} "
-                        f"but not conversely"
-                    )
-                seen_here.add(w)
+        try:
+            n = len(rotation)
+            if n < 2:
+                raise StructuralError("an embedding needs at least two vertices")
+            for v, nbrs in enumerate(rotation):
+                seen_here: set[int] = set()
+                for w in nbrs:
+                    # Exact ints: a bool would pass as vertex 1 and serialize as JSON true.
+                    if type(w) is not int or not 0 <= w < n:
+                        raise StructuralError(f"vertex {v} lists unknown neighbor {w!r}")
+                    if w == v:
+                        raise StructuralError(f"self-loop at vertex {v}")
+                    if w in seen_here:
+                        raise StructuralError(
+                            f"multiple edge: {w} repeats in the rotation of {v}"
+                        )
+                    if v not in rotation[w]:
+                        raise StructuralError(
+                            f"asymmetric adjacency: {w} in rotation of {v} "
+                            f"but not conversely"
+                        )
+                    seen_here.add(w)
+        except TypeError as exc:  # the ids are ints by now, so only a shape fails
+            raise StructuralError(f"rotation is not a sequence of sequences: {exc}") from None
         self.rotation = tuple(map(_canonical_rotation, rotation))
         # Connectivity, then Euler's formula to pin genus 0.
         stack = [0]

@@ -367,15 +367,18 @@ def apply_eberhard(emb: PlanarEmbedding, op: EberhardOp) -> PlanarEmbedding:
     the cycle; the edge count rises by exactly 3 for each of phi1/phi2/phi3.
     """
     verts, chords = op.cycle, op.chords
+    try:
+        k, ring, pairs = len(verts), verts[1:] + verts[:1], [(u, v) for u, v in chords]
+    except (TypeError, ValueError):
+        raise OperationError(f"{op} needs a cycle sequence and vertex pairs as chords") from None
     for v in verts:
         if type(v) is not int or not 0 <= v < emb.n:
             raise OperationError(f"cycle vertex {v!r} is outside 0..{emb.n - 1}")
-    k = len(verts)
     if not 3 <= k <= 5 or len(set(verts)) != k:
         raise OperationError(f"cycle {verts} is not 3 to 5 distinct vertices")
-    if len(chords) != k - 3:
+    if len(pairs) != k - 3:
         raise OperationError(f"{op.kind} needs exactly {k - 3} chords")
-    for u, v in zip(verts, verts[1:] + verts[:1]):
+    for u, v in zip(verts, ring):
         if not emb.has_edge(u, v):
             raise OperationError(f"cycle vertices {u}, {v} are not adjacent")
     cycle_set = frozenset(verts)
@@ -383,7 +386,7 @@ def apply_eberhard(emb: PlanarEmbedding, op: EberhardOp) -> PlanarEmbedding:
     rot = list(emb.rotation)
     for v in verts:
         rot[v] = list(rot[v])
-    for u, v in chords:
+    for u, v in pairs:
         if not (type(u) is type(v) is int and {u, v} <= cycle_set and emb.has_edge(u, v)):
             raise OperationError(f"chord ({u}, {v}) is not an interior edge")
         if v not in rot[u]:
@@ -430,7 +433,10 @@ def diagonal_flip(emb: PlanarEmbedding, move: FlipMove) -> PlanarEmbedding:
     would carry a multiple edge.  Flipping the replacement edge of the result
     restores the original embedding exactly.
     """
-    a, c = move.shared_edge
+    try:
+        (a, c), (x, y) = move.shared_edge, move.replacement or (None, None)
+    except (TypeError, ValueError):
+        raise OperationError(f"{move} needs vertex pairs") from None
     # rotation[a] holds vertex ids only, so c needs no range check of its own.
     if not (type(a) is type(c) is int and 0 <= a < emb.n and emb.has_edge(a, c)):
         raise OperationError(f"({a!r}, {c!r}) is not an edge")
@@ -441,7 +447,7 @@ def diagonal_flip(emb: PlanarEmbedding, move: FlipMove) -> PlanarEmbedding:
         raise FlipForbiddenError(f"both faces at ({a}, {c}) have apex {p}")
     if emb.has_edge(p, q):
         raise FlipForbiddenError(f"flip of ({a}, {c}) would duplicate edge ({p}, {q})")
-    if move.replacement is not None and set(move.replacement) != {p, q}:
+    if move.replacement is not None and not (type(x) is type(y) is int and {x, y} == {p, q}):
         raise OperationError(
             f"replacement {move.replacement} does not match faces at ({a}, {c})"
         )

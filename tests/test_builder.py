@@ -2,11 +2,14 @@ import csv
 import io
 import math
 from collections import Counter
+import dataclasses
 from dataclasses import astuple, fields
 
 import networkx as nx
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import pmfg.builder
 import pmfg.embedding
@@ -29,6 +32,7 @@ from pmfg import (
 )
 from pmfg.builder import (
     GateCounts,
+    PmfgResult,
     _face_table,
     _PlanarityGate,
     _separator,
@@ -140,6 +144,100 @@ def plain_lr_greedy(sim, tie_policy="lexicographic"):
             if len(accepted) == target:
                 break
     return tuple(accepted)
+
+
+def reference_read_returns_csv(path):
+    """The returns reader before numpy parsed the table: one csv row loop and
+    a Python float per cell."""
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            rows = list(csv.reader(fh))
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+        raise InputError(f"cannot read {path}: {exc}") from exc
+    if not rows or len(rows) < 3:
+        raise InputError(f"{path}: need a header and at least two observations")
+    labels = [c.strip() for c in rows[0]]
+    pmfg.embedding._check_labels(labels)
+    data = []
+    for lineno, row in enumerate(rows[1:], start=2):
+        if len(row) != len(labels):
+            raise InputError(f"{path}:{lineno}: expected {len(labels)} columns")
+        try:
+            data.append([float(c) for c in row])
+        except ValueError as exc:
+            raise InputError(f"{path}:{lineno}: {exc}") from exc
+    return labels, np.array(data)
+
+
+def reference_rank_key(labels, entry):
+    u, v, w = entry
+    return (-w, *sorted((labels[u], labels[v])))
+
+
+def reference_weighted_edge_list(sim, tie_policy="lexicographic"):
+    """The ranking before the lexsort: a Python sort with a key tuple of
+    the negated weight and the two sorted labels per pair."""
+    n, labels = sim.n, sim.labels
+    pairs = [(i, j, float(sim.values[i, j])) for i in range(n) for j in range(i + 1, n)]
+    pairs.sort(key=lambda entry: reference_rank_key(labels, entry))
+    if tie_policy == "strict":
+        names = [", ".join(reference_rank_key(labels, entry)[1:]) for entry in pairs]
+        tied = [
+            f"({names[k]}) ~ ({names[k + 1]})"
+            for k in range(len(pairs) - 1)
+            if pairs[k][2] == pairs[k + 1][2]
+        ]
+        if tied:
+            raise InputError(f"tied weights under strict policy: {'; '.join(tied)}")
+    return tuple(pairs)
+
+
+def reference_acceptance_log_csv(result):
+    """The scan log before the decision record: the accepted and rejected
+    lists merged and sorted again by the scan key, one csv row each."""
+    labels = result.labels
+    merged = [(t, "accepted") for t in result.accepted]
+    merged += [(t, "rejected") for t in result.rejected]
+    merged.sort(key=lambda item: reference_rank_key(labels, item[0]))
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(["rank", "u", "v", "weight", "status"])
+    for rank, ((u, v, w), status) in enumerate(merged, start=1):
+        writer.writerow([rank, labels[u], labels[v], repr(w), status])
+    return buf.getvalue()
+
+
+@st.composite
+def float_like_tables(draw) -> str:
+    """A returns table of three columns in Python's float spelling, with up
+    to two characters put in where numpy's reading of a number could part
+    from float's: separators, whitespace, quotes, NUL, underscores, letters
+    of nan and inf, and non-ASCII digits and space."""
+    rows = draw(st.lists(st.lists(st.floats().map(repr), min_size=3, max_size=3), max_size=5))
+    newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    text = newline.join(",".join(row) for row in rows)
+    for _ in range(draw(st.sampled_from((0, 0, 1, 2)))):
+        i = draw(st.integers(min_value=0, max_value=len(text)))
+        noise = draw(st.sampled_from(',."#_+-0ein \t\r\n\x00\x0b\x1c\x1f\xa0\u0663'))
+        text = text[:i] + noise + text[i:]
+    return f"a,b,c{newline}{text}"
+
+
+def outcome_of(rank, sim, tie_policy):
+    """A ranking's repr, which tells -0.0 from 0.0, or its InputError message."""
+    try:
+        return repr(rank(sim, tie_policy))
+    except InputError as exc:
+        return str(exc)
+
+
+def outcome(read, path):
+    """What a reader makes of a file: labels and table bytes, or the message."""
+    try:
+        labels, table = read(path)
+    except InputError as exc:
+        return str(exc)
+    return labels, table.shape, table.dtype, table.tobytes()
 
 
 def is_kuratowski_subdivision(edges):
@@ -373,6 +471,27 @@ class TestWeightedEdgeList:
         with pytest.raises(InputError):
             weighted_edge_list(random_similarity(4, seed=1), tie_policy="fastest")
 
+    @pytest.mark.parametrize("tie_policy", ["lexicographic", "strict"])
+    def test_matches_the_python_sort_on_tie_heavy_matrices(self, tie_policy):
+        # Labels out of index order, weights rounded to a few values, and
+        # signed zeros, which tie with each other: the order, the signs and
+        # the strict policy's message are the Python sort's, byte for byte.
+        rng = np.random.default_rng(4)
+        sims = [uniform_similarity(5, seed=6)]
+        for n, digits in ((7, 0), (12, 1), (30, 1), (45, 2)):
+            values = np.round(sector_similarity(n, seed=n).values, digits)
+            values[np.abs(values) < 0.05] = 0.0
+            flip = np.triu(rng.random((n, n)) < 0.5, 1)
+            values[flip | flip.T] *= -1.0  # -0.0 where the rounding gave 0.0
+            labels = [f"L{k:02d}" for k in rng.permutation(n)]
+            sims.append(SimilarityMatrix(tuple(labels), values))
+            sims.append(SimilarityMatrix(tuple(labels[::-1]), values.astype(np.float32)))
+        assert any(np.signbit(sim.values[np.triu_indices(sim.n, 1)]).any() for sim in sims)
+        for sim in sims:
+            assert outcome_of(weighted_edge_list, sim, tie_policy) == outcome_of(
+                reference_weighted_edge_list, sim, tie_policy
+            )
+
 
 class TestBuildPmfg:
     def test_four_entities_give_k4(self):
@@ -462,6 +581,69 @@ class TestCsvInterfaces:
         with pytest.raises(InputError, match=":3"):
             read_returns_csv(path)
 
+    @pytest.mark.filterwarnings("error")  # numpy warns on a table with no row
+    @pytest.mark.parametrize(
+        "content",
+        [
+            b"a,b\n1,2\n3,4\n",
+            b"a,b\n1,2\n3,4",
+            b"a,b\n1,2\n\n3,4\n",
+            b"a,b\n1,2\n3,4\n\n",
+            b"a,b\n\n\n",
+            b"a,b\n\n1,2\n3,4\n",
+            b"a,b\n1,2\n  \n3,4\n",
+            b"a\n1\n2\n",
+            b"a\n1\n \n2\n",
+            b"a\n1\n\t\n2\n",
+            b'a,b\n"1",2\n3,4\n',
+            b'a,b\n"1\n",2\n3,4\n',
+            b'"a,x",b\n1,2\n3,4\n',
+            b'"a\r\nx",b\n1,2\n3,4\n',
+            b'"a,b\n1,2\n3,4\n',
+            b"a,b\r1,2\r3,4\r",
+            b"a,b\r\n1,2\r\n3,4\r\n",
+            b"a,b\r\n1,2\r3,4\n",
+            b"\xef\xbb\xbfa,b\n1,2\n3,4\n",
+            "a,b\n\ufeff1,2\n3,4\n".encode(),
+            b"a,b\n1,2\x00\n3,4\n",
+            b"a\x00,b\n1,2\n3,4\n",
+            b"a,b\n1" + b"0" * 131072 + b",2\n3,4\n",
+            b"a,b\n1" + b"0" * 131071 + b",2\n3,4\n",
+            b"a" * 131073 + b",b\n1,2\n3,4\n",
+            *(b"a,b\n1%c,2\n3,4\n" % c for c in range(0x1C, 0x20)),
+            *(b"a,b\n%c1,2\n3,4\n" % c for c in (0x0B, 0x0C, 0x1C, 0x1F)),
+            "a,b\n1\u2028,2\n\xa03,\u30004\n".encode(),
+            b"a,b\n1_0,2\n3,4\n",
+            "a,b\n\u0661,2\n3,\u0664\n".encode(),
+            b"a,b\nnan(1),2\n3,4\n",
+            b"a,b\n1e400,2\n-nan,-0.0\n",
+            b"a,b\n inf , +.5\n5.,-1E-3\n",
+            b"a,b\n1,2#x\n3,4\n",
+            b"a,b\n1,2,3\n3,4\n",
+            b"a,b\n1\n3,4\n",
+            b"a,b,\n1,2,\n3,4,\n",
+            b"a,b\n1,2,\n3,4,\n",
+            b"a,b\n",
+            b"a,b\n1,2\n",
+            b"",
+            b"a,a\n1,2\n3,4\n",
+            b"a,b\n\xff,2\n3,4\n",
+        ],
+    )
+    def test_returns_reader_matches_the_row_loop(self, tmp_path, content):
+        # Labels and table bytes, or the InputError message, are the row
+        # loop's on every file, whichever path reads it.
+        path = tmp_path / "returns.csv"
+        path.write_bytes(content)
+        assert outcome(read_returns_csv, path) == outcome(reference_read_returns_csv, path)
+
+    @given(float_like_tables())
+    @settings(max_examples=300, deadline=None)
+    def test_returns_reader_matches_the_row_loop_on_float_like_text(self, tmp_path_factory, text):
+        path = tmp_path_factory.mktemp("fuzz") / "returns.csv"
+        path.write_text(text, newline="")
+        assert outcome(read_returns_csv, path) == outcome(reference_read_returns_csv, path)
+
     def test_matrix_round_trip(self, tmp_path):
         path = tmp_path / "matrix.csv"
         path.write_text(",a,b\na,1.0,0.5\nb,0.5,1.0\n")
@@ -515,6 +697,27 @@ class TestCsvInterfaces:
         ]
         rows = list(csv.reader(io.StringIO(acceptance_log_csv(result))))
         assert rows[1:] == want
+
+
+    def test_acceptance_log_matches_the_sorted_merge(self):
+        # Labels that csv must quote, out of index order, on a tie-heavy
+        # matrix: the log walks the decisions as the sorted merge ordered them.
+        base = sector_similarity(24, seed=3)
+        names = ["a,b", 'say "x"', "line\nbreak", " pad ", "c\rd", "plain"]
+        labels = [f"{names[k % 6]}{k}" for k in np.random.default_rng(3).permutation(24)]
+        for values in (base.values, np.round(base.values, 1)):
+            result = build_pmfg(SimilarityMatrix(tuple(labels), values))
+            assert acceptance_log_csv(result) == reference_acceptance_log_csv(result)
+
+    def test_acceptance_log_of_a_result_built_by_hand(self):
+        result = build_pmfg(random_similarity(7, seed=2))
+        again = PmfgResult(result.embedding, result.accepted, result.rejected,
+                           result.total_weight, decisions=result.decisions)
+        assert acceptance_log_csv(again) == reference_acceptance_log_csv(result)
+        flipped = (not result.decisions[0],) + result.decisions[1:]
+        for decisions in ((), result.decisions[:-1], flipped):
+            with pytest.raises(InputError, match="decisions do not match"):
+                acceptance_log_csv(dataclasses.replace(result, decisions=decisions))
 
 
 class TestIncrementalGate:
@@ -663,6 +866,25 @@ class TestIncrementalGate:
         # Some come while the series-reduced kept graph is not 3-connected,
         # from a piece that a split made.
         assert piece_rejects > 0
+
+    def test_pairs_on_one_piece_skip_the_block_join_dfs(self, monkeypatch):
+        # Both ends with more than two face bits on one piece lie in one
+        # block, where rule 4's DFS could only return None: LR gets them.
+        entered, lr_calls = Counter(), 0
+        join_blocks = _PlanarityGate._join_blocks
+
+        def spy(gate, u, v):
+            pieces = gate._pieces
+            entered[any(p[u].bit_count() > 2 and p[v].bit_count() > 2 for p in pieces)] += 1
+            cuts = join_blocks(gate, u, v)
+            entered["returned None"] += cuts is None
+            return cuts
+
+        monkeypatch.setattr(_PlanarityGate, "_join_blocks", spy)
+        for seed in range(8):
+            lr_calls += build_pmfg(planted_similarity(seed)).gate_counts.lr_calls
+        assert entered[True] == 0 and entered[False] > 0, entered
+        assert lr_calls > entered["returned None"], (lr_calls, entered)
 
     def test_every_decision_on_planted_blocks_matches_lr(self):
         fired = Counter()

@@ -232,6 +232,11 @@ class TestValidation:
         with pytest.raises(StructuralError, match="unknown neighbor <One.ONE: 1>"):
             PlanarEmbedding([[one], [0]])
 
+    @pytest.mark.parametrize("rotation", [[1, [0]], [[1], 0], None, 5, [[1], None]])
+    def test_rotation_that_is_not_a_sequence_of_sequences_is_a_structural_error(self, rotation):
+        with pytest.raises(StructuralError, match="^rotation is not a sequence of sequences"):
+            PlanarEmbedding(rotation)
+
     def test_label_count_must_match(self):
         with pytest.raises(StructuralError, match="labels"):
             PlanarEmbedding(k4().rotation, labels=("a", "b"))
@@ -263,10 +268,12 @@ _entries = st.one_of(
 
 @st.composite
 def _rotations(draw) -> list[list]:
-    """Rotations of 2 to 6 rows: drawn entry by entry, or a valid embedding
-    with up to two entries replaced or appended, so some stay valid."""
+    """Rotations of 2 to 6 rows: drawn entry by entry (a row may be an entry,
+    or the rotation None), or a valid embedding with up to two entries
+    replaced or appended, so some stay valid."""
     if draw(st.booleans()):
-        return draw(st.lists(st.lists(_entries, max_size=4), min_size=2, max_size=6))
+        row = st.lists(_entries, max_size=4)
+        return draw(st.lists(row | _entries, min_size=2, max_size=6) | st.none())
     valid = [((1,), (0,)), ((1,), (0, 2), (1,)), k4().rotation, standard_form(6).rotation]
     rows = [list(nbrs) for nbrs in draw(st.sampled_from(valid))]
     for _ in range(draw(st.sampled_from((0, 0, 1, 2)))):
@@ -282,7 +289,7 @@ class TestConstructorBoundary:
     def test_refuses_or_round_trips(self, data):
         # Either a package error, or an embedding that graph JSON and DOT carry.
         rotation = data.draw(_rotations())
-        n = len(rotation)
+        n = 0 if rotation is None else len(rotation)
         label = st.text(max_size=2) | st.integers()
         labels = data.draw(st.none() | st.lists(label, min_size=n, max_size=n, unique=True))
         try:

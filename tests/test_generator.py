@@ -707,6 +707,17 @@ class TestApplyEberhard:
         with pytest.raises(OperationError, match="is outside"):
             apply_trace(k4(), [EberhardOp(cycle)])
 
+    @pytest.mark.parametrize(
+        "op",
+        [EberhardOp(5), EberhardOp((0, 1, 2), 5), EberhardOp({0, 1, 2}), EberhardOp(range(3)),
+         EberhardOp((0, 1, 2, 3), ((0, 2, 1),)), EberhardOp((0, 1, 2, 3), (0,))],
+    )
+    def test_op_fields_of_the_wrong_shape_rejected(self, p5, op):
+        with pytest.raises(OperationError, match="needs a cycle sequence and vertex pairs"):
+            apply_eberhard(p5, op)
+        with pytest.raises(OperationError, match="needs a cycle sequence and vertex pairs"):
+            apply_trace(p5, [op])
+
     @pytest.mark.parametrize("kind", [float, bool, str])
     def test_chord_vertex_that_is_not_an_int_rejected(self, p5, kind):
         # 1.0 and True equal the cycle vertex 1, so only their type refuses them.
@@ -935,6 +946,19 @@ class TestDiagonalFlip:
             diagonal_flip(k4(), FlipMove(edge))
         with pytest.raises(OperationError, match="is not an edge"):
             apply_trace(k4(), [FlipMove(edge)])
+
+    @pytest.mark.parametrize("shared, replacement", [((0, 1, 2), None), (5, None), (None, None)])
+    def test_flip_fields_of_the_wrong_shape_rejected(self, shared, replacement):
+        with pytest.raises(OperationError, match="needs vertex pairs"):
+            diagonal_flip(k4(), FlipMove(shared, replacement))
+
+    def test_replacement_of_the_wrong_shape_or_type_rejected(self, p5):
+        move = legal_flips(p5)[0]
+        p, q = move.replacement
+        for replacement in (5, (p, q, p), (float(p), q), (p, float(q))):
+            with pytest.raises(OperationError, match="needs vertex pairs|does not match"):
+                diagonal_flip(p5, FlipMove(move.shared_edge, replacement))
+        assert diagonal_flip(p5, FlipMove(move.shared_edge, (q, p))) == diagonal_flip(p5, move)
 
     def test_replacement_mismatch_rejected(self, p5):
         move = legal_flips(p5)[0]
