@@ -18,13 +18,14 @@ import contextlib
 import csv
 import io
 from dataclasses import dataclass, fields
+from itertools import combinations
 from pathlib import Path
 
 import numpy as np
 
 from .embedding import PlanarEmbedding, _check_labels, face_walk, trace_faces
 from .errors import InputError, VerificationFailure
-from .planarity import _lr_rotation, is_planar
+from .planarity import _bits, _lr_rotation, is_planar
 
 SYMMETRY_TOLERANCE = 1e-12
 
@@ -78,6 +79,7 @@ class GateCounts:
     whitney_rejects: int = 0
     lr_calls: int = 0
     block_joins: int = 0
+    flip_accepts: int = 0
 
 
 @dataclass(frozen=True)
@@ -168,6 +170,18 @@ def _face_table(n: int, rotation: list[list[int]]) -> tuple[list[list[int]], lis
         for x in walk:
             masks[x] |= bit
     return walks, masks
+
+
+def _face_walks(rotation: list[list[int]], starts: list[tuple[int, int]]) -> tuple[list, set]:
+    """The ``face_walk`` from each dart of ``starts`` that no earlier walk
+    holds, and the darts of those walks."""
+    darts: set[tuple[int, int]] = set()
+    walks = []
+    for a, b in starts:
+        if (a, b) not in darts:
+            walks.append(walk := face_walk(rotation, a, b))
+            darts.update(zip(walk, walk[1:] + walk[:1]))
+    return walks, darts
 
 
 def _separator(walks: list[list[int]], masks: list[int]) -> tuple[int, ...] | None:
@@ -324,7 +338,11 @@ class _PlanarityGate:
     4. endpoints in different blocks, each block between them with its two
        attachments on one of its faces: accept, re-hanging the blocks at
        the cut vertices to merge those faces (``_join_blocks``);
-    5. otherwise run the left-right planarity test (``_lr_rotation``, our
+    5. u and v on one face once the side of u or v at a separation pair ab,
+       on a face of each, is mirrored (``_flip``), with the faces it changes
+       as many as before and holding as many darts, so V - E + F = 2 holds
+       (Mohar & Thomassen, Graphs on Surfaces, 2001): accept, mirroring it;
+    6. otherwise run the left-right planarity test (``_lr_rotation``, our
        own port of networkx's algorithm) on the adjacency lists plus uv and,
        on accept, adopt its rotation.
 
@@ -369,9 +387,11 @@ class _PlanarityGate:
             self._splice(u, v, walk[walk.index(u) - 1], walk[walk.index(v) - 1])
             self.counts["face_accepts"] += 1
             self._retrace([(u, v), (v, u)])
-        elif not self._one_piece(u, v) and (cuts := self._join_blocks(u, v)) is not None:
+        elif not self._one_piece(u, v) and (darts := self._join_blocks(u, v)) is not None:
             self.counts["block_joins"] += 1
-            self._retrace([(u, v), (v, u)] + [(c, w) for c in cuts for w in self.rotation[c]])
+            self._retrace(darts)
+        elif self._flip(u, v):
+            self.counts["flip_accepts"] += 1
         else:
             self.counts["lr_calls"] += 1
             found = _lr_rotation(self.n, self._adjacency)
@@ -397,17 +417,11 @@ class _PlanarityGate:
 
     def _retrace(self, starts: list[tuple[int, int]]) -> None:
         """Replace the faces through the corners changed since the last trace:
-        the walks of ``face_walk`` from each dart of ``starts`` (one on each
-        such face) that no earlier walk holds
-        take the least free ids as traced, and the faces whose darts they
-        took over are freed."""
-        rotation, faces, masks = self.rotation, self._faces, self._face_mask
-        darts: set[tuple[int, int]] = set()
-        walks = []
-        for a, b in starts:
-            if (a, b) not in darts:
-                walks.append(walk := face_walk(rotation, a, b))
-                darts.update(zip(walk, walk[1:] + walk[:1]))
+        the ``_face_walks`` from ``starts`` (a dart on each such face) take
+        the least free ids as traced, and the faces whose darts they took
+        over are freed."""
+        faces, masks = self._faces, self._face_mask
+        walks, darts = _face_walks(self.rotation, starts)
         for k, walk in enumerate(faces):
             if walk and (walk[0], walk[1]) in darts:
                 for x in walk:
@@ -425,9 +439,10 @@ class _PlanarityGate:
         would only run its DFS to return None."""
         return any(p[u].bit_count() > 2 and p[v].bit_count() > 2 for p in self._pieces)
 
-    def _join_blocks(self, u: int, v: int) -> list[int] | None:
-        """Splice uv after re-hanging blocks at cut vertices, and return
-        those cut vertices; or None, changing nothing, if u and v lie in one
+    def _join_blocks(self, u: int, v: int) -> list[tuple[int, int]] | None:
+        """Splice uv after re-hanging blocks at cut vertices, and return the
+        darts to re-walk from, uv, vu and each cw whose successor in c's
+        rotation changed; or None, changing nothing, if u and v lie in one
         block or a block on the block-cut path between them (from the
         lowpoints of one DFS from u, Hopcroft & Tarjan, 1973) has its two
         attachments, u or the cut vertex where the path enters it and v or
@@ -472,7 +487,7 @@ class _PlanarityGate:
                 members[block[x]].add(x)
         tops = [parent[b] for b in ids]
         cuts, ends = tops[1:], zip(tops, tops[1:] + [v])
-        faces = []  # per block: its rotation, where its face arrives at both ends
+        faces, darts = [], [(u, v), (v, u)]  # faces: rotation, arrivals at both ends, per block
         for b, (s, t) in zip(ids, ends):
             sub = {x: [w for w in rotation[x] if w in members[b]] for x in members[b]}
             walk = next((w for y in sub[s] if t in (w := face_walk(sub, s, y))), None)
@@ -480,12 +495,73 @@ class _PlanarityGate:
                 return None
             faces.append((sub, walk[-1], walk[walk.index(t) - 1]))
         for c, (sub, _, p), (next_sub, q, _) in zip(cuts, faces, faces[1:]):
-            first, second = sub[c], next_sub[c]
+            first, second, old = sub[c], next_sub[c], rotation[c]
             i, k = first.index(p), second.index(q)
-            rest = [w for w in rotation[c] if w not in first and w not in second]
-            rotation[c] = first[i:] + first[:i] + second[k:] + second[:k] + rest
+            rest = [w for w in old if w not in first and w not in second]
+            rotation[c] = new = first[i:] + first[:i] + second[k:] + second[:k] + rest
+            after = dict(zip(old, old[1:] + old[:1]))
+            darts += [(c, w) for w, x in zip(new, new[1:] + new[:1]) if after[w] != x]
         self._splice(u, v, faces[0][1], faces[-1][2])
-        return cuts
+        return darts
+
+    def _flip(self, u: int, v: int) -> bool:
+        """Rule 5: ``_mirror`` at each pair on faces of u and v that ``_separator`` would test."""
+        faces, masks, pairs = self._faces, self._face_mask, {}
+        for f in _bits(masks[v]):
+            walk, k = faces[f], len(faces[f])
+            for i, j in combinations([i for i, x in enumerate(walk) if masks[x] & masks[u]], 2):
+                a, b, shared = walk[i], walk[j], masks[walk[i]] & masks[walk[j]]
+                if a != b and shared & masks[u] and (shared.bit_count() > 2 or 1 < j - i < k - 1):
+                    pairs[min(a, b), max(a, b)] = None
+        return any(self._mirror(u, v, a, b, s) for a, b in pairs for s in (u, v))
+
+    def _mirror(self, u: int, v: int, a: int, b: int, s: int) -> bool:
+        """Rule 5 at ab for H, the side s reaches past neither a nor b: reverse
+        each H vertex's rotation and H's slice of a's and b's.  Only the faces
+        at the slices' ends change and are re-walked on a tentative rotation;
+        H's other faces keep their ids, walks reversed.  False changes nothing."""
+        rotation, faces, masks = self.rotation, self._faces, self._face_mask
+        inside, side, kept = [False] * self.n, [s], 0  # kept: H's faces
+        inside[a] = inside[b] = inside[s] = True
+        for x in side:
+            kept |= masks[x]
+            for w in rotation[x]:
+                if not inside[w]:
+                    inside[w] = True
+                    side.append(w)
+        if inside[u + v - s]:
+            return False
+        inside[a] = inside[b] = False
+        rot, old, new = rotation.copy(), [], []  # old, new: darts at the slices' ends
+        for c in (a, b):
+            r = rotation[c]
+            ends = [i for i in range(len(r)) if inside[r[i - 1]] != inside[r[i]]]
+            if len(ends) > 2:  # H's neighbours are not one slice of c's rotation
+                return False
+            i = next((i for i in ends if inside[r[i]]), 0)
+            r = r[i:] + r[:i]  # H's slice first
+            rot[c] = [w for w in r if inside[w]][::-1] + [w for w in r if not inside[w]]
+            if ends:  # rot[c][0] is the last of H's slice
+                old += [(c, r[-1]), (c, rot[c][0])]
+                new += [(c, r[-1]), (c, r[0])]
+        for x in side:
+            rot[x] = rotation[x][::-1]
+        walks, _ = _face_walks(rot, new)
+        joint = next((w for w in walks if u in w and v in w), None)
+        replaced, darts = _face_walks(rotation, old)
+        if joint is None or len(walks) != len(replaced) or len(darts) != sum(map(len, walks)):
+            return False
+        for k in _bits(kept | masks[a] | masks[b]):
+            if (faces[k][0], faces[k][1]) in darts:  # replaced
+                for x in faces[k]:
+                    masks[x] &= ~(1 << k)
+                faces[k] = []
+            elif kept >> k & 1:
+                faces[k] = faces[k][:1] + faces[k][:0:-1]
+        self.rotation = rot
+        self._splice(u, v, joint[joint.index(u) - 1], joint[joint.index(v) - 1])
+        self._retrace(new + [(u, v), (v, u)])
+        return True
 
 
 def build_pmfg(
@@ -632,6 +708,8 @@ def acceptance_log_csv(result: PmfgResult) -> str:
     """
     labels, decisions = result.labels, result.decisions
     accepted, rejected = result.accepted, result.rejected
+    if labels is None:
+        raise InputError("the result's embedding carries no labels")
     if len(decisions) != len(accepted) + len(rejected) or sum(decisions) != len(accepted):
         raise InputError("the result's decisions do not match its accepted and rejected pairs")
     # Only a label can need quoting, so csv quotes each label once.

@@ -718,6 +718,9 @@ class TestCsvInterfaces:
         for decisions in ((), result.decisions[:-1], flipped):
             with pytest.raises(InputError, match="decisions do not match"):
                 acceptance_log_csv(dataclasses.replace(result, decisions=decisions))
+        unlabeled = PmfgResult(standard_form(4), ((0, 1, 0.5),), (), 0.5, decisions=(True,))
+        with pytest.raises(InputError, match="no labels"):
+            acceptance_log_csv(unlabeled)
 
 
 class TestIncrementalGate:
@@ -747,7 +750,7 @@ class TestIncrementalGate:
         sim = sector_similarity(n, seed=1000 + n)
         result = build_pmfg(sim)
         assert result.accepted == plain_lr_greedy(sim)
-        counts = {100: (99, 107, 3004, 60, 41), 200: (199, 199, 14340, 109, 104)}[n]
+        counts = {100: (99, 109, 3004, 32, 42, 25), 200: (199, 196, 14340, 65, 106, 45)}[n]
         assert astuple(result.gate_counts) == counts
 
     def test_kept_faces_match_a_full_retrace_after_every_pair(self):
@@ -755,9 +758,10 @@ class TestIncrementalGate:
         sims = [sector_similarity(n, seed=100 + n) for n in (15, 30, 45, 60)]
         sims += [uniform_similarity(n, seed) for n, seed in ((12, 1), (25, 2), (40, 3))]
         sims += [SimilarityMatrix(base.labels, np.round(base.values, 1))]
+        sims += [sector_similarity(40, seed=seed) for seed in range(6, 11)]
         # A reject leaves all of this as it was.
         state = ("rotation", "_adjacency", "_faces", "_face_mask", "_component")
-        ties = repeats = 0
+        ties = repeats = flips = 0
         for sim in sims:
             gate, reference = _PlanarityGate(sim.n), RetracingGate(sim.n)
             for u, v, _ in weighted_edge_list(sim):
@@ -790,9 +794,11 @@ class TestIncrementalGate:
                 assert_components_are_spherical(gate)
                 if sum(map(len, rotation)) == 6 * (sim.n - 2):
                     break
+            flips += gate.counts["flip_accepts"]
         # Splices into one of several shared faces, and at a vertex the
-        # face's walk passes more than once, are both exercised.
-        assert ties > 0 and repeats > 0, (ties, repeats)
+        # face's walk passes more than once, are both exercised, and so are
+        # mirrors, which reverse walks in place.
+        assert ties > 0 and repeats > 0 and flips >= 100, (ties, repeats, flips)
 
     def test_only_lr_accepts_and_h_refreshes_trace_every_face(self, monkeypatch):
         calls = Counter()
@@ -853,7 +859,7 @@ class TestIncrementalGate:
                     assert is_kuratowski_subdivision(witness)
                     fired["bridge_rejects"] += off_pieces
                     piece_rejects += split
-                if rule in ("component_joins", "face_accepts", "block_joins"):
+                if rule in ("component_joins", "face_accepts", "block_joins", "flip_accepts"):
                     assert decided
                 if decided:
                     kept = candidate
@@ -869,8 +875,8 @@ class TestIncrementalGate:
 
     def test_pairs_on_one_piece_skip_the_block_join_dfs(self, monkeypatch):
         # Both ends with more than two face bits on one piece lie in one
-        # block, where rule 4's DFS could only return None: LR gets them.
-        entered, lr_calls = Counter(), 0
+        # block, where rule 4's DFS could only return None: rule 5 gets them.
+        entered, past_rule_4 = Counter(), 0
         join_blocks = _PlanarityGate._join_blocks
 
         def spy(gate, u, v):
@@ -882,13 +888,38 @@ class TestIncrementalGate:
 
         monkeypatch.setattr(_PlanarityGate, "_join_blocks", spy)
         for seed in range(8):
-            lr_calls += build_pmfg(planted_similarity(seed)).gate_counts.lr_calls
+            counts = build_pmfg(planted_similarity(seed)).gate_counts
+            past_rule_4 += counts.lr_calls + counts.flip_accepts
         assert entered[True] == 0 and entered[False] > 0, entered
-        assert lr_calls > entered["returned None"], (lr_calls, entered)
+        assert past_rule_4 > entered["returned None"], (past_rule_4, entered)
+
+    def test_a_mirror_that_fails_its_certificate_changes_nothing(self, monkeypatch):
+        flip, face_walks = _PlanarityGate._flip, pmfg.builder._face_walks
+        state = ("rotation", "_faces", "_face_mask", "_component")
+        calls, failed = Counter(), 0
+
+        def counting_walks(rotation, starts):
+            calls["walks"] += 1
+            return face_walks(rotation, starts)
+
+        def spy(gate, u, v):
+            nonlocal failed
+            before, walks = repr([getattr(gate, name) for name in state]), calls["walks"]
+            accepted = flip(gate, u, v)
+            if not accepted and calls["walks"] > walks:  # a candidate was walked
+                failed += 1
+                assert repr([getattr(gate, name) for name in state]) == before
+            return accepted
+
+        monkeypatch.setattr(pmfg.builder, "_face_walks", counting_walks)
+        monkeypatch.setattr(_PlanarityGate, "_flip", spy)
+        for seed in (4, 5, 6):
+            build_pmfg(sector_similarity(40, seed=seed))
+        assert failed >= 10, failed
 
     def test_every_decision_on_planted_blocks_matches_lr(self):
         fired = Counter()
-        for seed in range(8):
+        for seed in range(12):
             sim = planted_similarity(seed)
             n = sim.n
             gate = _PlanarityGate(n)
@@ -914,11 +945,12 @@ class TestIncrementalGate:
                 accepted += planar
                 if accepted == 3 * (n - 2):
                     break
-        # 487 joins, 717 splices, 11,116 certified rejects (6,387 of them
-        # while the series-reduced kept graph was split), 106 block joins and
-        # 179 LR calls (280 before block joins).
+        # 729 joins, 1,087 splices, 15,910 certified rejects (8,222 of them
+        # while the series-reduced kept graph was split), 148 block joins,
+        # 109 mirrors and 161 LR calls.  Seeds 0-7 alone take 106 LR calls,
+        # 179 before mirrors and 280 before block joins.
         assert all(fired[r] > 0 for r in GATE_RULES) and fired["split_rejects"] >= 1000, fired
-        assert fired["block_joins"] >= 50, fired
+        assert fired["block_joins"] >= 50 and fired["flip_accepts"] >= 100, fired
 
     def test_bridge_of_the_octahedron_reaches_only_the_faces_at_its_attachments(
         self, monkeypatch
@@ -982,17 +1014,19 @@ class TestIncrementalGate:
             rejects = gate.counts["whitney_rejects"]
             assert not gate.add_if_planar(index[0, 0, 1], index[1, 1, 0])  # antipodal
             assert gate.counts["whitney_rejects"] == rejects + 1
-        # (0, 1, 0) shares a face with one of the other cube's two corners
-        # next to the diagonal, and the other needs that cube flipped.
-        p = index[0, 1, 0]
-        (q,) = [
-            index["b", t]
-            for t in ((0, 1, 0), (0, 0, 1))
-            if not gate._face_mask[p] & gate._face_mask[index["b", t]]
-        ]
-        lr_calls = gate.counts["lr_calls"]
-        assert gate.add_if_planar(p, q)
-        assert gate.counts["lr_calls"] == lr_calls + 1
+            # (0, 1, 0) shares a face with one of the other cube's two
+            # corners next to the diagonal, and the other needs that cube
+            # flipped, which rule 5 does at the diagonal.
+            p = index[0, 1, 0]
+            (q,) = [
+                index["b", t]
+                for t in ((0, 1, 0), (0, 0, 1))
+                if not gate._face_mask[p] & gate._face_mask[index["b", t]]
+            ]
+            flips = gate.counts["flip_accepts"]
+            assert gate.add_if_planar(p, q)
+            assert gate.counts["flip_accepts"] == flips + 1
+        assert gate._face_mask[p] & gate._face_mask[q]
         assert_components_are_spherical(gate)
 
     def test_chain_of_blocks_is_joined_without_lr(self, monkeypatch):
@@ -1056,10 +1090,11 @@ class TestIncrementalGate:
         examined = len(result.accepted) + len(result.rejected)
         assert sum(astuple(counts)) == examined
         assert counts.component_joins == sim.n - 1  # one per spanning-forest edge
-        # 24 LR calls of 621 pairs since block joins skip LR; 36 when rule 3
-        # first read every triconnected piece, 49 when it read the 3-core's
-        # bridges, 116 when it read the 3-core alone.
-        assert astuple(counts) == (39, 45, 500, 24, 13)
+        # 12 LR calls of 621 pairs since mirrors skip LR; 24 when block
+        # joins first did; 36 when rule 3 first read every triconnected
+        # piece, 49 when it read the 3-core's bridges, 116 when it read the
+        # 3-core alone.
+        assert astuple(counts) == (39, 42, 500, 12, 13, 15)
 
     def test_triconnectivity_from_faces_matches_networkx(self):
         rng = np.random.default_rng(8)

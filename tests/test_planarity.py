@@ -226,8 +226,8 @@ def standard_form_edges(n):
 
 def gate_lr_graphs(monkeypatch):
     """Every (n, adjacency) of kept + uv for a pair uv that reaches the gate's
-    rule 3, whether a triconnected piece, a block join or the LR test
-    decides it, in the benchmark's n = 40 sector-model builds at seed 7,
+    rule 3, whether a triconnected piece, a block join, a mirror or the LR
+    test decides it, in the benchmark's n = 40 sector-model builds at seed 7,
     tasks 0-3."""
     spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
     workloads = importlib.util.module_from_spec(spec)
@@ -235,7 +235,7 @@ def gate_lr_graphs(monkeypatch):
     spec.loader.exec_module(workloads)
     seen = []
     add_if_planar = _PlanarityGate.add_if_planar
-    late_rules = ("whitney_rejects", "block_joins", "lr_calls")
+    late_rules = ("whitney_rejects", "block_joins", "flip_accepts", "lr_calls")
 
     def recording(gate, u, v):
         adjacency = [list(nbrs) for nbrs in gate._adjacency]
