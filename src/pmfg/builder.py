@@ -348,7 +348,10 @@ class _PlanarityGate:
 
     Every rule is exact, so the accepted list is the one a fresh planarity
     test per pair gives.  The pieces are refreshed after every LR reject;
-    older pieces stay valid, since the kept graph only grows.
+    older pieces stay valid, since the kept graph only grows.  A piece that
+    rejects moves, with its admissible faces, to the front of the list, so
+    the next query tries it first; any rejecting piece decides the same,
+    and this order is the only state a certified reject changes.
     """
 
     def __init__(self, n: int) -> None:
@@ -372,6 +375,8 @@ class _PlanarityGate:
                 if k == len(reaches):
                     reaches.append(_admissible_faces(self.rotation, piece))
                 if not reaches[k][u] & reaches[k][v]:
+                    self._pieces.insert(0, self._pieces.pop(k))
+                    reaches.insert(0, reaches.pop(k))
                     self.counts["whitney_rejects"] += 1
                     return False
         self._adjacency[u].append(v)

@@ -520,6 +520,13 @@ def _canonical_search(
     The minimum over these darts therefore equals the minimum over all 4e
     darts.
 
+    On a triangulation (degrees summing to 6n - 12) of least degree 3, only
+    darts u -> v with deg(v) least among degree-3 vertices' neighbors are
+    tried.  u's neighbors v, a, b are pairwise joined by faces, so v's block
+    is [1, 4, 5, ..., deg(v) + 1, 3, 0] in both orientations: smaller when
+    deg(v) is, so exactly the starts the second step drops are dropped, and
+    the code and automorphisms, in order, are unchanged.
+
     The surviving starts are exactly the automorphisms: equal codes number
     the vertices alike, so each survivor s maps order_0[i] to order_s[i],
     and every automorphism carries the first survivor to one that ties it.
@@ -529,18 +536,22 @@ def _canonical_search(
     """
     n = len(rotation)
     mirror = tuple(nbrs[::-1] for nbrs in rotation)
-    low = min(map(len, rotation))
+    degree = [len(nbrs) for nbrs in rotation]
+    low, cap = min(degree), n
+    if low == 3 and sum(degree) == 6 * n - 12:
+        cap = min(degree[v] for u, nbrs in enumerate(rotation) if degree[u] == 3 for v in nbrs)
     # A start is (rotation, number, entry, order); entry[x] is the neighbor
     # from which x was discovered, where its block opens.
     starts = []
     for rot in (rotation, mirror):
         for u, nbrs in enumerate(rot):
-            if len(nbrs) == low:
+            if degree[u] == low:
                 for v in nbrs:
-                    number, entry = [0] * n, [0] * n
-                    number[u], number[v] = 1, 2
-                    entry[u], entry[v] = v, u
-                    starts.append((rot, number, entry, [u, v]))
+                    if degree[v] <= cap:
+                        number, entry = [0] * n, [0] * n
+                        number[u], number[v] = 1, 2
+                        entry[u], entry[v] = v, u
+                        starts.append((rot, number, entry, [u, v]))
     code: list[int] = []
     for i in range(n):
         best: list[int] | None = None
@@ -719,20 +730,23 @@ def flip_closure(n: int, *, ceiling: int = GENERATION_CEILING) -> set[CanonicalC
 
     Sphere triangulations on equally many vertices are flip-connected, so
     this reaches every isomorphism class; it serves as the independent twin
-    of ``generate_all``.
+    of ``generate_all``: no flip is pruned by symmetry.  A child whose
+    labelled rotation is one already queued, one per class, is not coded
+    again, since its code is seen (the flip undoing the last one, say).
     """
     _refuse_above_ceiling(n, ceiling)
     start = standard_form(n)
     seen = {canonical_code(start)}
+    queued = {start.rotation}
     frontier = [start]
     while frontier:
         nxt: list[PlanarEmbedding] = []
         for emb in frontier:
             for move in legal_flips(emb):
                 child = diagonal_flip(emb, move)
-                code = canonical_code(child)
-                if code not in seen:
+                if child.rotation not in queued and (code := canonical_code(child)) not in seen:
                     seen.add(code)
+                    queued.add(child.rotation)
                     nxt.append(child)
         frontier = nxt
     return seen

@@ -33,6 +33,7 @@ from pmfg import (
 from pmfg.builder import (
     GateCounts,
     PmfgResult,
+    _admissible_faces,
     _face_table,
     _PlanarityGate,
     _separator,
@@ -951,6 +952,43 @@ class TestIncrementalGate:
         # 179 before mirrors and 280 before block joins.
         assert all(fired[r] > 0 for r in GATE_RULES) and fired["split_rejects"] >= 1000, fired
         assert fired["block_joins"] >= 50 and fired["flip_accepts"] >= 100, fired
+
+    def test_rule_3_decides_as_before_rejecting_pieces_moved_to_front(self):
+        # Beside the gate runs its rule-3 loop as it was before a rejecting
+        # piece moved to the front: the pieces in refresh order, each one's
+        # admissible faces built when first needed and dropped on accept.
+        moved = 0
+        sims = [planted_similarity(seed) for seed in range(4)]
+        sims += [sector_similarity(40, seed=seed) for seed in (4, 5, 6)]
+        for sim in sims:
+            gate = _PlanarityGate(sim.n)
+            pieces = None
+            for u, v, _ in weighted_edge_list(sim):
+                if gate._pieces is not pieces:  # refreshed by the last pair
+                    pieces, in_order, reaches = gate._pieces, list(gate._pieces), []
+                rejects = False
+                if gate._component[u] == gate._component[v] and not (
+                    gate._face_mask[u] & gate._face_mask[v]
+                ):
+                    for k, piece in enumerate(in_order):
+                        if k == len(reaches):
+                            reaches.append(_admissible_faces(gate.rotation, piece))
+                        if not reaches[k][u] & reaches[k][v]:
+                            rejects = True
+                            break
+                before = gate.counts["whitney_rejects"]
+                if gate.add_if_planar(u, v):
+                    reaches = []
+                assert (gate.counts["whitney_rejects"] > before) == rejects, (u, v)
+                # Each piece keeps its own admissible faces when it moves.
+                assert gate._reach == [
+                    _admissible_faces(gate.rotation, piece)
+                    for piece in gate._pieces[: len(gate._reach)]
+                ]
+                if gate._pieces is pieces:
+                    assert sorted(pieces) == sorted(in_order)
+                    moved += pieces != in_order
+        assert moved > 0
 
     def test_bridge_of_the_octahedron_reaches_only_the_faces_at_its_attachments(
         self, monkeypatch

@@ -1,5 +1,7 @@
+import contextlib
 import itertools
 import random
+import struct
 import sys
 import weakref
 from collections import Counter
@@ -80,6 +82,73 @@ def reference_code(emb: PlanarEmbedding) -> bytes:
                 if best is None or code < best:
                     best = code
     return best
+
+
+def every_start_search(rotation) -> tuple[bytes, tuple[tuple[int, ...], ...]]:
+    """``_canonical_search`` as it was before the degree-3 start filter:
+    every dart out of a minimum-degree vertex, in both orientations.  The
+    reference for the code and for the automorphisms, in order."""
+    n = len(rotation)
+    mirror = tuple(nbrs[::-1] for nbrs in rotation)
+    low = min(map(len, rotation))
+    # A start is (rotation, number, entry, order); entry[x] is the neighbor
+    # from which x was discovered, where its block opens.
+    starts = []
+    for rot in (rotation, mirror):
+        for u, nbrs in enumerate(rot):
+            if len(nbrs) == low:
+                for v in nbrs:
+                    number, entry = [0] * n, [0] * n
+                    number[u], number[v] = 1, 2
+                    entry[u], entry[v] = v, u
+                    starts.append((rot, number, entry, [u, v]))
+    code: list[int] = []
+    for i in range(n):
+        best: list[int] | None = None
+        for start in starts:
+            rot, number, entry, order = start
+            x = order[i]
+            nbrs = rot[x]
+            j = nbrs.index(entry[x])
+            block = []
+            for w in nbrs[j:] + nbrs[:j]:
+                got = number[w]
+                if not got:
+                    order.append(w)
+                    got = number[w] = len(order)
+                    entry[w] = x
+                block.append(got)
+            block.append(0)
+            if best is None or block < best:
+                best, kept = block, [start]
+            elif block == best:
+                kept.append(start)
+        starts = kept
+        code += best
+    order0 = starts[0][3]
+    auts = []
+    for *_, order in starts:
+        aut = [0] * n
+        for x, y in zip(order0, order):
+            aut[x] = y
+        auts.append(tuple(aut))
+    return struct.pack(f">{len(code)}H", *code), tuple(auts)
+
+
+# A sphere embedding that is not a triangulation (degrees sum to 26, not 30)
+# whose degree-3 vertices 0 and 3 have neighbors that no face joins: filtering
+# its starts as on a triangulation gives the wrong code.
+SEVEN_VERTICES = (
+    (6, 3, 2), (6, 2, 5, 4), (5, 1, 6, 0), (5, 0, 4), (3, 6, 1, 5), (1, 2, 3, 4), (0, 2, 1, 4)
+)
+
+
+def without_edges(emb: PlanarEmbedding, edges) -> PlanarEmbedding:
+    """``emb`` with ``edges`` taken out of its rotation, validated."""
+    gone = {frozenset(edge) for edge in edges}
+    return PlanarEmbedding(
+        [[w for w in nbrs if frozenset((v, w)) not in gone] for v, nbrs in enumerate(emb.rotation)]
+    )
 
 
 def unpruned_generate_all(n: int, on_application) -> dict:
@@ -1177,6 +1246,49 @@ class TestCanonicalCode:
             for copy in (emb, emb.relabel(perm), emb.relabel(perm).mirrored()):
                 assert canonical_code(copy) == reference_code(copy), n
 
+    def test_search_matches_every_start_on_classes_and_flip_children(self):
+        levels = list(generate_levels(10, ceiling=10))
+        embeddings = [rec.embedding for level in levels for rec in level.values()]
+        embeddings += [
+            diagonal_flip(rec.embedding, move)
+            for rec in levels[-1].values()
+            for move in legal_flips(rec.embedding)
+        ]
+        assert len(embeddings) == 306 + 3578  # the classes for n <= 10, the flip children
+        for emb in embeddings:
+            assert _canonical_search(emb.rotation) == every_start_search(emb.rotation)
+
+    def test_search_matches_every_start_on_random_copies(self):
+        rng = random.Random(1998)
+        for n in range(4, 71):
+            emb = random_triangulation(n, seed=n)
+            perm = list(range(n))
+            rng.shuffle(perm)
+            for copy in (emb, emb.mirrored(), emb.relabel(perm), emb.relabel(perm).mirrored()):
+                assert _canonical_search(copy.rotation) == every_start_search(copy.rotation), n
+
+    def test_search_matches_every_start_on_non_triangulations(self, classes):
+        seven = PlanarEmbedding(SEVEN_VERTICES)
+        embeddings = [seven, seven.mirrored()]
+        for records in classes.values():
+            for rec in records.values():
+                for edge in rec.embedding.edges():
+                    embeddings.append(without_edges(rec.embedding, [edge]))
+        rng = random.Random(2007)
+        for n in range(10, 41, 3):
+            emb = random_triangulation(n, seed=n)
+            for _ in range(n // 3):
+                u, v = rng.choice(list(emb.edges()))
+                if min(emb.degree(u), emb.degree(v)) > 3:
+                    with contextlib.suppress(StructuralError):  # a bridge
+                        emb = without_edges(emb, [(u, v)])
+            embeddings += [emb, emb.mirrored()]
+        embeddings = [emb for emb in embeddings if min(map(len, emb.rotation)) == 3]
+        assert len(embeddings) > 200
+        for emb in embeddings:
+            assert not emb.is_triangulation()
+            assert _canonical_search(emb.rotation) == every_start_search(emb.rotation)
+
     def test_automorphisms_carry_each_rotation_onto_its_image(self, classes):
         for records in classes.values():
             for rec in records.values():
@@ -1234,9 +1346,30 @@ class TestClosures:
     def test_class_counts_up_to_eight(self, classes):
         assert [len(classes[n]) for n in (4, 5, 6, 7, 8)] == [1, 1, 2, 5, 14]
 
-    def test_flip_closure_matches_generation(self, classes):
-        for n in (4, 5, 6, 7):
-            assert flip_closure(n) == set(classes[n])
+    def test_flip_closure_matches_generation(self):
+        for n, level in enumerate(generate_levels(9), start=4):
+            assert flip_closure(n) == set(level)
+
+    def test_flip_closure_codes_no_rotation_it_has_queued(self, monkeypatch):
+        # Each class's first-coded rotation is the one queued; a child with
+        # that labelled rotation is not coded again.  668 calls without the
+        # skip, 577 with it.
+        queued, codes, calls = set(), set(), 0
+        code_of = pmfg.generator.canonical_code
+
+        def spy(emb):
+            nonlocal calls
+            assert emb.rotation not in queued
+            calls += 1
+            code = code_of(emb)
+            if code not in codes:
+                codes.add(code)
+                queued.add(emb.rotation)
+            return code
+
+        monkeypatch.setattr(pmfg.generator, "canonical_code", spy)
+        assert len(flip_closure(9)) == 50
+        assert calls == 577
 
     def test_six_vertex_censuses(self, classes):
         censuses = {
