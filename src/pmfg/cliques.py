@@ -68,14 +68,19 @@ class StandardFormCensus(NamedTuple):
     overlap: int
 
 
-def count_cliques(emb: PlanarEmbedding) -> CliqueCensus:
-    """Enumerate and classify all 3- and 4-cliques of a triangulation."""
+def _neighbor_masks(emb: PlanarEmbedding) -> list[int]:
+    """Refuse what the census does not take, then give bit w of masks[v] set
+    iff vw is an edge; neighbors are distinct, so + is |."""
     if emb.n < 4:
         raise InputError("clique census needs n >= 4")
     if not emb.is_triangulation():
         raise StructuralError("clique census requires a triangulation")
-    # Bit w of masks[v] is set iff vw is an edge; neighbors are distinct, so + is |.
-    masks = [sum(1 << w for w in nbrs) for nbrs in emb.rotation]
+    return [sum(1 << w for w in nbrs) for nbrs in emb.rotation]
+
+
+def count_cliques(emb: PlanarEmbedding) -> CliqueCensus:
+    """Enumerate and classify all 3- and 4-cliques of a triangulation."""
+    masks = _neighbor_masks(emb)
     triangles: list[tuple[int, int, int]] = []
     for u, v in emb.edges():
         w_mask = masks[u] & masks[v] & ~((1 << (v + 1)) - 1)
@@ -111,6 +116,23 @@ def count_cliques(emb: PlanarEmbedding) -> CliqueCensus:
     )
 
 
+def clique_counts(emb: PlanarEmbedding) -> tuple[int, int]:
+    """``count_cliques(emb).counts``, with the same refusals, from the same
+    triangles u < v < w, but listing and classifying no clique: the 4-cliques
+    above w are one popcount of the common neighbours of u, v and w."""
+    masks = _neighbor_masks(emb)
+    c3 = c4 = 0
+    for u, v in emb.edges():
+        common = masks[u] & masks[v]
+        w_mask = common >> (v + 1) << (v + 1)
+        while w_mask:
+            w = (w_mask & -w_mask).bit_length() - 1
+            c3 += 1
+            c4 += ((common & masks[w]) >> (w + 1)).bit_count()
+            w_mask ^= 1 << w
+    return (c3, c4)
+
+
 def standard_form_expected(n: int) -> StandardFormCensus:
     """Clique counts the standard form attains, which are the clique bounds
     of every triangulation on n vertices: 2n - 4 <= C3 <= 3n - 8, since each
@@ -127,7 +149,13 @@ def standard_form_expected(n: int) -> StandardFormCensus:
 
 
 def brute_force_cliques(n: int, edges) -> tuple[int, int]:
-    """Count 3- and 4-cliques of an abstract graph by exhaustive subsets."""
+    """Count 3- and 4-cliques of an abstract graph by exhaustive subsets.
+
+    Every 3- and 4-subset is tested by one ``and`` chain over all of its
+    pairs in an adjacency matrix, which stops only at a missing pair, so the
+    count stays exhaustive.  It reads no rotation, face or neighbour mask,
+    so the oracle shares no code with the census.
+    """
     n, edge_list = _check_graph(n, edges)
     if n > BRUTE_FORCE_CEILING:
         raise CeilingError(f"refusing brute-force census for n={n} > {BRUTE_FORCE_CEILING}")
@@ -141,7 +169,7 @@ def brute_force_cliques(n: int, edges) -> tuple[int, int]:
     )
     c4 = sum(
         1
-        for quad in combinations(range(n), 4)
-        if all(adj[x][y] for x, y in combinations(quad, 2))
+        for a, b, c, d in combinations(range(n), 4)
+        if adj[a][b] and adj[a][c] and adj[a][d] and adj[b][c] and adj[b][d] and adj[c][d]
     )
     return (c3, c4)

@@ -28,7 +28,7 @@ import struct
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .cliques import count_cliques
+from .cliques import clique_counts, count_cliques  # count_cliques: traced by perfbench/spans.py
 from .embedding import Edge, PlanarEmbedding, _canonical_rotation, apex, degree_sequence, face_walk
 from .errors import (
     CeilingError,
@@ -640,13 +640,18 @@ def _check_clique_delta(
     return (dc3, dc4)
 
 
-def _op_image(op: EberhardOp, aut: Automorphism) -> tuple:
-    """The vertex set of the op's cycle and the set of its chords, under aut;
-    these fix the op's region, so equal images mean automorphic ops."""
-    return (
-        frozenset(aut[v] for v in op.cycle),
-        frozenset(frozenset((aut[u], aut[v])) for u, v in op.chords),
-    )
+def _op_image(op: EberhardOp, aut: Automorphism) -> tuple[int, int]:
+    """The vertex set of the op's cycle and the set of its chords, under aut,
+    as bitmasks: bit a * n + b marks chord {a, b}, a < b, n = len(aut).
+    These fix the op's region, so equal images mean automorphic ops."""
+    n = len(aut)
+    cycle = chords = 0
+    for v in op.cycle:
+        cycle |= 1 << aut[v]
+    for u, v in op.chords:
+        u, v = aut[u], aut[v]
+        chords |= 1 << (u * n + v if u < v else v * n + u)
+    return cycle, chords
 
 
 def generate_levels(
@@ -662,7 +667,7 @@ def generate_levels(
     first found; each level is built once, from the one before it.  When
     ``on_application`` is given, every application is audited against the
     per-operation clique bounds, and the callback receives (kind, dC3, dC4)
-    for empirical recording.
+    for empirical recording; the audit counts with ``clique_counts``.
 
     Each parent's ops are applied once per orbit of its automorphism group
     (McKay, J. Algorithms 26 (1998)).  An op that some automorphism maps
@@ -678,7 +683,7 @@ def generate_levels(
     code, auts = _canonical_search(seed.rotation)
     # code -> (record, automorphisms, clique counts when applications are
     # audited, else None), in the order the classes were first found.
-    seed_counts = count_cliques(seed).counts if audit else None
+    seed_counts = clique_counts(seed) if audit else None
     level = {code: (GenerationRecord(seed, (), code), auts, seed_counts)}
     for n in itertools.count(4):
         yield {code: rec for code, (rec, _, _) in level.items()}
@@ -688,7 +693,7 @@ def generate_levels(
         for rec, auts, counts in level.values():
             # Images of the ops applied so far under every automorphism
             # (auts[0] is the identity) -> that op's (dC3, dC4).
-            applied: dict[tuple, tuple[int, int] | None] = {}
+            applied: dict[tuple[int, int], tuple[int, int] | None] = {}
             for op in eberhard_ops(rec.embedding):
                 if (key := _op_image(op, auts[0])) in applied:
                     if audit:
@@ -697,7 +702,7 @@ def generate_levels(
                 child = apply_eberhard(rec.embedding, op)
                 deltas = child_counts = None
                 if audit:
-                    child_counts = count_cliques(child).counts
+                    child_counts = clique_counts(child)
                     try:
                         deltas = _check_clique_delta(op.kind, counts, child_counts)
                     except VerificationFailure as exc:

@@ -1,5 +1,7 @@
+import random
 from itertools import combinations
 
+import numpy as np
 import pytest
 
 from pmfg import (
@@ -9,10 +11,42 @@ from pmfg import (
     StructuralError,
     brute_force_cliques,
     count_cliques,
+    generate_levels,
     k4,
+    random_triangulation,
     standard_form,
     standard_form_expected,
 )
+from pmfg.cliques import BRUTE_FORCE_CEILING, clique_counts
+from pmfg.planarity import _check_graph
+
+
+def reference_brute_force_cliques(n: int, edges) -> tuple[int, int]:
+    """``brute_force_cliques`` as it was when each 4-subset ran ``all()`` over
+    its own ``combinations``: the reference for the ``and``-chain oracle."""
+    n, edge_list = _check_graph(n, edges)
+    if n > BRUTE_FORCE_CEILING:
+        raise CeilingError(f"refusing brute-force census for n={n} > {BRUTE_FORCE_CEILING}")
+    adj = [[False] * n for _ in range(n)]
+    for u, v in edge_list:
+        adj[u][v] = adj[v][u] = True
+    c3 = sum(
+        1
+        for a, b, c in combinations(range(n), 3)
+        if adj[a][b] and adj[a][c] and adj[b][c]
+    )
+    c4 = sum(
+        1
+        for quad in combinations(range(n), 4)
+        if all(adj[x][y] for x, y in combinations(quad, 2))
+    )
+    return (c3, c4)
+
+
+@pytest.fixture(scope="module")
+def classes_to_ten():
+    """All isomorphism classes keyed by vertex count, for n = 4..10."""
+    return dict(zip(range(4, 11), generate_levels(10)))
 
 
 class TestCountCliques:
@@ -69,6 +103,46 @@ class TestCountCliques:
         triangle = PlanarEmbedding(((1, 2), (2, 0), (0, 1)))
         with pytest.raises(InputError):
             count_cliques(triangle)
+
+
+class TestCliqueCounts:
+    def test_agrees_with_census_and_oracle_on_every_class_to_ten(self, classes_to_ten):
+        for n, records in classes_to_ten.items():
+            for rec in records.values():
+                emb = rec.embedding
+                brute = brute_force_cliques(n, list(emb.edges()))
+                assert clique_counts(emb) == count_cliques(emb).counts == brute
+
+    @pytest.mark.parametrize("n", range(4, 61))
+    def test_agrees_with_census_on_standard_forms(self, n):
+        emb = standard_form(n)
+        assert clique_counts(emb) == count_cliques(emb).counts == (3 * n - 8, n - 3)
+
+    def test_agrees_with_census_on_random_and_relabelled_triangulations(self):
+        rng = random.Random(20)
+        for n in [*range(4, 40), 60, 90, 120]:
+            emb = random_triangulation(n, seed=n)
+            perm = list(range(n))
+            rng.shuffle(perm)
+            want = count_cliques(emb).counts
+            assert clique_counts(emb) == want
+            assert clique_counts(emb.relabel(perm)) == count_cliques(emb.relabel(perm)).counts == want
+
+    @pytest.mark.parametrize(
+        "emb",
+        [
+            PlanarEmbedding(((1, 2), (2, 0), (0, 1))),
+            PlanarEmbedding(((1, 3), (0, 2), (1, 3), (2, 0))),
+        ],
+        ids=["triangle", "four-cycle"],
+    )
+    def test_refuses_what_the_census_refuses(self, emb):
+        with pytest.raises((InputError, StructuralError)) as want:
+            count_cliques(emb)
+        with pytest.raises(type(want.value)) as got:
+            clique_counts(emb)
+        assert type(got.value) is type(want.value)
+        assert str(got.value) == str(want.value)
 
 
 class TestStandardFormExpected:
@@ -132,6 +206,50 @@ class TestBruteForce:
     def test_duplicate_edge_and_negative_vertex_count_rejected(self, n, edges, message):
         with pytest.raises(InputError, match=message):
             brute_force_cliques(n, edges)
+
+    def test_matches_the_reference_on_seeded_random_graphs(self):
+        # Densities from empty to complete, edges in random order and
+        # orientation, about a third of them given as numpy integers.
+        rng = random.Random(1009)
+        cliques_seen = 0
+        for i in range(1200):
+            n = rng.randint(0, 16)
+            density = (i % 11) / 10
+            edges = [
+                (v, u) if rng.random() < 0.5 else (u, v)
+                for u, v in combinations(range(n), 2)
+                if rng.random() < density
+            ]
+            rng.shuffle(edges)
+            edges = [
+                (np.int64(u), np.int32(v)) if rng.random() < 0.3 else (u, v) for u, v in edges
+            ]
+            want = reference_brute_force_cliques(n, edges)
+            assert brute_force_cliques(n, edges) == want, (n, edges)
+            cliques_seen += want[1] > 0
+        assert cliques_seen > 300
+
+    @pytest.mark.parametrize(
+        "n, edges",
+        [
+            (17, []),
+            (17, [(0, 16)]),
+            (4, [(0, 0)]),
+            (4, [(0, 1), (1, 0)]),
+            (4, [(0, 4)]),
+            (4, [(0, 1.0)]),
+            (4, [(True, 1)]),
+            (4.0, []),
+            (-1, []),
+        ],
+    )
+    def test_refuses_with_the_reference_messages(self, n, edges):
+        with pytest.raises((InputError, CeilingError)) as want:
+            reference_brute_force_cliques(n, edges)
+        with pytest.raises(type(want.value)) as got:
+            brute_force_cliques(n, edges)
+        assert type(got.value) is type(want.value)
+        assert str(got.value) == str(want.value)
 
 
 class TestReport:

@@ -175,6 +175,42 @@ def unpruned_generate_all(n: int, on_application) -> dict:
     return level
 
 
+def frozenset_op_image(op: EberhardOp, aut) -> tuple:
+    """``_op_image`` as it was when orbit keys were frozensets: the reference
+    for the bitmask keys."""
+    return (
+        frozenset(aut[v] for v in op.cycle),
+        frozenset(frozenset((aut[u], aut[v])) for u, v in op.chords),
+    )
+
+
+def audited_generation(monkeypatch, n: int) -> dict:
+    """What ``generate_levels(n)`` does under audit: its callback sequence,
+    the ops it applies, each canonical search's code and automorphisms, and
+    each level's codes, traces and rotations."""
+    run = {"reported": [], "applied": [], "searched": []}
+    apply, search = pmfg.generator.apply_eberhard, pmfg.generator._canonical_search
+
+    def logged_search(rotation):
+        run["searched"].append(search(rotation))
+        return run["searched"][-1]
+
+    with monkeypatch.context() as m:
+        m.setattr(
+            pmfg.generator,
+            "apply_eberhard",
+            lambda emb, op: run["applied"].append(op) or apply(emb, op),
+        )
+        m.setattr(pmfg.generator, "_canonical_search", logged_search)
+        run["levels"] = [
+            [(code, rec.trace, rec.embedding.rotation) for code, rec in level.items()]
+            for level in generate_levels(
+                n, ceiling=n, on_application=lambda *call: run["reported"].append(call)
+            )
+        ]
+    return run
+
+
 def orientation(emb: PlanarEmbedding, aut) -> int | None:
     """+1 if the vertex map carries each rotation onto its image's rotation,
     cyclically; -1 if it carries each onto the reverse; None otherwise."""
@@ -1417,12 +1453,23 @@ class TestClosures:
         generate_all(9, on_application=lambda *call: reported.append(call))
         assert (len(applied), len(reported)) == (463, 1216)
 
+    def test_bitmask_orbit_keys_prune_what_frozenset_images_pruned(self, monkeypatch):
+        got = audited_generation(monkeypatch, 10)
+        monkeypatch.setattr(pmfg.generator, "_op_image", frozenset_op_image)
+        want = audited_generation(monkeypatch, 10)
+        assert len(got["reported"]) == 4757
+        assert got["reported"] == want["reported"]
+        assert got["applied"] == want["applied"]
+        assert got["searched"] == want["searched"]
+        assert got["levels"] == want["levels"]
+
     def test_no_clique_audit_without_a_callback(self, monkeypatch):
         censuses = []
-        count = pmfg.generator.count_cliques
-        monkeypatch.setattr(
-            pmfg.generator, "count_cliques", lambda emb: censuses.append(emb) or count(emb)
-        )
+        for name in ("clique_counts", "count_cliques"):
+            count = getattr(pmfg.generator, name)
+            monkeypatch.setattr(
+                pmfg.generator, name, lambda emb, count=count: censuses.append(emb) or count(emb)
+            )
         assert len(generate_all(9)) == 50
         assert censuses == []
 

@@ -226,25 +226,25 @@ class TestReplayableViolations:
         assert canonical_code(replay(entry)).hex() == entry["code"]
 
 
-def inflate_first_child_census(count_cliques, n):
-    """``count_cliques`` whose first census of an n-vertex embedding claims n
+def inflate_first_child_counts(clique_counts, n):
+    """``clique_counts`` whose first count of an n-vertex embedding claims n
     extra 4-cliques; that embedding is recorded."""
     inflated_for = []
 
     def inflated(emb):
-        census = count_cliques(emb)
+        c3, c4 = clique_counts(emb)
         if emb.n == n and not inflated_for:
             inflated_for.append(emb)
-            census = dataclasses.replace(census, c4_total=census.c4_total + n)
-        return census
+            c4 += n
+        return (c3, c4)
 
     return inflated, inflated_for
 
 
 class TestReplayableFailures:
     def test_delta_audit_failure_replays_from_k4_to_its_class(self, monkeypatch):
-        inflated, inflated_for = inflate_first_child_census(pmfg.generator.count_cliques, 7)
-        monkeypatch.setattr(pmfg.generator, "count_cliques", inflated)
+        inflated, inflated_for = inflate_first_child_counts(pmfg.generator.clique_counts, 7)
+        monkeypatch.setattr(pmfg.generator, "clique_counts", inflated)
         with pytest.raises(VerificationFailure, match=r"changed \(C3, C4\) by") as info:
             verify_level(7)
         (child,) = inflated_for
