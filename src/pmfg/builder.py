@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .embedding import PlanarEmbedding, _check_labels, face_walk, trace_faces
+from .embedding import PlanarEmbedding, _check_labels, face_walk, face_walks, trace_faces
 from .errors import InputError, VerificationFailure
 from .planarity import _bits, _lr_rotation, is_planar
 
@@ -149,15 +149,14 @@ def weighted_edge_list(
     w = np.asarray(sim.values[i, j], dtype=float)
     lo, hi = np.minimum(rank[i], rank[j]), np.maximum(rank[i], rank[j])
     order = np.lexsort((hi, lo, -w))
-    i, j, w = i[order].tolist(), j[order].tolist(), w[order].tolist()
-    if tie_policy == "strict":
-        names = [", ".join(sorted((labels[u], labels[v]))) for u, v in zip(i, j)]
-        tied = [
-            f"({names[k]}) ~ ({names[k + 1]})" for k in range(len(w) - 1) if w[k] == w[k + 1]
-        ]
-        if tied:
-            raise InputError(f"tied weights under strict policy: {'; '.join(tied)}")
-    return tuple(zip(i, j, w))
+    i, j, w = i[order].tolist(), j[order].tolist(), w[order]
+    if tie_policy == "strict" and len(ties := np.flatnonzero(w[:-1] == w[1:])):
+        def name(k: int) -> str:
+            return ", ".join(sorted((labels[i[k]], labels[j[k]])))
+
+        tied = "; ".join(f"({name(k)}) ~ ({name(k + 1)})" for k in ties.tolist())
+        raise InputError(f"tied weights under strict policy: {tied}")
+    return tuple(zip(i, j, w.tolist()))
 
 
 def _face_table(n: int, rotation: list[list[int]]) -> tuple[list[list[int]], list[int]]:
@@ -170,18 +169,6 @@ def _face_table(n: int, rotation: list[list[int]]) -> tuple[list[list[int]], lis
         for x in walk:
             masks[x] |= bit
     return walks, masks
-
-
-def _face_walks(rotation: list[list[int]], starts: list[tuple[int, int]]) -> tuple[list, set]:
-    """The ``face_walk`` from each dart of ``starts`` that no earlier walk
-    holds, and the darts of those walks."""
-    darts: set[tuple[int, int]] = set()
-    walks = []
-    for a, b in starts:
-        if (a, b) not in darts:
-            walks.append(walk := face_walk(rotation, a, b))
-            darts.update(zip(walk, walk[1:] + walk[:1]))
-    return walks, darts
 
 
 def _separator(walks: list[list[int]], masks: list[int]) -> tuple[int, ...] | None:
@@ -317,14 +304,11 @@ class _PlanarityGate:
     The gate holds a rotation system of the kept graph, a component label
     per vertex (finding components by ``_join_blocks``' DFS instead costs
     2-6 % at n = 150), the rotation's face table (walks by face id and
-    per-vertex face bitmasks; only an LR accept re-traces it whole), the face
-    bitmasks of the kept graph's triconnected pieces (``_triconnected_pieces``),
-    and adjacency lists in accept order for LR, which, fed the rotation's own
-    lists with uv first, accepts the same pairs but builds 2-9 % slower at
-    n = 150 (965 LR calls against 949 over seeds 7 and 1009, tasks 0-5).
-    Every face question is an AND of bitmasks.  ``counts`` holds how many
-    pairs each rule decided, keyed by the fields of ``GateCounts``.
-    ``add_if_planar`` applies the first rule that decides:
+    per-vertex face bitmasks; only an LR accept re-traces it whole), and the
+    face bitmasks of the kept graph's triconnected pieces
+    (``_triconnected_pieces``).  Every face question is an AND of bitmasks.
+    ``counts`` holds how many pairs each rule decided, keyed by the fields of
+    ``GateCounts``.  ``add_if_planar`` applies the first rule that decides:
 
     1. endpoints in different components: accept, joining them at any corner;
     2. endpoints on a common face: accept, splicing the edge into that face;
@@ -343,8 +327,9 @@ class _PlanarityGate:
        as many as before and holding as many darts, so V - E + F = 2 holds
        (Mohar & Thomassen, Graphs on Surfaces, 2001): accept, mirroring it;
     6. otherwise run the left-right planarity test (``_lr_rotation``, our
-       own port of networkx's algorithm) on the adjacency lists plus uv and,
-       on accept, adopt its rotation.
+       own port of networkx's algorithm) on the rotation with uv appended
+       and, on accept, adopt its rotation.  Fed lists in accept order, it
+       took 473 calls, not 461, at n = 150 (seeds 7 and 1009, tasks 0-5).
 
     Every rule is exact, so the accepted list is the one a fresh planarity
     test per pair gives.  The pieces are refreshed after every LR reject;
@@ -362,7 +347,6 @@ class _PlanarityGate:
         self._pieces: list[list[int]] = []  # as at the last refresh
         self._reach: list[list[int]] = []  # admissible faces of the first pieces
         self._component = list(range(n))
-        self._adjacency: list[list[int]] = [[] for _ in range(n)]  # in accept order
         self.counts = {field.name: 0 for field in fields(GateCounts)}
 
     def add_if_planar(self, u: int, v: int) -> bool:
@@ -379,8 +363,6 @@ class _PlanarityGate:
                     reaches.insert(0, reaches.pop(k))
                     self.counts["whitney_rejects"] += 1
                     return False
-        self._adjacency[u].append(v)
-        self._adjacency[v].append(u)
         if cu != cv:
             self._component = [cv if c == cu else c for c in self._component]
             self.rotation[u].append(v)
@@ -399,10 +381,12 @@ class _PlanarityGate:
             self.counts["flip_accepts"] += 1
         else:
             self.counts["lr_calls"] += 1
-            found = _lr_rotation(self.n, self._adjacency)
+            self.rotation[u].append(v)
+            self.rotation[v].append(u)
+            found = _lr_rotation(self.n, self.rotation)
             if found is None:
-                self._adjacency[u].pop()
-                self._adjacency[v].pop()
+                self.rotation[u].pop()
+                self.rotation[v].pop()
                 self._reach, self._pieces = [], _triconnected_pieces(self.n, self.rotation)
                 return False
             self.rotation = found[0]
@@ -422,11 +406,11 @@ class _PlanarityGate:
 
     def _retrace(self, starts: list[tuple[int, int]]) -> None:
         """Replace the faces through the corners changed since the last trace:
-        the ``_face_walks`` from ``starts`` (a dart on each such face) take
+        the ``face_walks`` from ``starts`` (a dart on each such face) take
         the least free ids as traced, and the faces whose darts they took
         over are freed."""
         faces, masks = self._faces, self._face_mask
-        walks, darts = _face_walks(self.rotation, starts)
+        walks, darts = face_walks(self.rotation, starts)
         for k, walk in enumerate(faces):
             if walk and (walk[0], walk[1]) in darts:
                 for x in walk:
@@ -551,9 +535,9 @@ class _PlanarityGate:
                 new += [(c, r[-1]), (c, r[0])]
         for x in side:
             rot[x] = rotation[x][::-1]
-        walks, _ = _face_walks(rot, new)
+        walks, _ = face_walks(rot, new)
         joint = next((w for w in walks if u in w and v in w), None)
-        replaced, darts = _face_walks(rotation, old)
+        replaced, darts = face_walks(rotation, old)
         if joint is None or len(walks) != len(replaced) or len(darts) != sum(map(len, walks)):
             return False
         for k in _bits(kept | masks[a] | masks[b]):

@@ -1,10 +1,12 @@
 """Rotation-system embeddings of graphs on the sphere.
 
 A graph embedded on the sphere is stored as a rotation system: for every
-vertex, the cyclic counter-clockwise order of its neighbors.  Faces are
-recovered by ``face_walk``, the package's one face-walking loop, so the
-structure carries no coordinates.  All operations in this package treat
-embeddings as values; nothing here mutates an existing instance.
+vertex, the cyclic counter-clockwise order of its neighbors, so the
+structure carries no coordinates.  ``face_walk`` is the package's one loop
+that walks a face, ``face_walks`` its one loop that collects the distinct
+faces from given darts, and ``trace_faces`` is ``face_walks`` from every
+dart.  All operations in this package treat embeddings as values; nothing
+here mutates an existing instance.
 
 Validation happens only at the trust boundaries: the public
 ``PlanarEmbedding`` constructor checks every invariant of user rotations,
@@ -18,7 +20,7 @@ from __future__ import annotations
 
 import json
 from functools import cached_property
-from typing import Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import InputError, StructuralError, VerificationFailure
 
@@ -72,21 +74,26 @@ def face_walk(rotation: Sequence[Sequence[int]], u: int, v: int) -> list[int]:
             return walk
 
 
-def trace_faces(rotation: Sequence[Sequence[int]]) -> list[list[int]]:
-    """The ``face_walk`` of every face, on a rotation ``face_walk`` accepts.
-    A walk starts at its least vertex, by that vertex's first dart on it in
-    rotation order, since vertices are scanned in ascending order.  Isolated
-    vertices lie on no walk, and a disconnected rotation gives the walks of
-    each component."""
+def face_walks(
+    rotation: Sequence[Sequence[int]], starts: Iterable[tuple[int, int]]
+) -> tuple[list[list[int]], set[tuple[int, int]]]:
+    """The ``face_walk`` from each dart of ``starts`` that no earlier walk
+    holds, and the darts of those walks: the one loop that collects faces."""
     walks: list[list[int]] = []
-    seen: set[tuple[int, int]] = set()  # darts
-    for u, nbrs in enumerate(rotation):
-        for v in nbrs:
-            if (u, v) not in seen:
-                walk = face_walk(rotation, u, v)
-                seen.update(zip(walk, walk[1:] + walk[:1]))
-                walks.append(walk)
-    return walks
+    darts: set[tuple[int, int]] = set()
+    for a, b in starts:
+        if (a, b) not in darts:
+            walks.append(walk := face_walk(rotation, a, b))
+            darts.update(zip(walk, walk[1:] + walk[:1]))
+    return walks, darts
+
+
+def trace_faces(rotation: Sequence[Sequence[int]]) -> list[list[int]]:
+    """The ``face_walks`` from every dart, in vertex order, on a rotation
+    ``face_walk`` accepts.  A walk starts at its least vertex, by that
+    vertex's first dart on it in rotation order.  Isolated vertices lie on no
+    walk, and a disconnected rotation gives the walks of each component."""
+    return face_walks(rotation, ((u, v) for u, nbrs in enumerate(rotation) for v in nbrs))[0]
 
 
 def _canonical_rotation(nbrs: Sequence[int]) -> tuple[int, ...]:

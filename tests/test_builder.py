@@ -751,7 +751,7 @@ class TestIncrementalGate:
         sim = sector_similarity(n, seed=1000 + n)
         result = build_pmfg(sim)
         assert result.accepted == plain_lr_greedy(sim)
-        counts = {100: (99, 109, 3004, 32, 42, 25), 200: (199, 196, 14340, 65, 106, 45)}[n]
+        counts = {100: (99, 100, 3004, 31, 43, 34), 200: (199, 207, 14340, 50, 105, 50)}[n]
         assert astuple(result.gate_counts) == counts
 
     def test_kept_faces_match_a_full_retrace_after_every_pair(self):
@@ -761,7 +761,7 @@ class TestIncrementalGate:
         sims += [SimilarityMatrix(base.labels, np.round(base.values, 1))]
         sims += [sector_similarity(40, seed=seed) for seed in range(6, 11)]
         # A reject leaves all of this as it was.
-        state = ("rotation", "_adjacency", "_faces", "_face_mask", "_component")
+        state = ("rotation", "_faces", "_face_mask", "_component")
         ties = repeats = flips = 0
         for sim in sims:
             gate, reference = _PlanarityGate(sim.n), RetracingGate(sim.n)
@@ -774,6 +774,8 @@ class TestIncrementalGate:
                 assert decided == reference.add_if_planar(u, v)
                 if not decided:
                     assert repr([getattr(gate, name) for name in state]) == before
+                else:  # the reference shares every rule, so check uv itself
+                    assert v in gate.rotation[u] and u in gate.rotation[v], (u, v)
                 labels = {}
                 for x, c in enumerate(gate._component):
                     labels.setdefault(c, set()).add(x)
@@ -895,7 +897,7 @@ class TestIncrementalGate:
         assert past_rule_4 > entered["returned None"], (past_rule_4, entered)
 
     def test_a_mirror_that_fails_its_certificate_changes_nothing(self, monkeypatch):
-        flip, face_walks = _PlanarityGate._flip, pmfg.builder._face_walks
+        flip, face_walks = _PlanarityGate._flip, pmfg.builder.face_walks
         state = ("rotation", "_faces", "_face_mask", "_component")
         calls, failed = Counter(), 0
 
@@ -912,7 +914,7 @@ class TestIncrementalGate:
                 assert repr([getattr(gate, name) for name in state]) == before
             return accepted
 
-        monkeypatch.setattr(pmfg.builder, "_face_walks", counting_walks)
+        monkeypatch.setattr(pmfg.builder, "face_walks", counting_walks)
         monkeypatch.setattr(_PlanarityGate, "_flip", spy)
         for seed in (4, 5, 6):
             build_pmfg(sector_similarity(40, seed=seed))
@@ -1128,11 +1130,12 @@ class TestIncrementalGate:
         examined = len(result.accepted) + len(result.rejected)
         assert sum(astuple(counts)) == examined
         assert counts.component_joins == sim.n - 1  # one per spanning-forest edge
-        # 12 LR calls of 621 pairs since mirrors skip LR; 24 when block
-        # joins first did; 36 when rule 3 first read every triconnected
-        # piece, 49 when it read the 3-core's bridges, 116 when it read the
-        # 3-core alone.
-        assert astuple(counts) == (39, 42, 500, 12, 13, 15)
+        # 14 LR calls of 621 pairs since LR reads the gate's rotation; 12
+        # when it read adjacency lists in accept order and mirrors first
+        # skipped it; 24 when block joins first did; 36 when rule 3 first
+        # read every triconnected piece, 49 when it read the 3-core's
+        # bridges, 116 when it read the 3-core alone.
+        assert astuple(counts) == (39, 45, 500, 14, 16, 7)
 
     def test_triconnectivity_from_faces_matches_networkx(self):
         rng = np.random.default_rng(8)

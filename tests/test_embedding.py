@@ -1,6 +1,7 @@
 import enum
 import json
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -21,7 +22,7 @@ from pmfg import (
     random_triangulation,
     standard_form,
 )
-from pmfg.embedding import apex, face_walk, trace_faces
+from pmfg.embedding import apex, face_walk, face_walks, trace_faces
 
 
 class TestFaceTracing:
@@ -141,6 +142,76 @@ class TestApex:
                 assert after == want, (n, emb.rotation)
                 for (u, v), walk in through.items():
                     assert face_walk(emb.rotation, u, v) == walk, (n, u, v)
+
+
+def reference_trace_faces(rotation):
+    """``trace_faces`` as it was before ``face_walks`` held its loop."""
+    walks: list[list[int]] = []
+    seen: set[tuple[int, int]] = set()  # darts
+    for u, nbrs in enumerate(rotation):
+        for v in nbrs:
+            if (u, v) not in seen:
+                walk = face_walk(rotation, u, v)
+                seen.update(zip(walk, walk[1:] + walk[:1]))
+                walks.append(walk)
+    return walks
+
+
+def scattered(rng, rotations, isolated):
+    """One rotation holding each of ``rotations`` as a component, plus
+    ``isolated`` vertices of degree 0, at shuffled ids."""
+    ids = list(range(sum(map(len, rotations)) + isolated))
+    rng.shuffle(ids)
+    out, base = [[] for _ in ids], 0
+    for rot in rotations:
+        for x, nbrs in enumerate(rot):
+            out[ids[base + x]] = [ids[base + w] for w in nbrs]
+        base += len(rot)
+    return out
+
+
+def face_corpus():
+    """(kind, rotation): random triangulations, trees, pruned embeddings,
+    disconnected rotations and rotations with isolated vertices."""
+    rng = random.Random(35)
+    for n in range(4, 41, 3):
+        tri = random_triangulation(n, seed=n)
+        tree = pruned(tri, rng, 1.0)
+        yield "triangulation", tri.rotation
+        yield "tree", tree.rotation
+        yield "pruned", pruned(tri, rng, 0.4).rotation
+        other = random_triangulation(rng.randrange(4, 12), seed=n + 1).rotation
+        yield "disconnected", scattered(rng, [tri.rotation, other, tree.rotation], 0)
+        yield "isolated", scattered(rng, [tree.rotation], rng.randrange(1, 5))
+        yield "isolated", scattered(rng, [tri.rotation, ((1,), (0,))], rng.randrange(1, 5))
+
+
+def darts_of(walk):
+    return set(zip(walk, walk[1:] + walk[:1]))
+
+
+class TestFaceWalks:
+    def test_trace_faces_is_its_former_loop(self):
+        kinds = Counter()
+        for kind, rotation in face_corpus():
+            assert trace_faces(rotation) == reference_trace_faces(rotation), (kind, rotation)
+            kinds[kind] += 1
+        assert min(kinds.values()) >= 10 and len(kinds) == 5, kinds
+
+    def test_each_face_once_from_its_first_start_with_its_darts(self):
+        rng = random.Random(36)
+        for kind, rotation in face_corpus():
+            every = [(u, v) for u, nbrs in enumerate(rotation) for v in nbrs]
+            faces = {frozenset(darts_of(w)) for w in trace_faces(rotation)}
+            for starts in (every * 2, rng.sample(every, len(every) // 3) * 2):
+                rng.shuffle(starts)
+                walks, darts = face_walks(rotation, starts)
+                held = [frozenset(darts_of(w)) for w in walks]
+                assert len(set(held)) == len(held) and set(held) <= faces, kind
+                assert {face for face in faces if face & set(starts)} == set(held), kind
+                assert darts == set().union(*held), kind
+                firsts = [next(d for d in starts if d in face) for face in held]
+                assert [tuple(w[:2]) for w in walks] == firsts, kind
 
 
 class TestEulerCheck:

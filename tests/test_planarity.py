@@ -238,7 +238,7 @@ def gate_lr_graphs(monkeypatch):
     late_rules = ("whitney_rejects", "block_joins", "flip_accepts", "lr_calls")
 
     def recording(gate, u, v):
-        adjacency = [list(nbrs) for nbrs in gate._adjacency]
+        adjacency = [list(nbrs) for nbrs in gate.rotation]
         adjacency[u].append(v)
         adjacency[v].append(u)
         decided_before = sum(gate.counts[rule] for rule in late_rules)
