@@ -22,11 +22,12 @@ class FlipForbiddenError(OperationError):
 
 
 class CeilingError(InputError):
-    """A size ceiling meant to keep exhaustive searches tractable was exceeded."""
+    """A size ceiling that keeps a verifier or an enumeration tractable was exceeded."""
 
 
 class VerificationFailure(PmfgError):
-    """A verification campaign found a counterexample to a claimed identity.
+    """A verification found a counterexample: to an identity a campaign
+    claims, or to an answer the Kuratowski oracle could not certify.
 
     ``trace`` holds, when known, the operations that rebuild the offending
     triangulation from K4 through ``pmfg.generator.apply_trace``.

@@ -1,21 +1,20 @@
 """Planarity decisions for abstract graphs.
 
-Two independent routes are provided.  ``is_planar`` is the production gate:
-the linear-time left-right planarity test of de Fraysseix and Rosenstiehl,
-which also extracts a concrete sphere embedding.  ``kuratowski_oracle``
-re-decides planarity from first principles by exhaustively searching for a
-subdivision of K5 or K3,3; it is exponential and capped at small n, and
-exists so the two routes can be checked against each other.
+``is_planar`` is the production gate: the linear-time left-right planarity
+test of de Fraysseix and Rosenstiehl, which also extracts a concrete sphere
+embedding.  ``kuratowski_oracle`` re-decides planarity at small n as a
+certifying algorithm: it takes the left-right test's answer as untrusted and
+checks it with its own code, a sphere rotation for a planar graph and a
+K5 or K3,3 subdivision for a non-planar one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from numbers import Integral
 
 from .embedding import Edge, PlanarEmbedding
-from .errors import CeilingError, InputError
+from .errors import CeilingError, InputError, VerificationFailure
 
 ORACLE_CEILING = 12
 
@@ -392,29 +391,38 @@ def _lr_rotation(
 
 
 # ----------------------------------------------------------------------
-# Exhaustive Kuratowski-subdivision oracle
+# Certifying Kuratowski oracle
 # ----------------------------------------------------------------------
 
 
 def kuratowski_oracle(n: int, edges) -> bool:
     """True iff the graph contains no subdivision of K5 or of K3,3.
 
-    By Kuratowski's theorem this is exactly planarity.  The decision is made
-    by brute force: try every candidate set of branch vertices and search for
-    internally disjoint connecting paths among the remaining vertices.
+    By Kuratowski's theorem this is exactly planarity.  The left-right test
+    and the witness loop answer; the oracle trusts neither, and returns only
+    an answer its own checkers certify: a sphere rotation (each entry a
+    permutation of the vertex's neighbours, V - E + F = 2 on each component
+    with an edge) for True, a K5 or K3,3 subdivision inside the graph for
+    False.  An answer that fails its check raises ``VerificationFailure``.
+    The checkers read the graph from the oracle's own bitmasks and share no
+    code with ``PlanarEmbedding``, the face walks or the planarity gate.
     """
     n, edge_list = _check_graph(n, edges)
     if n > ORACLE_CEILING:
-        raise CeilingError(
-            f"oracle is exponential; refusing n={n} > ceiling={ORACLE_CEILING}"
-        )
+        raise CeilingError(f"oracle refuses n={n} > ceiling={ORACLE_CEILING}")
     masks = [0] * n
     for u, v in edge_list:
         masks[u] |= 1 << v
         masks[v] |= 1 << u
-    return not any(
-        _pack_paths(masks, pairs, free) for free, pairs in _branch_placements(n, masks)
-    )
+    adjacency = [list(_bits(mask)) for mask in masks]
+    found = _lr_rotation(n, adjacency)
+    if found is not None:
+        if _is_sphere_rotation(masks, found[0]):
+            return True
+        raise VerificationFailure("the left-right test's rotation is not a sphere embedding")
+    if _is_kuratowski_subdivision(masks, _kuratowski_witness(n, adjacency)):
+        return False
+    raise VerificationFailure("the witness is not a K5 or K3,3 subdivision of the graph")
 
 
 def _bits(mask: int):
@@ -424,95 +432,71 @@ def _bits(mask: int):
         mask ^= low
 
 
-def _min_interior(masks: list[int], a: int, b: int, free: int) -> int | None:
-    """Fewest interior vertices (from ``free``) on any a-b path, or None."""
-    if masks[a] >> b & 1:
-        return 0
-    layer = masks[a] & free
-    visited = layer
-    depth = 1
-    while layer:
-        if layer & masks[b]:
-            return depth
-        grown = 0
-        for x in _bits(layer):
-            grown |= masks[x]
-        layer = grown & free & ~visited
-        visited |= layer
-        depth += 1
-    return None
-
-
-def _pack_paths(masks: list[int], pairs: list[Edge], free: int) -> bool:
-    """Can all ``pairs`` be joined by internally disjoint paths through ``free``?
-
-    Interior vertices are drawn from the ``free`` bitmask only; each is used
-    by at most one path.  The search is exhaustive; it is pruned by an
-    admissible bound (each pair consumes at least its unconstrained shortest
-    interior count) and failure states are memoized on (pair index, free).
-    """
-    budget = bin(free).count("1")
-    base: list[int] = []
-    for a, b in pairs:
-        cost = _min_interior(masks, a, b, free)
-        if cost is None:
-            return False
-        base.append(cost)
-    if sum(base) > budget:
+def _is_sphere_rotation(masks: list[int], rotation) -> bool:
+    """True iff ``rotation`` puts each component of the graph of ``masks`` on
+    a sphere.  ``masks`` are ints, which the code under test cannot change."""
+    if [sorted(nbrs) for nbrs in rotation] != [list(_bits(mask)) for mask in masks]:
         return False
-    # Most constrained pair first; shrinking free only raises true costs, so
-    # the precomputed suffix sums stay valid lower bounds.
-    order = sorted(range(len(pairs)), key=lambda i: -base[i])
-    pairs = [pairs[i] for i in order]
-    base = [base[i] for i in order]
-    suffix = [0] * (len(pairs) + 1)
-    for i in range(len(pairs) - 1, -1, -1):
-        suffix[i] = suffix[i + 1] + base[i]
-    memo: dict[tuple[int, int], bool] = {}
+    # The rotation now permutes the darts: after v -> w, a face leaves w by
+    # the neighbour before v.  Each orbit is a face.
+    after = {
+        (v, w): (w, rotation[w][rotation[w].index(v) - 1])
+        for v, nbrs in enumerate(rotation)
+        for w in nbrs
+    }
+    euler = -len(after) // 2  # -E, then +F, and +V - 2 per component
+    while after:
+        euler += 1
+        dart = next(iter(after))
+        while dart in after:
+            dart = after.pop(dart)
+    # Each component with an edge has V - E + F = 2 - 2g with genus g >= 0,
+    # so the sum over components is twice their number only if every g is 0.
+    reached = 0
+    for s, mask in enumerate(masks):
+        if mask and not reached >> s & 1:
+            reached |= 1 << s
+            stack = [s]
+            euler -= 2
+            while stack:
+                euler += 1
+                grown = masks[stack.pop()] & ~reached
+                reached |= grown
+                stack += _bits(grown)
+    return euler == 0
 
-    def solve(i: int, free: int) -> bool:
-        if i == len(pairs):
-            return True
-        if suffix[i] > bin(free).count("1"):
+
+def _is_kuratowski_subdivision(masks: list[int], witness) -> bool:
+    """True iff ``witness``, edges of the graph with adjacency ``masks``, is
+    a subdivision of K5 or of K3,3."""
+    sub = [0] * len(masks)
+    for u, v in witness:
+        if not masks[u] >> v & 1 or sub[u] >> v & 1:
             return False
-        key = (i, free)
-        cached = memo.get(key)
-        if cached is not None:
-            return cached
-        a, b = pairs[i]
-        ok = False
-        if masks[a] >> b & 1:
-            ok = solve(i + 1, free)
-        if not ok:
-
-            def extend(cur: int, used: int) -> bool:
-                for w in _bits(masks[cur] & free & ~used):
-                    nu = used | 1 << w
-                    if masks[w] >> b & 1 and solve(i + 1, free & ~nu):
-                        return True
-                    if extend(w, nu):
-                        return True
+        sub[u] |= 1 << v
+        sub[v] |= 1 << u
+    degree = [mask.bit_count() for mask in sub]
+    branch = [v for v, d in enumerate(degree) if d > 2]
+    if 1 in degree or sorted(degree[b] for b in branch) not in ([4] * 5, [3] * 6):
+        return False
+    # Walk every branch-to-branch path from both of its ends.
+    pairs: set[Edge] = set()
+    walked = 0
+    for b in branch:
+        for first in _bits(sub[b]):
+            prev, cur = b, first
+            walked += 1
+            while degree[cur] == 2:
+                prev, cur = cur, (sub[cur] ^ 1 << prev).bit_length() - 1
+                walked += 1
+            if cur == b or (b, cur) in pairs:
                 return False
-
-            ok = extend(a, 0)
-        memo[key] = ok
-        return ok
-
-    return solve(0, free)
-
-
-def _branch_placements(n: int, masks: list[int]):
-    """Every placement of branch vertices as (free, pairs): the vertices off
-    the branch, through which paths may run, and the pairs to join.  First
-    each 5-set of degree >= 4 with K5's 10 pairs, then each 6-set of degree
-    >= 3, split with branch[0] on the left, with K3,3's 9 pairs."""
-    degree = [mask.bit_count() for mask in masks]
-    all_mask = (1 << n) - 1
-    for branch in combinations([v for v in range(n) if degree[v] >= 4], 5):
-        yield all_mask & ~sum(1 << v for v in branch), list(combinations(branch, 2))
-    for branch in combinations([v for v in range(n) if degree[v] >= 3], 6):
-        free = all_mask & ~sum(1 << v for v in branch)
-        rest = branch[1:]
-        for left_rest in combinations(rest, 2):
-            right = [v for v in rest if v not in left_rest]
-            yield free, [(a, b) for a in (branch[0], *left_rest) for b in right]
+            pairs.add((b, cur))
+    if walked != 2 * len(witness):  # an edge on no path
+        return False
+    if len(branch) == 5:
+        return True  # ten distinct pairs of five vertices: K5
+    # Nine distinct pairs, three at each vertex: K3,3 if they are bipartite,
+    # with the neighbours of one branch vertex as one side.
+    side = {c for b, c in pairs if b == branch[0]}
+    return all((b in side) != (c in side) for b, c in pairs)

@@ -205,7 +205,7 @@ def test_criterion_8_pmfg_builder_soundness():
         runs += 1
     elapsed = time.monotonic() - started
     assert elapsed < 120.0, f"builder soundness took {elapsed:.1f}s"
-    print(f"criterion 8 (builder vs exhaustive gate, {runs} matrices, {elapsed:.0f}s): PASS")
+    print(f"criterion 8 (builder vs certifying-oracle gate, {runs} matrices, {elapsed:.0f}s): PASS")
 
 
 def test_criterion_9_per_operation_clique_deltas(audited_generation):

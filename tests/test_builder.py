@@ -317,7 +317,7 @@ class RetracingGate(_PlanarityGate):
 
 
 def oracle_gated_greedy(sim):
-    """The independent twin of build_pmfg: same scan, exhaustive gate."""
+    """The independent twin of build_pmfg: same scan, certifying-oracle gate."""
     n = sim.n
     target = 3 * (n - 2)
     kept = []

@@ -1,6 +1,7 @@
 import importlib.util
 import random
 import sys
+from collections import Counter
 from itertools import combinations
 from pathlib import Path
 
@@ -8,10 +9,16 @@ import networkx as nx
 import numpy as np
 import pytest
 from networkx.algorithms.planarity import get_counterexample
+from test_builder import is_kuratowski_subdivision
 
+import pmfg.embedding
+import pmfg.planarity
 from pmfg import (
     CeilingError,
     InputError,
+    PlanarEmbedding,
+    StructuralError,
+    VerificationFailure,
     build_pmfg,
     correlation_from_returns,
     euler_check,
@@ -21,7 +28,7 @@ from pmfg import (
 )
 from pmfg.builder import _PlanarityGate
 from pmfg.embedding import _canonical_rotation
-from pmfg.planarity import _lr_rotation
+from pmfg.planarity import _is_kuratowski_subdivision, _lr_rotation
 
 WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 
@@ -32,6 +39,17 @@ def complete_graph(n):
 
 def complete_bipartite(a, b):
     return [(i, a + j) for i in range(a) for j in range(b)]
+
+
+def masks_of(n, edges):
+    masks = [0] * n
+    for u, v in edges:
+        masks[u] |= 1 << v
+        masks[v] |= 1 << u
+    return masks
+
+
+PRISM = [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (0, 3), (1, 4), (2, 5)]
 
 
 class TestIsPlanar:
@@ -51,6 +69,7 @@ class TestIsPlanar:
         branch = sorted(d for d in degrees.values() if d >= 3)
         assert branch in ([4, 4, 4, 4, 4], [3, 3, 3, 3, 3, 3])
         assert all(d in (2, 3, 4) for d in degrees.values())
+        assert _is_kuratowski_subdivision(masks_of(5, complete_graph(5)), verdict.witness)
 
     def test_witness_only_when_requested(self):
         assert is_planar(5, complete_graph(5)).witness is None
@@ -120,14 +139,11 @@ class TestKuratowskiOracle:
             kuratowski_oracle(13, [])
 
     def test_agreement_on_1000_random_graphs(self):
-        rng = random.Random(2024)
         planar_seen = nonplanar_seen = 0
-        for _ in range(1000):
-            n = rng.randrange(3, 11)
-            pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-            edges = rng.sample(pairs, rng.randrange(0, len(pairs) + 1))
+        for n, edges in random_corpus():
             fast = is_planar(n, edges).planar
             assert kuratowski_oracle(n, edges) == fast
+            assert fast == nx_planar(n, edges)
             planar_seen += fast
             nonplanar_seen += not fast
         assert planar_seen > 100 and nonplanar_seen > 100
@@ -147,6 +163,262 @@ class TestKuratowskiOracle:
             extra = rng.choice(missing)
             assert not kuratowski_oracle(n, edges + [extra])
             checked += 1
+
+    def test_ceiling_refusal_does_not_call_lr(self, monkeypatch):
+        monkeypatch.setattr(pmfg.planarity, "_lr_rotation", refuse)
+        with pytest.raises(CeilingError, match="n=13 > ceiling=12"):
+            kuratowski_oracle(13, [(0, 1)])
+
+    @pytest.mark.slow
+    def test_agreement_on_every_labelled_graph_to_six(self):
+        for n in range(7):
+            pairs = complete_graph(n)
+            for bits in range(1 << len(pairs)):
+                edges = [p for i, p in enumerate(pairs) if bits >> i & 1]
+                assert kuratowski_oracle(n, edges) == nx_planar(n, edges), (n, edges)
+
+    def test_uses_no_embedding_face_or_gate_code(self, monkeypatch):
+        monkeypatch.setattr(pmfg.planarity, "PlanarEmbedding", refuse)
+        for name in ("apex", "face_walk", "face_walks", "trace_faces"):
+            monkeypatch.setattr(pmfg.embedding, name, refuse)
+        monkeypatch.setattr(_PlanarityGate, "add_if_planar", refuse)
+        for n, edges in random_corpus():
+            assert kuratowski_oracle(n, edges) == nx_planar(n, edges)
+
+
+def refuse(*args, **kwargs):
+    raise AssertionError("the oracle called code it must not depend on")
+
+
+def random_corpus():
+    """The 1,000 random graphs, 3 <= n <= 10, that the oracle is checked on."""
+    rng = random.Random(2024)
+    for _ in range(1000):
+        n = rng.randrange(3, 11)
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        yield n, rng.sample(pairs, rng.randrange(0, len(pairs) + 1))
+
+
+def nx_planar(n, edges):
+    return nx.check_planarity(nx_graph(n, edges))[0]
+
+
+def lying_lr(monkeypatch):
+    """Patch the oracle's ``_lr_rotation``; ``lies.append(f)`` makes its next
+    answer ``f(found, n, adjacency)`` in place of the true ``found``."""
+    lies = []
+
+    def lying(n, adjacency):
+        found = _lr_rotation(n, adjacency)
+        return lies.pop()(found, n, adjacency) if lies else found
+
+    monkeypatch.setattr(pmfg.planarity, "_lr_rotation", lying)
+    return lies
+
+
+def edited(found, v, edit):
+    """The rotation of ``found`` with ``edit`` applied to the list of vertex v."""
+    rotation = [list(nbrs) for nbrs in found[0]]
+    edit(rotation[v])
+    return rotation, found[1]
+
+
+def lie_about(rng, n, adjacency, found):
+    """A random corruption of the LR answer ``found``, and whether it is
+    surely wrong.  A swapped or reversed order may still embed the graph."""
+    if found is None:  # non-planar: some rotation
+        if rng.random() < 0.5:
+            rotation = [rng.sample(nbrs, len(nbrs)) for nbrs in adjacency]
+            return (rotation, 1), True
+        # The true rotation of a planar subgraph.
+        adj = [list(nbrs) for nbrs in adjacency]
+        while (sub := _lr_rotation(n, adj)) is None:
+            u = rng.choice([x for x in range(n) if adj[x]])
+            w = rng.choice(adj[u])
+            adj[u].remove(w)
+            adj[w].remove(u)
+        return sub, True
+    kind = rng.choice(["none", "swap", "reverse", "drop", "foreign", "repeat"])
+    busy = [v for v in range(n) if len(adjacency[v]) >= 3]
+    lonely = [v for v in range(n) if 0 < len(adjacency[v]) < n - 1]
+    if kind in ("swap", "reverse") and busy:
+        v = rng.choice(busy)
+        if kind == "reverse":
+            return edited(found, v, list.reverse), False
+        i, j = rng.sample(range(len(adjacency[v])), 2)
+
+        def swap(nbrs):
+            nbrs[i], nbrs[j] = nbrs[j], nbrs[i]
+
+        return edited(found, v, swap), False
+    if kind == "drop" and any(adjacency):
+        v = rng.choice([x for x in range(n) if adjacency[x]])
+        w = rng.choice(adjacency[v])
+        rotation, roots = edited(found, v, lambda nbrs: nbrs.remove(w))
+        rotation[w].remove(v)
+        return (rotation, roots), True
+    if kind == "foreign" and lonely:
+        v = rng.choice(lonely)
+        x = rng.choice([x for x in range(n) if x != v and x not in adjacency[v]])
+        i = rng.randrange(len(adjacency[v]))
+        return edited(found, v, lambda nbrs: nbrs.__setitem__(i, x)), True
+    if kind == "repeat" and busy:
+        v = rng.choice(busy)
+        i, j = rng.sample(range(len(adjacency[v])), 2)
+        return edited(found, v, lambda nbrs: nbrs.__setitem__(i, nbrs[j])), True
+    return None, True
+
+
+class TestOracleCertificates:
+    """The oracle returns only an answer its own checkers certify."""
+
+    def test_corrupted_answers_raise(self, monkeypatch):
+        lies = lying_lr(monkeypatch)
+        k4 = complete_graph(4)
+        # K4 with one vertex's order reversed is a permutation of genus 1.
+        genus_1 = edited(_lr_rotation(4, adjacency_of(4, k4)), 0, list.reverse)
+        with pytest.raises(StructuralError, match="genus"):
+            PlanarEmbedding(genus_1[0])
+        lies.append(lambda *_: genus_1)
+        with pytest.raises(VerificationFailure):
+            kuratowski_oracle(4, k4)
+
+        def drop_edge_01(found, n, adjacency):
+            rotation, roots = edited(found, 0, lambda nbrs: nbrs.remove(1))
+            rotation[1].remove(0)
+            return rotation, roots
+
+        prism_lies = [
+            drop_edge_01,
+            lambda found, *_: edited(found, 0, lambda nbrs: nbrs.__setitem__(0, 4)),
+            lambda found, *_: edited(found, 0, lambda nbrs: nbrs.__setitem__(0, nbrs[1])),
+            lambda found, *_: edited(found, 0, lambda nbrs: nbrs.append(4)),
+            lambda *_: None,
+        ]
+        for lie in prism_lies:
+            lies.append(lie)
+            with pytest.raises(VerificationFailure):
+                kuratowski_oracle(6, PRISM)
+        lies.append(lambda *_: None)
+        with pytest.raises(VerificationFailure):
+            kuratowski_oracle(4, k4)
+        rng = random.Random(36)
+        for n, edges in ((5, complete_graph(5)), (6, complete_bipartite(3, 3))):
+            adjacency = adjacency_of(n, edges)
+            rotations = [[sorted(nbrs) for nbrs in adjacency]]
+            rotations += [[rng.sample(nbrs, len(nbrs)) for nbrs in adjacency] for _ in range(20)]
+            # The true rotation of the graph less one edge: a planar subgraph.
+            rotations.append(_lr_rotation(n, adjacency_of(n, edges[1:]))[0])
+            for rotation in rotations:
+                lies.append(lambda *_, rotation=rotation: (rotation, 1))
+                with pytest.raises(VerificationFailure):
+                    kuratowski_oracle(n, edges)
+        assert not lies
+
+    def test_corrupted_answers_never_give_a_wrong_bool(self, monkeypatch):
+        lies = lying_lr(monkeypatch)
+        rng = random.Random(36)
+        outcomes = Counter()
+        for n, edges in random_corpus():
+            truth = nx_planar(n, edges)
+            surely_wrong = []
+
+            def lie(found, n, adjacency):
+                answer, wrong = lie_about(rng, n, adjacency, found)
+                surely_wrong.append(wrong)
+                return answer
+
+            lies.append(lie)
+            try:
+                decided = kuratowski_oracle(n, edges)
+            except VerificationFailure:
+                outcomes["raised"] += 1
+                continue
+            assert decided == truth and not surely_wrong[0], (n, edges)
+            outcomes["true"] += 1
+        assert outcomes["raised"] > 700 and outcomes["true"] > 20, outcomes
+
+
+def mutated(rng, witness):
+    """The witness with one edge dropped, one added or one subdivided."""
+    edges = list(witness)
+    size = 1 + max(map(max, edges))
+    kind = rng.choice(["drop", "add", "subdivide"])
+    if kind == "drop":
+        edges.remove(rng.choice(edges))
+    elif kind == "add":
+        present = set(edges)
+        while (pair := tuple(sorted(rng.sample(range(size + 1), 2)))) in present:
+            pass
+        edges.append(pair)
+    else:
+        u, v = rng.choice(edges)
+        edges.remove((u, v))
+        edges += [(u, size), (v, size)]
+    return edges
+
+
+class TestSubdivisionChecker:
+    """``_is_kuratowski_subdivision`` against the networkx-based reference."""
+
+    def test_agrees_with_reference_on_corpus_witnesses_and_mutants(self):
+        rng = random.Random(36)
+        witnesses = 0
+        mutants = Counter()
+        for n, edges in random_corpus():
+            if nx_planar(n, edges):
+                continue
+            witness = is_planar(n, edges, want_witness=True).witness
+            assert _is_kuratowski_subdivision(masks_of(n, edges), witness)
+            assert is_kuratowski_subdivision(witness)
+            witnesses += 1
+            for _ in range(5):
+                mutant = witness
+                for _ in range(rng.choice([1, 1, 2])):
+                    mutant = mutated(rng, mutant)
+                size = 1 + max(map(max, mutant))
+                accepted = _is_kuratowski_subdivision(masks_of(size, complete_graph(size)), mutant)
+                assert accepted == is_kuratowski_subdivision(mutant), mutant
+                mutants[accepted] += 1
+        assert witnesses > 100 and sum(mutants.values()) >= 1000
+        assert min(mutants.values()) > 100, mutants
+
+    def test_accepts_subdivisions(self):
+        subdivided_k5 = [e for e in complete_graph(5) if e != (0, 1)] + [(0, 5), (5, 6), (1, 6)]
+        subdivided_k33 = [e for e in complete_bipartite(3, 3) if e != (0, 3)] + [(0, 6), (3, 6)]
+        for n, witness in ((5, complete_graph(5)), (6, complete_bipartite(3, 3)),
+                           (7, subdivided_k5), (7, subdivided_k33)):
+            assert _is_kuratowski_subdivision(masks_of(n, witness), witness)
+            assert is_kuratowski_subdivision(witness)
+
+    def test_rejects_near_misses(self):
+        k5 = complete_graph(5)
+        cases = {
+            "triangular prism": PRISM,
+            "K5 minus an edge": k5[1:],
+            "K3,3 plus a chord": complete_bipartite(3, 3) + [(0, 1)],
+            "pendant edge": k5 + [(0, 5)],
+            "separate cycle": k5 + [(5, 6), (6, 7), (5, 7)],
+            # Six vertices of degree 3; the path 0-6-7-0 returns to 0.
+            "path back to its own branch vertex": [
+                (0, 1), (1, 2), (1, 3), (2, 4), (2, 5), (3, 4), (3, 5), (4, 5),
+                (0, 6), (6, 7), (0, 7),
+            ],
+            # Five vertices of degree 4; 0-1 and 3-4 are each joined twice.
+            "two paths joining one pair": [
+                (0, 1), (0, 5), (1, 5), (0, 2), (0, 3), (1, 2), (1, 4),
+                (2, 3), (2, 4), (3, 4), (3, 6), (4, 6),
+            ],
+        }
+        every_pair = masks_of(8, complete_graph(8))
+        for name, witness in cases.items():
+            assert not _is_kuratowski_subdivision(every_pair, witness), name
+            assert not is_kuratowski_subdivision(witness), name
+
+    def test_rejects_a_witness_outside_the_graph(self):
+        k5 = complete_graph(5)
+        assert not _is_kuratowski_subdivision(masks_of(5, k5[1:]), k5)
+        assert not _is_kuratowski_subdivision(masks_of(5, k5), k5 + [k5[0]])
 
 
 # ----------------------------------------------------------------------

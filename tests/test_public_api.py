@@ -33,6 +33,9 @@ def test_removed_names_stay_removed():
     # normalization move carries the replacement its finder computed.
     assert not hasattr(pmfg.planarity, "_has_k5_subdivision")
     assert not hasattr(pmfg.planarity, "_has_k33_subdivision")
+    # The oracle checks certificates; its exhaustive search is gone.
+    for name in ("_min_interior", "_pack_paths", "_branch_placements"):
+        assert not hasattr(pmfg.planarity, name)
     assert not hasattr(pmfg.generator, "_recorded")
 
 
